@@ -3,12 +3,12 @@ cached operator driver."""
 
 from .codegen import emit_c
 from .interpreter import (BackendError, BoundsError, DataBuffer, allocate,
-                          reference_run, run)
-from .operator import (Operator, OperatorArtifact, autotune, clear_cache,
-                       PASS_WORK)
+                          run)
+from .operator import Operator, OperatorArtifact, autotune, clear_cache
+from .reference import reference_run
 
 __all__ = [
     "BackendError", "BoundsError", "DataBuffer", "allocate", "emit_c",
     "reference_run", "run", "Operator", "OperatorArtifact", "autotune",
-    "clear_cache", "PASS_WORK",
+    "clear_cache",
 ]

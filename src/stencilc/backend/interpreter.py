@@ -1,35 +1,59 @@
 """Execution of loop-nest trees over in-memory arrays.
 
-``run`` interprets an optimized tree; ``reference_run`` executes the
-unoptimized lowered equations directly, one loop nest per equation, and
-serves as the differential-testing oracle. Both check every array access
-against the allocated extents and fail hard on a violation.
+``run`` first builds an execution plan, once per call: every tree node
+becomes a closure. Loop bounds and indices that use no vector loop (such
+as the modulo time index) become small closures over the bindings. Under
+a sliceable nest (a perfect nest of parallel, unit-stride, forward space
+loops around statements only) each array index becomes its affine form
+``(axis, const, ((symbol, coeff), ...))`` (block-local temporaries index
+with ``x - xb``), and each right-hand side a closure tree of numpy
+operations that folds sums and products left to right. The plan decides
+once per nest whether its statements run as whole-array slice operations
+or per point through ``evaluate`` (a non-affine or transposed index, a
+loop symbol used as a value, integer division of arrays); sparse
+scatter/gather and loops outside such nests run per point too. Running a
+block is then only slice arithmetic, bounds checks and numpy calls. Every
+access is checked against the allocated extents (``BoundsError``).
 
-Dense, guard-free statement bodies under parallel space loops execute as
-whole-array slice operations; everything else (sparse scatter/gather,
-guarded bodies, non-affine indices) falls back to a per-point evaluator.
-A parallel loop may additionally be split into contiguous chunks across a
-worker pool; chunking never changes which slice arithmetic runs per
-point, so results are independent of the pool size.
+The report gives per section the elapsed ``time``, the statement
+executions (``points``, one per statement and grid point) and how many of
+them ran ``sliced`` and ``per_point``, so that a silent fallback shows.
+
+A parallel loop may be split into contiguous chunks across a worker pool;
+each chunk gets its own copies of the array temporaries declared private
+at or below that loop. Chunking never changes the arithmetic of a point,
+so results are independent of the pool size.
+
+The per-point path, ``_point``, is shared with the reference oracle
+(``reference.py``), which never uses the plan.
 """
 
 from __future__ import annotations
 
-import itertools
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import reduce
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..iet import (ATOMIC, PARALLEL, Block, Conditional, ExpressionStmt,
-                   Iteration, Section, statements)
-from ..lowering import BACKWARD, FORWARD, LoweredEq
+                   Iteration, Section, statements, walk)
+from ..lowering import BACKWARD, LoweredEq
 from ..symbolic.expr import (Access, Add, Call, Constant, Expr, ExprError,
-                             Mul, Pow, Symbol, evaluate, free_symbols)
+                             Mul, Pow, Symbol, children_of, evaluate,
+                             free_symbols)
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
+
+#: numpy forms of the builtin calls, for arrays and scalars alike;
+#: ``idiv`` takes scalars only and is handled apart.
+_ARRAY_CALLS = {"sin": np.sin, "cos": np.cos, "sqrt": np.sqrt,
+                "floor": np.floor,
+                "min": lambda *args: reduce(np.minimum, args),
+                "max": lambda *args: reduce(np.maximum, args)}
 
 
 class BackendError(ValueError):
@@ -39,10 +63,6 @@ class BackendError(ValueError):
 
 class BoundsError(IndexError):
     """Raised when any access falls outside the allocated extents."""
-
-
-class _Fallback(Exception):
-    """Internal: the sliced fast path cannot handle this body."""
 
 
 @dataclass
@@ -69,12 +89,22 @@ def allocate(decl, nt: Optional[int] = None, dtype: str = "f64") -> DataBuffer:
     return DataBuffer(decl.name, dtype, decl.storage_extents(nt))
 
 
-@dataclass
+@dataclass(slots=True)
 class _Frame:
-    """Per-worker execution state."""
+    """Per-worker execution state: bindings, scalar temporaries, the arrays
+    statements touch (in a chunk, its own private temporaries), statement
+    executions per path, and the inclusive loop ranges and scalar
+    temporaries of the sliced nest running now."""
 
+    env: dict
+    arrays: Dict[str, np.ndarray]
+    scalars: dict = field(default_factory=dict)
     chunked: bool = False
-    points: int = 0
+    sliced: int = 0
+    per_point: int = 0
+    lo: list = field(default_factory=list)
+    hi: list = field(default_factory=list)
+    defined: dict = field(default_factory=dict)
 
 
 def _temp_extents(decl, env) -> Tuple[int, ...]:
@@ -93,344 +123,394 @@ def _temp_extents(decl, env) -> Tuple[int, ...]:
     return tuple(extents)
 
 
-class _Interpreter:
-    def __init__(self, buffers: Dict[str, DataBuffer], env: dict,
-                 workers: int, report: dict):
-        self.buffers = buffers
-        self.env = env
-        self.workers = max(1, int(workers))
+def _lookup(table: dict, name: str, what: str):
+    try:
+        return table[name]
+    except KeyError:
+        raise BackendError("%s %r" % (what, name)) from None
+
+
+def _array(fr: _Frame, f) -> np.ndarray:
+    return _lookup(fr.arrays, f.name, "no buffer for")
+
+
+def _out_of_range(f, pos: int, start: int, stop: int, extent: int):
+    return BoundsError("%s indices [%d, %d) out of range [0, %d) along axis "
+                       "%d" % (f.name, start, stop, extent, pos))
+
+
+def _point_index(f, pos: int, value: float, extent: int) -> int:
+    v = int(round(value))
+    if pos == 0 and getattr(f, "is_modulo_time", False):
+        v %= f.time_dim.modulo
+    if not 0 <= v < extent:
+        raise _out_of_range(f, pos, v, v + 1, extent)
+    return v
+
+
+def _point(eq: LoweredEq, fr: _Frame):
+    """Execute one statement at the point bound in ``fr.env``."""
+
+    def indices(acc: Access) -> tuple:
+        shape = _array(fr, acc.func).shape
+        return tuple(_point_index(acc.func, pos,
+                                  evaluate(i, fr.env, on_access=on_access),
+                                  shape[pos])
+                     for pos, i in enumerate(acc.indices))
+
+    def on_access(acc: Access):
+        f = acc.func
+        if f.kind == "temp" and not acc.indices:
+            return _lookup(fr.scalars, f.name, "read of undefined scalar")
+        return _array(fr, f)[indices(acc)]
+
+    try:
+        val = evaluate(eq.rhs, fr.env, on_access=on_access)
+    except ExprError as err:
+        raise BackendError(str(err))
+    fr.per_point += 1
+    f = eq.lhs.func
+    if f.kind == "temp" and not eq.lhs.indices:
+        fr.scalars[f.name] = val
+    elif eq.is_increment:
+        _array(fr, f)[indices(eq.lhs)] += val
+    else:
+        _array(fr, f)[indices(eq.lhs)] = val
+
+
+# -- Plan ----------------------------------------------------------------------
+
+
+def _affine(e: Expr) -> Optional[Tuple[int, Dict[str, int]]]:
+    """``(const, {symbol: coeff})`` when ``e`` is affine in plain symbols
+    with integer coefficients, else None."""
+    const, terms = 0, {}
+    for t in (e.children if isinstance(e, Add) else (e,)):
+        if isinstance(t, Constant):
+            coeff, name = t.value, None
+        elif isinstance(t, Symbol):
+            coeff, name = 1, t.name
+        elif isinstance(t, Mul) and len(t.children) == 2 and \
+                isinstance(t.children[0], Constant) and \
+                isinstance(t.children[1], Symbol):
+            coeff, name = t.children[0].value, t.children[1].name
+        else:
+            return None
+        if coeff != int(coeff):
+            return None
+        if name is None:
+            const += int(coeff)
+        else:
+            terms[name] = terms.get(name, 0) + int(coeff)
+    return const, terms
+
+
+def _index_plan(acc: Access, dims: Sequence[str]):
+    """Per index of ``acc``: its affine form ``(axis, const, ((symbol,
+    coeff), ...))`` when it is ``dims[axis] + const + sum(coeff *
+    symbol)``, or ``(None, 0, ())`` when it uses no loop of ``dims``.
+    None when an index is neither, or the vector axes do not increase."""
+    out, axes = [], []
+    for idx in acc.indices:
+        used = free_symbols(idx) & set(dims)
+        if not used:
+            out.append((None, 0, ()))
+            continue
+        form = _affine(idx)
+        if form is None or len(used) > 1:
+            return None
+        const, terms = form
+        name = used.pop()
+        axis = dims.index(name)
+        if terms.pop(name) != 1 or (axes and axis <= axes[-1]):
+            return None
+        axes.append(axis)
+        out.append((axis, const, tuple(terms.items())))
+    return out
+
+
+def _fold(op, fns):
+    first, rest = fns[0], fns[1:]
+
+    def fold(fr: _Frame):
+        out = first(fr)
+        for fn in rest:
+            out = op(out, fn(fr))
+        return out
+    return fold
+
+
+def _statement(eq: LoweredEq, index, value):
+    """The closure running one sliced statement; ``index`` is None for a
+    scalar temporary, which the nest keeps in ``defined``."""
+    name = eq.lhs.func.name
+
+    def bind(fr: _Frame):
+        fr.defined[name] = value(fr)
+
+    def store(fr: _Frame):
+        val = value(fr)
+        if eq.is_increment:
+            fr.arrays[name][index(fr)] += val
+        else:
+            fr.arrays[name][index(fr)] = val
+    return bind if index is None else store
+
+
+class _Planner:
+    """Turns tree nodes into closures over a ``_Frame``, once per ``run``;
+    owns the worker pool and the report the sections fill."""
+
+    def __init__(self, buffers: Dict[str, DataBuffer], report: dict,
+                 workers: int):
+        self.extents = {name: b.extents for name, b in buffers.items()}
         self.report = report
+        self.workers = max(1, int(workers))
         self.pool = ThreadPoolExecutor(self.workers) if self.workers > 1 \
             else None
-        self._vec_ok_cache: Dict[int, bool] = {}
 
     def close(self):
         if self.pool is not None:
             self.pool.shutdown()
 
-    # -- dispatch ------------------------------------------------------------
-
-    def node(self, n, env, scalars, frame):
-        if isinstance(n, (Block,)):
-            for c in n.children:
-                self.node(c, env, scalars, frame)
-        elif isinstance(n, Section):
-            t0 = perf_counter()
-            p0 = frame.points
-            for c in n.children:
-                self.node(c, env, scalars, frame)
-            slot = self.report.setdefault(n.name, {"time": 0.0, "points": 0})
-            slot["time"] += perf_counter() - t0
-            slot["points"] += frame.points - p0
-        elif isinstance(n, Conditional):
-            for g in n.guards:
-                val = env.get(g.dim.name)
-                if val is None:
-                    raise BackendError("unbound guard symbol %r" % g.dim.name)
-                if val % g.factor != 0:
-                    return
-            for c in n.children:
-                self.node(c, env, scalars, frame)
-        elif isinstance(n, Iteration):
-            self.iteration(n, env, scalars, frame)
-        elif isinstance(n, ExpressionStmt):
-            self.point(n.eq, env, scalars, frame)
-        else:
+    def node(self, n):
+        if isinstance(n, Iteration):
+            return self.iteration(n)
+        if isinstance(n, ExpressionStmt):
+            eq = n.eq
+            return lambda fr: _point(eq, fr)
+        if not isinstance(n, (Block, Section, Conditional)):
             raise BackendError("cannot execute node %r" % (n,))
+        kids = [self.node(c) for c in n.children]
 
-    def _bound(self, e: Expr, env) -> int:
-        try:
-            return int(round(evaluate(e, env)))
-        except ExprError as err:
-            raise BackendError(str(err))
+        def body(fr: _Frame):
+            for k in kids:
+                k(fr)
+        if isinstance(n, Conditional):
+            guards = [(g.dim.name, g.factor) for g in n.guards]
 
-    def iteration(self, n: Iteration, env, scalars, frame):
-        lo = self._bound(n.lower, env)
-        hi = self._bound(n.upper, env)
-        indices = list(range(lo, hi + 1, n.step))
-        if n.direction == BACKWARD:
-            indices.reverse()
-        if not indices:
-            return
-        chunkable = (self.pool is not None and not frame.chunked and
-                     PARALLEL in n.properties and
-                     ATOMIC not in n.properties and
-                     not n.dim.is_time and
-                     n.direction != BACKWARD and len(indices) > 1)
-        if chunkable:
-            nparts = min(self.workers, len(indices))
-            size = (len(indices) + nparts - 1) // nparts
-            parts = [indices[i:i + size]
-                     for i in range(0, len(indices), size)]
-            frames = [_Frame(chunked=True) for _ in parts]
-            futs = [self.pool.submit(self.run_part, n, part, dict(env),
-                                     {}, fr)
-                    for part, fr in zip(parts, frames)]
-            for f in futs:
-                f.result()
-            frame.points += sum(fr.points for fr in frames)
-        else:
-            self.run_part(n, indices, env, scalars, frame)
+            def conditional(fr: _Frame):
+                for name, factor in guards:
+                    val = fr.env.get(name)
+                    if val is None:
+                        raise BackendError("unbound guard symbol %r" % name)
+                    if val % factor != 0:
+                        return
+                body(fr)
+            return conditional
+        if isinstance(n, Section):
+            slot = {"time": 0.0, "points": 0, "sliced": 0, "per_point": 0}
 
-    def run_part(self, n: Iteration, indices, env, scalars, frame):
-        if n.step == 1 and n.direction != BACKWARD and self._vec_ok(n):
-            try:
-                self.vec_exec(n, indices[0], indices[-1], env, scalars, frame)
-                return
-            except _Fallback:
-                pass
-        name = n.dim.name
-        for v in indices:
-            env[name] = v
-            for c in n.children:
-                self.node(c, env, scalars, frame)
+            def section(fr: _Frame):
+                t0, sliced, per_point = perf_counter(), fr.sliced, fr.per_point
+                body(fr)
+                self.report.setdefault(n.name, slot)
+                slot["time"] += perf_counter() - t0
+                slot["sliced"] += fr.sliced - sliced
+                slot["per_point"] += fr.per_point - per_point
+                slot["points"] = slot["sliced"] + slot["per_point"]
+            return section
+        return body
 
-    # -- scalar path ---------------------------------------------------------
+    def scalar(self, e: Expr):
+        """A closure computing ``e`` at the current bindings."""
+        compiled = self.value(e, (), {})
+        if compiled is None:
+            raise BackendError("cannot evaluate %r" % (e,))
+        return compiled[0]
 
-    def _scalar_access(self, env, scalars):
-        def on_access(acc: Access):
-            f = acc.func
-            if f.kind == "temp" and not acc.indices:
-                try:
-                    return scalars[f.name]
-                except KeyError:
-                    raise BackendError("read of undefined scalar %s" % f.name)
-            buf = self.buffer_of(f)
-            idx = self.resolve_indices(acc, env, on_access)
-            return buf.data[idx]
-        return on_access
+    def iteration(self, n: Iteration):
+        lower, upper = self.scalar(n.lower), self.scalar(n.upper)
+        step, name = n.step, n.dim.name
+        backward = n.direction == BACKWARD
+        body = self.nest(n)
+        if body is None:
+            kids = [self.node(c) for c in n.children]
 
-    def buffer_of(self, f) -> DataBuffer:
-        try:
-            return self.buffers[f.name]
-        except KeyError:
-            raise BackendError("no buffer for %s" % f.name)
+            def body(fr: _Frame, indices):
+                for v in indices:
+                    fr.env[name] = v
+                    for k in kids:
+                        k(fr)
+        chunkable = (self.pool is not None and PARALLEL in n.properties and
+                     ATOMIC not in n.properties and not n.dim.is_time and
+                     not backward)
+        private = [d.decl.name for nd in walk(n)
+                   for d in getattr(nd, "declarations", ())
+                   if d.scope == "private" and
+                   d.decl.name in self.extents] if chunkable else []
 
-    def resolve_indices(self, acc: Access, env, on_access) -> tuple:
-        f = acc.func
-        buf = self.buffers[f.name]
-        idx = []
-        for pos, i in enumerate(acc.indices):
-            v = int(round(evaluate(i, env, on_access=on_access)))
-            if pos == 0 and getattr(f, "is_modulo_time", False):
-                v %= f.time_dim.modulo
-            if not 0 <= v < buf.extents[pos]:
-                raise BoundsError(
-                    "%s index %d out of range [0, %d) along axis %d"
-                    % (f.name, v, buf.extents[pos], pos))
-            idx.append(v)
-        return tuple(idx)
+        def iteration(fr: _Frame):
+            indices = range(int(round(lower(fr))), int(round(upper(fr))) + 1,
+                            step)
+            if backward:
+                indices = indices[::-1]
+            if chunkable and not fr.chunked and len(indices) > 1:
+                self.chunks(body, indices, fr, private)
+            elif indices:
+                body(fr, indices)
+        return iteration
 
-    def point(self, eq: LoweredEq, env, scalars, frame):
-        on_access = self._scalar_access(env, scalars)
-        try:
-            val = evaluate(eq.rhs, env, on_access=on_access)
-        except ExprError as err:
-            raise BackendError(str(err))
-        f = eq.lhs.func
-        frame.points += 1
-        if f.kind == "temp" and not eq.lhs.indices:
-            scalars[f.name] = val
-            return
-        buf = self.buffer_of(f)
-        idx = self.resolve_indices(eq.lhs, env, on_access)
-        if eq.is_increment:
-            buf.data[idx] += val
-        else:
-            buf.data[idx] = val
+    def chunks(self, body, indices, fr: _Frame, private):
+        """Run ``body`` over contiguous chunks of ``indices`` on the pool,
+        each chunk with its own zeroed copy of the ``private`` arrays."""
+        size = -(-len(indices) // min(self.workers, len(indices)))
+        frames, futs = [], []
+        for i in range(0, len(indices), size):
+            arrays = dict(fr.arrays)
+            for name in private:
+                arrays[name] = np.zeros_like(arrays[name])
+            frames.append(_Frame(dict(fr.env), arrays, chunked=True))
+            futs.append(self.pool.submit(body, frames[-1],
+                                         indices[i:i + size]))
+        for f in futs:
+            f.result()
+        fr.sliced += sum(sub.sliced for sub in frames)
+        fr.per_point += sum(sub.per_point for sub in frames)
 
-    # -- sliced fast path ----------------------------------------------------
-
-    def _vec_ok(self, n: Iteration) -> bool:
-        cached = self._vec_ok_cache.get(id(n))
-        if cached is not None:
-            return cached
-
-        def usable(it):
-            if it.dim.kind != "space" or PARALLEL not in it.properties or \
-                    it.step != 1 or it.direction == BACKWARD:
-                return False
-            kids = it.children
+    def nest(self, n: Iteration):
+        """The sliced executor ``(frame, indices)`` of the nest headed by
+        ``n``, or None when it must run per point."""
+        loops, cur = [], n
+        while True:
+            if cur.dim.kind != "space" or PARALLEL not in cur.properties or \
+                    cur.step != 1 or cur.direction == BACKWARD:
+                return None
+            loops.append(cur)
+            kids = cur.children
             if kids and all(isinstance(k, ExpressionStmt) for k in kids):
-                return True
-            if len(kids) == 1 and isinstance(kids[0], Iteration):
-                return usable(kids[0])
-            return False
-
-        ok = usable(n)
-        self._vec_ok_cache[id(n)] = ok
-        return ok
-
-    def _vec_nest(self, n: Iteration, lo, hi, env):
-        dims = [n.dim.name]
-        ranges = [(lo, hi)]
-        cur = n
-        while not all(isinstance(k, ExpressionStmt) for k in cur.children):
-            cur = cur.children[0]
-            try:
-                l = self._bound(cur.lower, env)
-                h = self._bound(cur.upper, env)
-            except BackendError:
-                raise _Fallback
-            dims.append(cur.dim.name)
-            ranges.append((l, h))
-        return dims, ranges, list(cur.children)
-
-    def vec_exec(self, n: Iteration, lo, hi, env, scalars, frame):
-        dims, ranges, stmts = self._vec_nest(n, lo, hi, env)
-        if any(h < l for l, h in ranges):
-            return
-        npts = 1
-        for l, h in ranges:
-            npts *= h - l + 1
-        vecscalars = {}
-        plan = []
-        for s in stmts:
-            eq = s.eq
-            f = eq.lhs.func
-            if f.kind == "temp" and not eq.lhs.indices:
-                plan.append((s, None, None))
+                break
+            if len(kids) != 1 or not isinstance(kids[0], Iteration):
+                return None
+            cur = kids[0]
+        dims = [it.dim.name for it in loops]
+        if any(free_symbols(b) & set(dims)
+               for it in loops[1:] for b in (it.lower, it.upper)):
+            return None
+        bounds = [(self.scalar(it.lower), self.scalar(it.upper))
+                  for it in loops[1:]]
+        defined: Dict[str, bool] = {}
+        stmts = []
+        for eq in (k.eq for k in cur.children):
+            value = self.value(eq.rhs, dims, defined)
+            if value is None:
+                return None
+            if eq.lhs.func.kind == "temp" and not eq.lhs.indices:
+                defined[eq.lhs.func.name] = value[1]
+                stmts.append(_statement(eq, None, value[0]))
                 continue
-            buf = self.buffer_of(f)
-            slices, axes = self._vec_slices(eq.lhs, dims, ranges, env, scalars)
-            if axes != list(range(len(dims))):
-                raise _Fallback
-            plan.append((s, buf, slices))
-        for s, buf, slices in plan:
-            eq = s.eq
-            val = self.vec_eval(eq.rhs, dims, ranges, env, scalars, vecscalars)
-            frame.points += npts
-            if buf is None:
-                vecscalars[eq.lhs.func.name] = val
-                continue
-            if eq.is_increment:
-                buf.data[tuple(slices)] += val
-            else:
-                buf.data[tuple(slices)] = val
+            target = self.access(eq.lhs, dims, defined)
+            if target is None or target[1] != tuple(range(len(dims))):
+                return None
+            stmts.append(_statement(eq, target[0], value[0]))
 
-    def _vec_slices(self, acc: Access, dims, ranges, env, scalars):
+        def nest(fr: _Frame, indices):
+            lo, hi = [indices[0]], [indices[-1]]
+            for lower, upper in bounds:
+                lo.append(int(round(lower(fr))))
+                hi.append(int(round(upper(fr))))
+            npts = 1
+            for l, h in zip(lo, hi):
+                if h < l:
+                    return
+                npts *= h - l + 1
+            fr.lo, fr.hi, fr.defined = lo, hi, {}
+            for s in stmts:
+                s(fr)
+            fr.sliced += npts * len(stmts)
+        return nest
+
+    def access(self, acc: Access, dims, defined):
+        """``(index closure, vector axes)`` of an array access, or None."""
         f = acc.func
-        buf = self.buffer_of(f)
-        vecnames = set(dims)
-        parts = []
-        axes = []
-        for pos, idx in enumerate(acc.indices):
-            used = free_symbols(idx) & vecnames
-            if not used:
-                try:
-                    v = evaluate(idx, env,
-                                 on_access=self._scalar_access(env, scalars))
-                except (ExprError, BackendError, KeyError):
-                    raise _Fallback
-                v = int(round(v))
-                if pos == 0 and getattr(f, "is_modulo_time", False):
-                    v %= f.time_dim.modulo
-                if not 0 <= v < buf.extents[pos]:
-                    raise BoundsError(
-                        "%s index %d out of range [0, %d) along axis %d"
-                        % (f.name, v, buf.extents[pos], pos))
-                parts.append(v)
+        if f.name not in self.extents:
+            raise BackendError("no buffer for %s" % f.name)
+        plan = _index_plan(acc, dims)
+        if plan is None:
+            return None
+        extents = self.extents[f.name]
+        fixed, vector = [], []
+        for pos, (idx, (axis, const, terms)) in enumerate(zip(acc.indices,
+                                                              plan)):
+            if axis is not None:
+                vector.append((pos, axis, const, terms, extents[pos]))
                 continue
-            if len(used) > 1:
-                raise _Fallback
-            name = used.pop()
-            k = dims.index(name)
-            probe = dict(env)
-            try:
-                probe[name] = 0.0
-                f0 = evaluate(idx, probe)
-                probe[name] = 1.0
-                f1 = evaluate(idx, probe)
-            except ExprError:
-                raise _Fallback
-            if abs(f1 - f0 - 1.0) > 1e-9 or abs(f0 - round(f0)) > 1e-9:
-                raise _Fallback
-            off = int(round(f0))
-            lo, hi = ranges[k]
-            start, stop = lo + off, hi + off + 1
-            if start < 0 or stop > buf.extents[pos]:
-                raise BoundsError(
-                    "%s slice [%d, %d) out of range [0, %d) along axis %d"
-                    % (f.name, start, stop, buf.extents[pos], pos))
-            parts.append(slice(start, stop))
-            axes.append(k)
-        if axes != sorted(axes):
-            raise _Fallback
-        return parts, axes
+            value = self.value(idx, dims, defined)
+            if value is None or value[1]:
+                return None
+            fixed.append((pos, value[0]))
 
-    def vec_eval(self, e: Expr, dims, ranges, env, scalars, vecscalars):
+        def index(fr: _Frame) -> tuple:
+            idx = [None] * len(plan)
+            for pos, value in fixed:
+                idx[pos] = _point_index(f, pos, value(fr), extents[pos])
+            lo, hi = fr.lo, fr.hi
+            for pos, axis, off, terms, extent in vector:
+                for s, k in terms:
+                    off += k * _lookup(fr.env, s, "unbound symbol")
+                start, stop = lo[axis] + off, hi[axis] + off + 1
+                if start < 0 or stop > extent:
+                    raise _out_of_range(f, pos, start, stop, extent)
+                idx[pos] = slice(start, stop)
+            return tuple(idx)
+        return index, tuple(v[1] for v in vector)
+
+    def value(self, e: Expr, dims, defined):
+        """``(closure, is_array)`` computing ``e`` over the current nest
+        ranges of ``dims``, or None when it cannot."""
         if isinstance(e, Constant):
-            return float(e.value)
+            const = float(e.value)
+            return (lambda fr: const), False
         if isinstance(e, Symbol):
-            if e.name in dims:
-                raise _Fallback
-            try:
-                return float(env[e.name])
-            except KeyError:
-                raise _Fallback
+            name = e.name
+
+            def symbol(fr: _Frame) -> float:
+                return float(_lookup(fr.env, name, "unbound symbol"))
+            return None if name in dims else (symbol, False)
+        if isinstance(e, Access) and e.func.kind == "temp" and not e.indices:
+            name = e.func.name
+            if name in defined:
+                return (lambda fr: fr.defined[name]), defined[name]
+            return (lambda fr: _lookup(fr.scalars, name,
+                                       "read of undefined scalar")), False
         if isinstance(e, Access):
-            f = e.func
-            if f.kind == "temp" and not e.indices:
-                if f.name in vecscalars:
-                    return vecscalars[f.name]
-                if f.name in scalars:
-                    return scalars[f.name]
-                raise _Fallback
-            buf = self.buffer_of(f)
-            parts, axes = self._vec_slices(e, dims, ranges, env, scalars)
-            arr = buf.data[tuple(parts)]
-            if not axes:
-                return arr
-            shape = [1] * len(dims)
-            for k in axes:
-                lo, hi = ranges[k]
-                shape[k] = hi - lo + 1
-            return arr.reshape(shape)
-        rec = lambda c: self.vec_eval(c, dims, ranges, env, scalars,
-                                      vecscalars)
-        if isinstance(e, Add):
-            out = rec(e.children[0])
-            for c in e.children[1:]:
-                out = out + rec(c)
-            return out
-        if isinstance(e, Mul):
-            out = rec(e.children[0])
-            for c in e.children[1:]:
-                out = out * rec(c)
-            return out
+            target = self.access(e, dims, defined)
+            if target is None:
+                return None
+            (index, axes), name = target, e.func.name
+            if len(axes) in (0, len(dims)):
+                return (lambda fr: fr.arrays[name][index(fr)]), bool(axes)
+
+            def broadcast(fr: _Frame):
+                shape = [1] * len(dims)
+                for k in axes:
+                    shape[k] = fr.hi[k] - fr.lo[k] + 1
+                return fr.arrays[name][index(fr)].reshape(shape)
+            return broadcast, True
+        kids = [self.value(c, dims, defined) for c in children_of(e)]
+        if None in kids:
+            return None
+        fns, is_array = [k[0] for k in kids], any(k[1] for k in kids)
+        if isinstance(e, (Add, Mul)):
+            op = operator.add if isinstance(e, Add) else operator.mul
+            return _fold(op, fns), is_array
         if isinstance(e, Pow):
-            return rec(e.base) ** e.exponent
-        if isinstance(e, Call):
-            args = [rec(a) for a in e.args]
-            if e.name == "sin":
-                return np.sin(args[0])
-            if e.name == "cos":
-                return np.cos(args[0])
-            if e.name == "sqrt":
-                return np.sqrt(args[0])
-            if e.name == "floor":
-                return np.floor(args[0])
-            if e.name == "idiv":
-                if any(isinstance(a, np.ndarray) for a in args):
-                    raise _Fallback
-                return float(int(args[0]) // int(args[1]))
-            if e.name == "min":
-                out = args[0]
-                for a in args[1:]:
-                    out = np.minimum(out, a)
-                return out
-            if e.name == "max":
-                out = args[0]
-                for a in args[1:]:
-                    out = np.maximum(out, a)
-                return out
-        raise _Fallback
+            base, exponent = fns[0], e.exponent
+            return (lambda fr: base(fr) ** exponent), is_array
+        if isinstance(e, Call) and e.name == "idiv" and not is_array:
+            a, b = fns
+            return (lambda fr: float(int(a(fr)) // int(b(fr)))), False
+        if isinstance(e, Call) and e.name in _ARRAY_CALLS:
+            fn = _ARRAY_CALLS[e.name]
+            return (lambda fr: fn(*[k(fr) for k in fns])), is_array
+        return None
 
 
 def run(iet, buffers: Dict[str, DataBuffer], params: dict,
         workers: int = 1) -> dict:
     """Execute an optimized tree in place over ``buffers``. Returns the
-    profiling report: per-section elapsed time and executed-point count.
+    profiling report: per section, elapsed ``time``, statement executions
+    (``points``) and how many of them ran ``sliced`` and ``per_point``.
     Array temporaries get sized from the runtime bounds (block-local ones
     from their block shape plus producer span) and allocated on entry."""
     env = dict(params)
@@ -441,109 +521,10 @@ def run(iet, buffers: Dict[str, DataBuffer], params: dict,
             buffers[f.name] = DataBuffer(f.name, dtype,
                                          _temp_extents(f, env))
     report: dict = {}
-    interp = _Interpreter(buffers, env, workers, report)
+    planner = _Planner(buffers, report, workers)
     try:
-        interp.node(iet, env, {}, _Frame())
+        execute = planner.node(iet)
+        execute(_Frame(env, {name: b.data for name, b in buffers.items()}))
     finally:
-        interp.close()
+        planner.close()
     return report
-
-
-# -- Reference oracle --------------------------------------------------------
-
-
-def _slice_overlap(a, b) -> bool:
-    if isinstance(a, int) and isinstance(b, int):
-        return a == b
-    if isinstance(a, int):
-        a = slice(a, a + 1)
-    if isinstance(b, int):
-        b = slice(b, b + 1)
-    return a.start < b.stop and b.start < a.stop
-
-
-def _eq_sweep(interp: _Interpreter, eq: LoweredEq, dims, ranges, env) -> bool:
-    """Whole-array execution of one equation; returns False when the
-    per-point path must be used instead. Safe only when the written region
-    is disjoint from every read region of the same array."""
-    if eq.lhs.func.kind not in ("function", "timefunction"):
-        return False
-    try:
-        buf = interp.buffer_of(eq.lhs.func)
-        wparts, waxes = interp._vec_slices(eq.lhs, dims, ranges, env, {})
-        if waxes != list(range(len(dims))):
-            return False
-        from ..lowering import collect_accesses
-        for acc in collect_accesses(eq.rhs):
-            if acc.func is not eq.lhs.func:
-                continue
-            rparts, _ = interp._vec_slices(acc, dims, ranges, env, {})
-            if all(_slice_overlap(w, r) for w, r in zip(wparts, rparts)):
-                return False
-        val = interp.vec_eval(eq.rhs, dims, ranges, env, {}, {})
-    except _Fallback:
-        return False
-    if eq.is_increment:
-        buf.data[tuple(wparts)] += val
-    else:
-        buf.data[tuple(wparts)] = val
-    return True
-
-
-def reference_run(eqs: Sequence[LoweredEq], buffers: Dict[str, DataBuffer],
-                  params: dict) -> Dict[str, DataBuffer]:
-    """Execute unoptimized lowered equations in program order, one loop
-    nest per equation following its own iteration space; equations with a
-    time dimension share a single outer time loop."""
-    if not eqs:
-        return buffers
-    env = dict(params)
-    interp = _Interpreter(buffers, env, 1, {})
-    frame = _Frame()
-
-    def exec_eq(eq: LoweredEq, tval):
-        if tval is not None:
-            for g in eq.guards:
-                if tval % g.factor != 0:
-                    return
-            env[eq.ispace.dims[0].root.name] = tval
-        dims = [d for d in eq.ispace.dims if not d.is_time]
-        ranges = []
-        for d in dims:
-            iv = eq.ispace.interval_of(d)
-            lo = env.get(d.name + "_m")
-            hi = env.get(d.name + "_M")
-            if lo is None or hi is None:
-                raise BackendError("unbound bounds for %s" % d.name)
-            ranges.append((int(lo) + iv.lower, int(hi) + iv.upper))
-        if any(h < l for l, h in ranges):
-            return
-        names = [d.name for d in dims]
-        if all(d.kind == "space" for d in dims) and \
-                _eq_sweep(interp, eq, names, ranges, env):
-            npts = 1
-            for l, h in ranges:
-                npts *= h - l + 1
-            frame.points += npts
-            return
-        for point in itertools.product(*[range(l, h + 1) for l, h in ranges]):
-            for d, v in zip(dims, point):
-                env[d.name] = v
-            interp.point(eq, env, {}, frame)
-
-    has_time = [any(d.is_time for d in eq.ispace.dims) for eq in eqs]
-    timed = [eq for eq, t in zip(eqs, has_time) if t]
-    static = [eq for eq, t in zip(eqs, has_time) if not t]
-    for eq in static:
-        exec_eq(eq, None)
-    if timed:
-        t_m, t_M = int(env["t_m"]), int(env["t_M"])
-        steps = range(t_m, t_M + 1)
-        if any(eq.ispace.direction_of(d) == BACKWARD
-               for eq in timed for d in eq.ispace.dims if d.is_time):
-            steps = reversed(steps)
-        for tval in steps:
-            for eq in timed:
-                exec_eq(eq, tval)
-    interp.close()
-    return buffers

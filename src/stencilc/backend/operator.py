@@ -23,7 +23,8 @@ from ..iet import (Block, Section, analyze_iet, block_loops, build_iet,
 from ..lowering import LoweredEq, _shift_for, collect_accesses, lower
 from ..symbolic.grid import Equation, FunctionDecl, Grid
 from .codegen import emit_c
-from .interpreter import BackendError, DataBuffer, reference_run, run
+from .interpreter import BackendError, DataBuffer, run
+from .reference import reference_run
 
 #: Total pass invocations since import; a cache hit adds nothing.
 PASS_WORK = 0

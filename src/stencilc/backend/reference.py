@@ -1,0 +1,181 @@
+"""The reference oracle: unoptimized lowered equations, executed directly.
+
+``reference_run`` runs each equation in its own loop nest over its own
+iteration space, in program order, and serves as the differential-testing
+oracle for ``run``. Where an equation can be swept, it runs as whole-array
+slice operations whose offsets come from lowering's per-access analysis
+(``_access_offsets``), not from the interpreter's execution plan, so a
+fault in the plan's slicing shows as a difference; every other equation
+runs per point. Every access is checked against the allocated extents.
+"""
+
+from __future__ import annotations
+
+import itertools
+import operator
+from functools import reduce
+from typing import Dict, Sequence
+
+from ..lowering import (BACKWARD, OPAQUE, LoweredEq, _access_offsets,
+                        collect_accesses)
+from ..symbolic.expr import (Access, Add, Call, Constant, Expr, ExprError,
+                             Mul, Pow, Symbol, children_of, evaluate,
+                             free_symbols)
+from .interpreter import (_ARRAY_CALLS, BackendError, DataBuffer, _array,
+                          _Frame, _lookup, _out_of_range, _point,
+                          _point_index)
+
+
+def _overlap(a, b) -> bool:
+    """Whether two index parts (integers or unit-step slices) meet."""
+    a = a if isinstance(a, slice) else slice(a, a + 1)
+    b = b if isinstance(b, slice) else slice(b, b + 1)
+    return a.start < b.stop and b.start < a.stop
+
+
+def _sweep_plan(eq: LoweredEq, names):
+    """``[(access, [(axis or None, offset, index), ...]), ...]`` for the
+    left-hand side and every read of ``eq``, from the offsets lowering
+    derives per access. None when ``eq`` cannot be swept over the loops
+    ``names``: it writes no grid function, reads a temporary, uses a swept
+    loop as a value, calls ``idiv``, has an index that is neither ``loop +
+    offset`` nor free of the swept loops, or its left-hand side does not
+    span them in order."""
+
+    def sweepable(e):
+        if isinstance(e, Symbol):
+            return e.name not in names
+        if isinstance(e, Access):
+            return e.func.kind != "temp"
+        if isinstance(e, Call) and e.name not in _ARRAY_CALLS:
+            return False
+        return all(sweepable(c) for c in children_of(e))
+
+    if eq.lhs.func.kind not in ("function", "timefunction") or \
+            not sweepable(eq.rhs):
+        return None
+    plan = []
+    for acc in [eq.lhs] + collect_accesses(eq.rhs):
+        entries = []
+        for (_, loop, k), idx in zip(_access_offsets(acc, aligned=False),
+                                     acc.indices):
+            if loop.name in names and k is not OPAQUE:
+                entries.append((names.index(loop.name), k, idx))
+            elif free_symbols(idx) & set(names):
+                return None
+            else:
+                entries.append((None, 0, idx))
+        axes = [a for a, _, _ in entries if a is not None]
+        if axes != sorted(set(axes)) or \
+                (not plan and axes != list(range(len(names)))):
+            return None
+        plan.append((acc, entries))
+    return plan
+
+
+def _sweep_value(e: Expr, views, env):
+    if isinstance(e, Constant):
+        return float(e.value)
+    if isinstance(e, Symbol):
+        return float(_lookup(env, e.name, "unbound symbol"))
+    if isinstance(e, Access):
+        return views[e]
+    args = [_sweep_value(c, views, env) for c in children_of(e)]
+    if isinstance(e, Add):
+        return reduce(operator.add, args)
+    if isinstance(e, Mul):
+        return reduce(operator.mul, args)
+    if isinstance(e, Pow):
+        return args[0] ** e.exponent
+    return _ARRAY_CALLS[e.name](*args)
+
+
+def _sweep(eq: LoweredEq, plan, ranges, fr: _Frame) -> bool:
+    """Whole-array execution of one equation over the box ``ranges``;
+    False when the per-point path must run it instead. Safe only when the
+    written region is disjoint from every read region of the same array."""
+    written, views = None, {}
+    for acc, entries in plan:
+        f = acc.func
+        shape = _array(fr, f).shape
+        parts, bshape = [], [1] * len(ranges)
+        for pos, (axis, k, idx) in enumerate(entries):
+            if axis is None:
+                try:
+                    value = evaluate(idx, fr.env)
+                except ExprError:
+                    return False
+                parts.append(_point_index(f, pos, value, shape[pos]))
+                continue
+            lo, hi = ranges[axis]
+            if lo + k < 0 or hi + k + 1 > shape[pos]:
+                raise _out_of_range(f, pos, lo + k, hi + k + 1, shape[pos])
+            parts.append(slice(lo + k, hi + k + 1))
+            bshape[axis] = hi - lo + 1
+        if written is None:
+            written = tuple(parts)
+        elif f is eq.lhs.func and all(map(_overlap, written, parts)):
+            return False
+        else:
+            views[acc] = fr.arrays[f.name][tuple(parts)].reshape(bshape)
+    val = _sweep_value(eq.rhs, views, fr.env)
+    if eq.is_increment:
+        fr.arrays[eq.lhs.func.name][written] += val
+    else:
+        fr.arrays[eq.lhs.func.name][written] = val
+    return True
+
+
+def reference_run(eqs: Sequence[LoweredEq], buffers: Dict[str, DataBuffer],
+                  params: dict) -> Dict[str, DataBuffer]:
+    """Execute unoptimized lowered equations in program order, one loop
+    nest per equation following its own iteration space; equations with a
+    time dimension share a single outer time loop."""
+    if not eqs:
+        return buffers
+    fr = _Frame(dict(params), {name: b.data for name, b in buffers.items()})
+    env = fr.env
+    plans: dict = {}
+
+    def exec_eq(i: int, eq: LoweredEq, tval):
+        if tval is not None:
+            for g in eq.guards:
+                if tval % g.factor != 0:
+                    return
+            env[eq.ispace.dims[0].root.name] = tval
+        dims = [d for d in eq.ispace.dims if not d.is_time]
+        ranges = []
+        for d in dims:
+            iv = eq.ispace.interval_of(d)
+            lo = env.get(d.name + "_m")
+            hi = env.get(d.name + "_M")
+            if lo is None or hi is None:
+                raise BackendError("unbound bounds for %s" % d.name)
+            ranges.append((int(lo) + iv.lower, int(hi) + iv.upper))
+        if any(h < l for l, h in ranges):
+            return
+        if all(d.kind == "space" for d in dims):
+            if i not in plans:
+                plans[i] = _sweep_plan(eq, [d.name for d in dims])
+            if plans[i] is not None and _sweep(eq, plans[i], ranges, fr):
+                return
+        for point in itertools.product(*[range(l, h + 1) for l, h in ranges]):
+            for d, v in zip(dims, point):
+                env[d.name] = v
+            _point(eq, fr)
+
+    timed = [any(d.is_time for d in eq.ispace.dims) for eq in eqs]
+    for i, eq in enumerate(eqs):
+        if not timed[i]:
+            exec_eq(i, eq, None)
+    if any(timed):
+        steps = range(int(env["t_m"]), int(env["t_M"]) + 1)
+        if any(eq.ispace.direction_of(d) == BACKWARD
+               for eq, t in zip(eqs, timed) if t
+               for d in eq.ispace.dims if d.is_time):
+            steps = reversed(steps)
+        for tval in steps:
+            for i, eq in enumerate(eqs):
+                if timed[i]:
+                    exec_eq(i, eq, tval)
+    return buffers

@@ -37,6 +37,12 @@ def rotated_laplacian_example(so, shape=(13, 13)):
     inner derivative reappears translated at every outer stencil point, so
     cross-iteration redundancy elimination collapses its cost from
     quadratic in the space order down to linear."""
+    funcs, eqs = rotated_equations(so, shape)
+    return funcs, [lower(e) for e in eqs]
+
+
+def rotated_equations(so, shape=(13, 13)):
+    """The rotated stencil of ``rotated_laplacian_example``, unlowered."""
     from stencilc.symbolic import Symbol, call, mul
     from stencilc.symbolic.fd import derivative, derivative_of
     g = Grid(shape)
@@ -47,7 +53,7 @@ def rotated_laplacian_example(so, shape=(13, 13)):
     inner = mul(call("cos", th.at), derivative(u, y, so, 1))
     expr = derivative_of(inner, x, so, 1, Symbol("h_x"))
     funcs = {"grid": g, "u": u, "theta": th, "w": w}
-    return funcs, [lower(Eq(w.forward, expr))]
+    return funcs, [Eq(w.forward, expr)]
 
 
 def acoustic_example(shape, so=2, src_coord=None, rec_coord=None):

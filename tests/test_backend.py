@@ -10,7 +10,7 @@ from stencilc.backend import (BackendError, BoundsError, DataBuffer,
 from stencilc.backend import operator as op_mod
 from stencilc.iet import Block
 
-from helpers import acoustic_example, wave_example
+from helpers import acoustic_example, rotated_equations, wave_example
 
 DT = 0.02
 
@@ -47,9 +47,29 @@ def _fixture_apply(op, steps, workers=1):
     return bufs, report
 
 
-def _assert_close(a, b, rel=1e-12):
+def _rel_err(a, b):
     scale = max(1.0, float(np.max(np.abs(b))))
-    assert float(np.max(np.abs(a - b))) <= rel * scale
+    return float(np.max(np.abs(a - b))) / scale
+
+
+def _assert_close(a, b, rel=1e-12):
+    assert _rel_err(a, b) <= rel
+
+
+def _rotated_apply(op, steps=3, workers=1, **params):
+    bufs = op.allocate(steps)
+    rng = np.random.default_rng(5)
+    bufs["theta"].data[:] = rng.uniform(0.0, 2 * np.pi,
+                                        bufs["theta"].extents)
+    bufs["u"].data[:] = rng.uniform(-1.0, 1.0, bufs["u"].extents)
+    report = op.apply(steps=steps, buffers=bufs, workers=workers, dt=DT,
+                      **params)[1]
+    return bufs, report
+
+
+def _rotated_op(block=None):
+    funcs, eqs = rotated_equations(12, shape=(24, 24))
+    return Operator(eqs, mode="aggressive", block=block)
 
 
 class TestDataBuffer:
@@ -169,9 +189,83 @@ class TestInterpreter:
         four, _ = _fixture_apply(op, 10, workers=4)
         assert np.array_equal(one["u"].data, four["u"].data)
         assert np.array_equal(one["rec"].data, four["rec"].data)
+        # Blocked: each chunk of block loops owns its block-local temporary.
+        op = _rotated_op({"x": 8, "y": 8})
+        one, _ = _rotated_apply(op)
+        for workers in (2, 4):
+            many, _ = _rotated_apply(op, workers=workers)
+            assert np.array_equal(one["w"].data, many["w"].data)
 
     def test_reference_empty_program(self):
         assert reference_run([], {}, {}) == {}
+
+
+class TestPlan:
+    def test_plan_rebuilt_per_apply(self):
+        # An apply with other loop bounds in between must not leave stale
+        # bounds behind for the next apply of the same operator.
+        for block in (None, {"x": 8, "y": 8}):
+            op = _rotated_op(block)
+            first, _ = _rotated_apply(op)
+            other, _ = _rotated_apply(op, x_M=13)
+            again, _ = _rotated_apply(op)
+            assert not np.array_equal(first["w"].data, other["w"].data)
+            assert first["w"].data.tobytes() == again["w"].data.tobytes()
+
+    def test_stencil_sections_run_sliced(self):
+        funcs, eqs = acoustic_example((12, 12, 12), so=4)
+        ops = [Operator(eqs[:1]), Operator(eqs[:1], block={"x": 4, "y": 4}),
+               _rotated_op({"x": 8, "y": 8})]
+        for op in ops:
+            bufs = op.allocate(4)
+            if "m" in bufs:
+                _fill(bufs, "m", 1.5)
+            report = op.apply(steps=4, buffers=bufs, dt=DT)[1]
+            assert report
+            for slot in report.values():
+                assert slot["per_point"] == 0
+                assert slot["sliced"] == slot["points"] > 0
+        # Sparse injection and interpolation run per point, next to the
+        # sliced stencil in the same section.
+        _, report = _fixture_apply(Operator(eqs), 4)
+        for slot in report.values():
+            assert slot["sliced"] + slot["per_point"] == slot["points"]
+        assert any(s["sliced"] and s["per_point"] for s in report.values())
+
+    def test_oracle_catches_off_by_one_slice(self, monkeypatch):
+        from stencilc.backend import interpreter
+        funcs, eqs = acoustic_example((24, 24), so=4)
+        op = Operator(eqs)
+
+        def prepared():
+            bufs = op.allocate(10)
+            rng = np.random.default_rng(3)
+            bufs["m"].data[:] = 1.5 + 0.1 * rng.uniform(
+                size=bufs["m"].extents)
+            _impulse(bufs)
+            return bufs
+
+        def compare():
+            got, ref = prepared(), prepared()
+            op.apply(steps=10, buffers=got, dt=DT)
+            op.reference(steps=10, buffers=ref, dt=DT)
+            return _rel_err(got["u"].data, ref["u"].data), ref["u"].data
+
+        err, ref = compare()
+        assert err <= 1e-12
+        original = interpreter._index_plan
+
+        def shifted(acc, dims):
+            plan = original(acc, dims)
+            if plan is None or acc.func.name != "m":
+                return plan
+            return [(axis, const + (axis == 0), terms)
+                    for axis, const, terms in plan]
+
+        monkeypatch.setattr(interpreter, "_index_plan", shifted)
+        bad_err, bad_ref = compare()
+        assert bad_err > 1e-12
+        assert np.array_equal(ref, bad_ref)
 
 
 class TestCodegen:
