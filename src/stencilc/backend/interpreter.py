@@ -33,7 +33,7 @@ from __future__ import annotations
 import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
 from time import perf_counter
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -148,24 +148,29 @@ def _point_index(f, pos: int, value: float, extent: int) -> int:
     return v
 
 
+def _point_indices(acc: Access, fr: _Frame) -> tuple:
+    shape = _array(fr, acc.func).shape
+    read = partial(_point_read, fr)
+    return tuple(_point_index(acc.func, pos,
+                              evaluate(i, fr.env, on_access=read),
+                              shape[pos])
+                 for pos, i in enumerate(acc.indices))
+
+
+def _point_read(fr: _Frame, acc: Access):
+    f = acc.func
+    if f.kind == "temp" and not acc.indices:
+        return _lookup(fr.scalars, f.name, "read of undefined scalar")
+    return _array(fr, f)[_point_indices(acc, fr)]
+
+
 def _point(eq: LoweredEq, fr: _Frame):
-    """Execute one statement at the point bound in ``fr.env``."""
-
-    def indices(acc: Access) -> tuple:
-        shape = _array(fr, acc.func).shape
-        return tuple(_point_index(acc.func, pos,
-                                  evaluate(i, fr.env, on_access=on_access),
-                                  shape[pos])
-                     for pos, i in enumerate(acc.indices))
-
-    def on_access(acc: Access):
-        f = acc.func
-        if f.kind == "temp" and not acc.indices:
-            return _lookup(fr.scalars, f.name, "read of undefined scalar")
-        return _array(fr, f)[indices(acc)]
-
+    """Execute one statement at the point bound in ``fr.env``. The helpers
+    are module functions, not closures over the frame: closures that call
+    each other form a cycle that would keep every buffer alive until the
+    next cyclic collection."""
     try:
-        val = evaluate(eq.rhs, fr.env, on_access=on_access)
+        val = evaluate(eq.rhs, fr.env, on_access=partial(_point_read, fr))
     except ExprError as err:
         raise BackendError(str(err))
     fr.per_point += 1
@@ -173,9 +178,9 @@ def _point(eq: LoweredEq, fr: _Frame):
     if f.kind == "temp" and not eq.lhs.indices:
         fr.scalars[f.name] = val
     elif eq.is_increment:
-        _array(fr, f)[indices(eq.lhs)] += val
+        _array(fr, f)[_point_indices(eq.lhs, fr)] += val
     else:
-        _array(fr, f)[indices(eq.lhs)] = val
+        _array(fr, f)[_point_indices(eq.lhs, fr)] = val
 
 
 # -- Plan ----------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """The compilation driver: equations in, executable artifact out.
 
-An Operator runs the full pass pipeline (lowering, clustering,
-expression-level optimization, tree construction, dependence analysis,
-optional blocking, declaration placement, source emission) and caches the
-resulting artifact under a content hash of its inputs, so recompiling an
-identical problem does no pass work. ``apply`` allocates zeroed buffers,
-derives default loop bounds from the data spaces, and interprets the
-tree; ``reference`` runs the unoptimized oracle on the same problem.
+An Operator runs the full pass pipeline (lowering and its halo check,
+clustering, expression-level optimization, tree construction, dependence
+analysis, optional blocking, declaration placement, source emission) and
+caches the resulting artifact under a content hash of its inputs, so
+recompiling an identical problem does no pass work. ``apply`` allocates
+zeroed buffers, derives default loop bounds from the data spaces, and
+interprets the tree; ``reference`` runs the unoptimized oracle on the
+same problem.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from ..clustering import clusterize
 from ..dse import cluster_op_count, run_dse
 from ..iet import (Block, Section, analyze_iet, block_loops, build_iet,
                    default_block_candidates, dump, place_declarations)
-from ..lowering import LoweredEq, _shift_for, collect_accesses, lower
+from ..lowering import (LoweredEq, _shift_for, check_halo_coverage,
+                        collect_accesses, lower)
 from ..symbolic.grid import Equation, FunctionDecl, Grid
 from .codegen import emit_c
 from .interpreter import BackendError, DataBuffer, run
@@ -114,6 +116,8 @@ def _compile(eqs, mode, block, dtype, subs, name) -> OperatorArtifact:
         return out
 
     lowered = timed("lowering", lambda: [lower(e, subs) for e in eqs])
+    for eq in lowered:
+        check_halo_coverage(eq)
     clusters = timed("clustering", lambda: clusterize(lowered))
     before = [cluster_op_count([c]) for c in clusters]
     clusters = timed("dse", lambda: run_dse(clusters, mode))

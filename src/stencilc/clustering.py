@@ -58,18 +58,39 @@ def enforce_directions(eqs: List[LoweredEq]) -> List[LoweredEq]:
     return out
 
 
-def _cross_deps(cluster: Cluster, eq: LoweredEq) -> List[Dependence]:
-    deps = get_dependences(cluster.eqs + [eq])
-    return [d for d in deps if (d.source is eq) != (d.sink is eq)]
+def _pair_index(eqs: List[LoweredEq], deps: List[Dependence]
+                ) -> Dict[Tuple[int, int], List[Dependence]]:
+    """The dependences between two distinct equations, in graph order,
+    keyed by the equations' positions in ``eqs`` (earlier first).
+    Positions are found by identity: LoweredEq compares by value."""
+    position = {id(eq): i for i, eq in enumerate(eqs)}
+    pairs: Dict[Tuple[int, int], List[Dependence]] = {}
+    for d in deps:
+        a, b = position[id(d.source)], position[id(d.sink)]
+        if a != b:
+            pairs.setdefault((min(a, b), max(a, b)), []).append(d)
+    return pairs
+
+
+def _cross_deps(pairs, cluster_positions: List[int],
+                pos: int) -> List[Dependence]:
+    """The dependences between the equation at ``pos`` and the earlier
+    equations of a cluster. A pair's dependences depend only on that pair,
+    so this equals the cross dependences of ``get_dependences`` run on the
+    cluster plus the candidate."""
+    return [d for p in cluster_positions for d in pairs.get((p, pos), ())]
 
 
 def group(eqs: List[LoweredEq]) -> List[Cluster]:
-    """Stable grouping by reverse scan over the clusters built so far."""
+    """Stable grouping by reverse scan over the clusters built so far,
+    against one dependence graph of all the equations."""
+    pairs = _pair_index(eqs, get_dependences(eqs))
     clusters: List[Cluster] = []
-    for eq in eqs:
+    members: List[List[int]] = []  # positions in eqs, per cluster
+    for pos, eq in enumerate(eqs):
         placed = False
-        for c in reversed(clusters):
-            cross = _cross_deps(c, eq)
+        for c, positions in zip(reversed(clusters), reversed(members)):
+            cross = _cross_deps(pairs, positions, pos)
             carried_anti = [d for d in cross
                             if d.kind == ANTI and d.is_carried]
             if carried_anti:
@@ -83,6 +104,7 @@ def group(eqs: List[LoweredEq]) -> List[Cluster]:
                 break  # conservative: never scan past a guard change
             if c.ispace == eq.ispace:
                 c.eqs.append(eq)
+                positions.append(pos)
                 placed = True
                 break
             # Skip over an incompatible predecessor only when nothing in
@@ -92,6 +114,7 @@ def group(eqs: List[LoweredEq]) -> List[Cluster]:
                 break
         if not placed:
             clusters.append(Cluster([eq], eq.ispace, set(), eq.guards))
+            members.append([pos])
     return clusters
 
 

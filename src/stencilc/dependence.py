@@ -96,8 +96,14 @@ def lamport_distance(src: Access, snk: Access,
                      dims: Tuple[Dimension, ...]) -> Tuple[Optional[int], ...]:
     """Distance vector of a dependence from ``src`` to ``snk`` over the
     given loop dimensions; None marks an unknown entry."""
-    src_aff, src_opq = _offsets_by_loop_dim(src)
-    snk_aff, snk_opq = _offsets_by_loop_dim(snk)
+    return _distance(_offsets_by_loop_dim(src), _offsets_by_loop_dim(snk),
+                     dims)
+
+
+def _distance(src_offsets, snk_offsets, dims) -> Tuple[Optional[int], ...]:
+    """``lamport_distance`` from the two accesses' ``_offsets_by_loop_dim``."""
+    src_aff, src_opq = src_offsets
+    snk_aff, snk_opq = snk_offsets
     out = []
     for d in dims:
         if d in src_aff and d in snk_aff:
@@ -145,36 +151,46 @@ def get_dependences(eqs: List[LoweredEq]) -> List[Dependence]:
     # dedup by equation identity: value-equal duplicate statements still
     # carry distinct dependences
     seen = set()
+    # Each equation's reads and each access's offsets, derived once; keyed
+    # by id, as equal accesses in distinct equations are distinct objects.
+    reads = [_reads_of(eq) for eq in eqs]
+    offsets: Dict[int, tuple] = {}
+
+    def offsets_of(acc: Access):
+        key = id(acc)
+        if key not in offsets:
+            offsets[key] = _offsets_by_loop_dim(acc)
+        return offsets[key]
+
+    def emit(src_acc, snk_acc, src_eq, snk_eq, kind, dims):
+        if src_acc.func is not snk_acc.func:
+            return
+        if src_eq.is_increment and snk_eq.is_increment and kind != FLOW:
+            return  # one reduction record per pair is enough
+        if src_eq.is_increment and snk_eq.is_increment:
+            kind = REDUCTION
+        dist = _distance(offsets_of(src_acc), offsets_of(snk_acc), dims)
+        dep = _normalize(Dependence(src_eq, snk_eq, src_acc.func,
+                                    kind, dims, dist))
+        if dep is None:
+            return
+        key = (id(dep.source), id(dep.sink), dep.function.name,
+               dep.kind, dep.distance, dep.flipped)
+        if key not in seen:
+            seen.add(key)
+            deps.append(dep)
+
     n = len(eqs)
     for i in range(n):
         for j in range(i, n):
             ei, ej = eqs[i], eqs[j]
             dims = _union_dims(ei, ej)
-
-            def emit(src_acc, snk_acc, src_eq, snk_eq, kind):
-                if src_acc.func is not snk_acc.func:
-                    return
-                if src_eq.is_increment and snk_eq.is_increment and kind != FLOW:
-                    return  # one reduction record per pair is enough
-                if src_eq.is_increment and snk_eq.is_increment:
-                    kind = REDUCTION
-                dist = lamport_distance(src_acc, snk_acc, dims)
-                dep = _normalize(Dependence(src_eq, snk_eq, src_acc.func,
-                                            kind, dims, dist))
-                if dep is None:
-                    return
-                key = (id(dep.source), id(dep.sink), dep.function.name,
-                       dep.kind, dep.distance, dep.flipped)
-                if key not in seen:
-                    seen.add(key)
-                    deps.append(dep)
-
-            for r in _reads_of(ej):
-                emit(ei.lhs, r, ei, ej, FLOW)
+            for r in reads[j]:
+                emit(ei.lhs, r, ei, ej, FLOW, dims)
             if i != j:
-                for r in _reads_of(ei):
-                    emit(r, ej.lhs, ei, ej, ANTI)
-                emit(ei.lhs, ej.lhs, ei, ej, OUTPUT)
+                for r in reads[i]:
+                    emit(r, ej.lhs, ei, ej, ANTI, dims)
+                emit(ei.lhs, ej.lhs, ei, ej, OUTPUT, dims)
     return deps
 
 

@@ -209,6 +209,10 @@ def analyze_iet(iet, dependences=None) -> object:
     parallelism but demand atomic updates. Scalar temporaries are ignored:
     declaration placement privatizes them per iteration."""
     paths = _stmt_paths(iet)
+    # One dependence graph per outermost loop nest; an inner loop keeps the
+    # dependences between its own statements, which are the ones
+    # get_dependences would find among them alone.
+    graphs: Dict[int, list] = {}
     for it in iterations(iet):
         located = [(s, p) for s, p in paths if it in p]
         if not located:
@@ -219,11 +223,15 @@ def analyze_iet(iet, dependences=None) -> object:
         dims = [n.dim for n in nest]
         pos = len(dims) - 1
         eqs = [s.eq for s, _ in located]
-        deps = dependences if dependences is not None else \
-            get_dependences(eqs)
-        deps = [d for d in deps
-                if any(d.source is e for e in eqs) and
-                any(d.sink is e for e in eqs)]
+        if dependences is not None:
+            deps = dependences
+        else:
+            outer = id(nest[0])
+            if outer not in graphs:
+                graphs[outer] = get_dependences(eqs)
+            deps = graphs[outer]
+        ids = {id(e) for e in eqs}
+        deps = [d for d in deps if id(d.source) in ids and id(d.sink) in ids]
         parallel = True
         atomic = False
         for dep in deps:

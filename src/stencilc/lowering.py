@@ -173,16 +173,14 @@ class LoweredEq:
 
 def collect_accesses(e: Expr) -> List[Access]:
     """All Access nodes in ``e``, including ones nested inside the index
-    expressions of other accesses."""
+    expressions of other accesses, in preorder."""
     out = []
-
-    def walk(node):
+    stack = [e]
+    while stack:
+        node = stack.pop()
         if isinstance(node, Access):
             out.append(node)
-        for c in children_of(node):
-            walk(c)
-
-    walk(e)
+        stack.extend(reversed(children_of(node)))
     return out
 
 
@@ -203,6 +201,23 @@ def affine_offset(index: Expr, dim_symbol: Symbol,
     LoweringError for non-affine forms."""
     if index == dim_symbol:
         return 0
+    # Lowered indices are ``Add(Constant(k), dim)``: Add sorts its constant
+    # first. An integer k is the answer the symbolic route would give.
+    if isinstance(index, Add) and len(index.children) == 2 and \
+            index.children[1] == dim_symbol and \
+            isinstance(index.children[0], Constant):
+        k = index.children[0].value
+        if isinstance(k, Fraction):
+            if k.denominator == 1:
+                return k.numerator
+        elif k.is_integer():
+            return int(k)
+    return _symbolic_offset(index, dim_symbol, unit)
+
+
+def _symbolic_offset(index: Expr, dim_symbol: Symbol,
+                     unit: Optional[Symbol]) -> Union[int, object]:
+    """``affine_offset`` through symbolic subtraction, for any form."""
     free = free_symbols(index)
     if dim_symbol.name not in free:
         return OPAQUE

@@ -11,7 +11,7 @@ no Add directly under Add, no Mul under Mul, deterministic child order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
 
@@ -31,9 +31,12 @@ class ExprError(ValueError):
 
 
 class Expr:
-    """Base class for all expression nodes. Instances are immutable."""
+    """Base class for all expression nodes. Instances are immutable.
 
-    __slots__ = ()
+    The two slots cache a node's hash and its sort key on first use. They
+    are not dataclass fields, so equality and pickled state ignore them."""
+
+    __slots__ = ("_hash", "_key")
 
     def __add__(self, other):
         return add(self, _coerce(other))
@@ -66,7 +69,25 @@ class Expr:
         return mul(num(-1), self)
 
 
-@dataclass(frozen=True, slots=True)
+def _node(cls):
+    """A frozen dataclass whose hash, the value the dataclass generates
+    (``hash`` of the tuple of compared fields), is computed once per node."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    generated = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = generated(self)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_node
 class Constant(Expr):
     value: Union[Fraction, float]
 
@@ -78,7 +99,7 @@ class Constant(Expr):
         return repr(self.value)
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Symbol(Expr):
     name: str
 
@@ -86,7 +107,7 @@ class Symbol(Expr):
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Access(Expr):
     """Indexed access into a declared function. ``func`` is compared by
     identity; two accesses are equal iff they target the same declaration
@@ -101,7 +122,7 @@ class Access(Expr):
         return "%s[%s]" % (self.func.name, ", ".join(map(repr, self.indices)))
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Add(Expr):
     children: tuple
 
@@ -109,7 +130,7 @@ class Add(Expr):
         return "(" + " + ".join(map(repr, self.children)) + ")"
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Mul(Expr):
     children: tuple
 
@@ -117,7 +138,7 @@ class Mul(Expr):
         return "*".join(map(repr, self.children))
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Pow(Expr):
     base: Expr
     exponent: int
@@ -126,7 +147,7 @@ class Pow(Expr):
         return "%r**%d" % (self.base, self.exponent)
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Call(Expr):
     name: str
     args: tuple
@@ -163,6 +184,16 @@ def is_one(e: Expr) -> bool:
 
 
 def _sort_key(e: Expr):
+    """Deterministic child-order key, computed once per node."""
+    try:
+        return e._key
+    except AttributeError:
+        key = _build_sort_key(e)
+        object.__setattr__(e, "_key", key)
+        return key
+
+
+def _build_sort_key(e: Expr):
     if isinstance(e, Constant):
         return (0, "", float(e.value))
     if isinstance(e, Symbol):
@@ -212,12 +243,13 @@ def add(*args) -> Expr:
     const = Fraction(0)
     terms: dict = {}
     order: list = []
-
-    def absorb(e):
-        nonlocal const
+    # Explicit preorder stack: a recursive closure would leave a reference
+    # cycle behind on every call.
+    stack = list(reversed(args))
+    while stack:
+        e = _coerce(stack.pop())
         if isinstance(e, Add):
-            for c in e.children:
-                absorb(c)
+            stack.extend(reversed(e.children))
         elif isinstance(e, Constant):
             const = _const_add(const, e.value)
         else:
@@ -227,9 +259,6 @@ def add(*args) -> Expr:
             else:
                 terms[term] = coeff
                 order.append(term)
-
-    for a in args:
-        absorb(_coerce(a))
 
     children = []
     for term in order:
@@ -255,28 +284,21 @@ def mul(*args) -> Expr:
     const = Fraction(1)
     powers: dict = {}
     order: list = []
-
-    def absorb_factor(base, exp):
+    stack = list(reversed(args))  # preorder, as in ``add``
+    while stack:
+        e = _coerce(stack.pop())
+        if isinstance(e, Mul):
+            stack.extend(reversed(e.children))
+            continue
+        if isinstance(e, Constant):
+            const = _const_mul(const, e.value)
+            continue
+        base, exp = (e.base, e.exponent) if isinstance(e, Pow) else (e, 1)
         if base in powers:
             powers[base] += exp
         else:
             powers[base] = exp
             order.append(base)
-
-    def absorb(e):
-        nonlocal const
-        if isinstance(e, Mul):
-            for c in e.children:
-                absorb(c)
-        elif isinstance(e, Constant):
-            const = _const_mul(const, e.value)
-        elif isinstance(e, Pow):
-            absorb_factor(e.base, e.exponent)
-        else:
-            absorb_factor(e, 1)
-
-    for a in args:
-        absorb(_coerce(a))
 
     if const == 0 and not isinstance(const, float):
         return ZERO
@@ -402,21 +424,6 @@ def free_symbols(e: Expr, into=None) -> set:
     for c in children_of(e):
         free_symbols(c, into)
     return into
-
-
-def accesses_in(e: Expr) -> list:
-    """All Access nodes in ``e`` (not descending into their indices)."""
-    found = []
-
-    def walk(node):
-        if isinstance(node, Access):
-            found.append(node)
-            return
-        for c in children_of(node):
-            walk(c)
-
-    walk(e)
-    return found
 
 
 def op_count(e: Expr) -> int:

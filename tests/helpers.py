@@ -56,6 +56,23 @@ def rotated_equations(so, shape=(13, 13)):
     return funcs, [Eq(w.forward, expr)]
 
 
+def coupled_equations(nfields, shape=(8, 8, 8), so=4):
+    """``nfields`` leapfrog wave equations, each driven by the previous
+    field: the coupled system whose compile cost grows with its size."""
+    from stencilc.symbolic import Eq, laplace
+    g = Grid(shape)
+    m = FunctionDecl("m", "function", g, space_order=so)
+    fs = [FunctionDecl("f%d" % k, "timefunction", g, space_order=so,
+                       time_order=2) for k in range(nfields)]
+    eqs = []
+    for k, f in enumerate(fs):
+        pde = m.at * dt2(f) - laplace(f)
+        if k > 0:
+            pde = pde - fs[k - 1].at
+        eqs.append(Eq(f.forward, solve_for(pde, f.forward)))
+    return eqs
+
+
 def acoustic_example(shape, so=2, src_coord=None, rec_coord=None):
     """Acoustic wave operator: leapfrog stencil, one injecting source and
     one interpolating receiver."""

@@ -268,6 +268,26 @@ class TestPlan:
         assert np.array_equal(ref, bad_ref)
 
 
+    def test_buffers_freed_without_cyclic_collection(self):
+        # The per-point path (sparse injection and interpolation) must not
+        # leave a reference cycle holding the frame and so every buffer.
+        import gc
+        import weakref
+        clear_cache()
+        gc.collect()
+        gc.disable()
+        try:
+            op = _acoustic_op((8, 8, 8))
+            bufs, report = _fixture_apply(op, 3)
+            assert any(s["per_point"] for s in report.values())
+            arrays = {name: weakref.ref(b.data) for name, b in bufs.items()}
+            assert {"u", "m", "src", "rec"} <= set(arrays)
+            del op, bufs, report
+            assert [n for n, ref in arrays.items() if ref() is not None] == []
+        finally:
+            gc.enable()
+
+
 class TestCodegen:
     def test_emission_deterministic(self):
         funcs, eqs = acoustic_example((21,))

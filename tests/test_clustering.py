@@ -1,10 +1,15 @@
+from collections import Counter
+
+import pytest
+
 from stencilc.clustering import (apply_control_flow, clusterize,
                                  enforce_directions, group)
 from stencilc.lowering import ANY, BACKWARD, FORWARD, Guard, lower
 from stencilc.symbolic import (Access, Eq, FunctionDecl, Grid, Symbol, add,
                                mul, num)
 
-from helpers import lowered_wave_example
+from helpers import (acoustic_example, coupled_equations,
+                     lowered_wave_example)
 
 
 def _shifted(f, t_off, x_off):
@@ -126,3 +131,62 @@ def test_cross_cluster_program_order_preserved_for_independent_deps():
     for d in get_dependences(enforced):
         if d.is_independent and not d.flipped:
             assert where[id(d.source)] <= where[id(d.sink)]
+
+
+def test_dependences_computed_once_per_pass(monkeypatch):
+    """Clustering builds one graph for direction enforcement and one for
+    grouping; tree analysis one per outermost loop nest. None of the
+    counts grows with the number of equations."""
+    import stencilc.clustering as clustering_mod
+    import stencilc.iet as iet_mod
+    from stencilc.backend import Operator, clear_cache
+    calls = Counter()
+    for mod in (clustering_mod, iet_mod):
+        def counted(eqs, _original=mod.get_dependences, _name=mod.__name__):
+            calls[_name] += 1
+            return _original(eqs)
+        monkeypatch.setattr(mod, "get_dependences", counted)
+    per_size = {}
+    for n in (3, 8, 24):
+        clear_cache()
+        calls.clear()
+        Operator(coupled_equations(n))
+        per_size[n] = dict(calls)
+    assert per_size[3] == {"stencilc.clustering": 2, "stencilc.iet": 1}
+    assert per_size[8] == per_size[3] and per_size[24] == per_size[3]
+
+
+def _facts(deps):
+    return {(id(d.source), id(d.sink), d.function.name, d.kind, d.distance)
+            for d in deps}
+
+
+@pytest.mark.parametrize("example", ["coupled", "wave", "acoustic"])
+def test_one_graph_answers_every_cross_dependence_query(example):
+    """Filtering the single dependence graph gives, for every cluster (and
+    every prefix of one, as the scan saw it) and every later candidate,
+    what get_dependences on the cluster plus the candidate gives."""
+    from stencilc.clustering import _cross_deps, _pair_index
+    from stencilc.dependence import get_dependences
+    if example == "coupled":
+        eqs = [lower(e) for e in coupled_equations(6, shape=(6, 6, 6))]
+    elif example == "wave":
+        eqs = lowered_wave_example()[1]
+    else:
+        eqs = [lower(e) for e in acoustic_example((6, 6), so=2)[1]]
+    eqs = enforce_directions(eqs)
+    pairs = _pair_index(eqs, get_dependences(eqs))
+    position = {id(eq): i for i, eq in enumerate(eqs)}
+    queries = 0
+    for c in group(eqs):
+        members = [position[id(eq)] for eq in c.eqs]
+        for k in range(1, len(members) + 1):
+            prefix = c.eqs[:k]
+            for pos in range(members[k - 1] + 1, len(eqs)):
+                eq = eqs[pos]
+                old = [d for d in get_dependences(prefix + [eq])
+                       if (d.source is eq) != (d.sink is eq)]
+                new = _cross_deps(pairs, members[:k], pos)
+                assert _facts(new) == _facts(old)
+                queries += 1
+    assert queries

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from stencilc.symbolic import (Access, Add, Constant, Grid, FunctionDecl, Mul,
-                               Pow, Symbol, add, call, evaluate, mul, num,
-                               op_count, pow_, substitute)
+from stencilc.symbolic import (Access, Add, Call, Constant, Grid,
+                               FunctionDecl, Mul, Pow, Symbol, add, call,
+                               evaluate, mul, num, op_count, pow_, substitute)
 
 
 a, b, c = Symbol("a"), Symbol("b"), Symbol("c")
@@ -131,3 +131,56 @@ def test_deterministic_ordering():
     e2 = add(c, a, b)
     assert e1 == e2
     assert repr(e1) == repr(e2)
+
+
+def _one_of_each():
+    """Two independently built copies of a node of every Expr class."""
+    g = Grid((8,))
+    u = FunctionDecl("u", "function", g)
+
+    def build():
+        x = Symbol("x")
+        return [num(Fraction(3, 2)), num(2.5), Symbol("x"),
+                Access(u, (add(x, num(1)),)), add(x, a),
+                mul(num(2), x, a), pow_(x, -2), call("sin", x)]
+
+    return build(), build()
+
+
+def test_cached_hash_matches_dataclass_hash():
+    from dataclasses import fields
+    first, second = _one_of_each()
+    assert {type(e) for e in first} == {Constant, Symbol, Access, Add, Mul,
+                                        Pow, Call}
+    for e, twin in zip(first, second):
+        assert e is not twin and e == twin
+        compared = tuple(getattr(e, f.name) for f in fields(e) if f.compare)
+        assert hash(e) == hash(compared)
+        assert hash(e) == hash(e)  # the cached value
+        assert hash(twin) == hash(e)
+
+
+def test_cache_slots_are_not_compared_or_pickled():
+    import pickle
+    x = Symbol("x")
+    e = add(x, num(1))
+    hash(e)
+    assert e == add(Symbol("x"), num(1))  # fresh node, empty caches
+    state = e.__getstate__()
+    assert state == [e.children]
+    assert pickle.loads(pickle.dumps(e)) == e
+
+
+def test_add_and_mul_leave_no_reference_cycles():
+    import gc
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(1000):
+            add(a, mul(num(2), b), num(1))
+        assert gc.collect() == 0
+        for _ in range(1000):
+            mul(a, pow_(b, 2), num(3), c)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

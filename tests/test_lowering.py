@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from stencilc.lowering import (ANY, BACKWARD, FORWARD, Guard, Interval,
@@ -166,3 +168,66 @@ def test_interval_hull_and_merged():
     d = Dimension("x", "space")
     a, b = Interval(d, -1, 0), Interval(d, 0, 2)
     assert a.hull(b) == Interval(d, -1, 2)
+
+
+def test_undersized_halo_fails_at_compile():
+    from stencilc.backend import Operator
+    from stencilc.symbolic.fd import derivative
+    g = Grid((16, 16))
+    u = FunctionDecl("u", "timefunction", g, space_order=2, time_order=2)
+    lap8 = add(*[derivative(u, d, 8, 2) for d in g.dimensions])
+    message = r"halo 1 of u too small for offset -?[2-4] along x"
+    with pytest.raises(LoweringError, match=message):
+        Operator([Eq(u.forward, add(u.at, lap8))])
+
+
+@pytest.mark.parametrize("unit", [None, Symbol("h_x")])
+@pytest.mark.parametrize("kind", [Fraction, float])
+def test_affine_offset_fast_path_matches_symbolic(unit, kind):
+    from stencilc.lowering import _symbolic_offset, affine_offset
+    from stencilc.symbolic import Add, Constant
+    x = Symbol("x")
+    for k in range(-20, 21):
+        index = add(num(kind(k)), x)
+        if k:
+            assert isinstance(index, Add) and \
+                index.children == (Constant(kind(k)), x)
+        fast = affine_offset(index, x, unit)
+        assert fast == _symbolic_offset(index, x, unit) == k
+        assert type(fast) is int
+    half = add(num(kind(Fraction(1, 2))), x)
+    for route in (affine_offset, _symbolic_offset):
+        with pytest.raises(LoweringError):
+            route(half, x, unit)
+
+
+def _preorder_accesses(e):
+    from stencilc.symbolic.expr import children_of
+    found = [e] if isinstance(e, Access) else []
+    for c in children_of(e):
+        found.extend(_preorder_accesses(c))
+    return found
+
+
+def test_collect_accesses_preorder_without_cycles():
+    import gc
+    from stencilc.lowering import collect_accesses
+    g = Grid((11,))
+    u = FunctionDecl("u", "timefunction", g, space_order=2)
+    p = FunctionDecl("p", "function", g, space_order=2)
+    x = Symbol("x")
+    inner = Access(p, (add(x, num(1)),))
+    e = add(mul(Access(u, (Symbol("t"), inner)), Access(p, (x,))),
+            Access(u, (Symbol("t"), add(x, num(-1)))))
+    assert collect_accesses(e) == _preorder_accesses(e)
+    found = collect_accesses(e)
+    outer = found.index(Access(u, (Symbol("t"), inner)))
+    assert found[outer + 1] is inner  # a nested access follows its parent
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(1000):
+            collect_accesses(e)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
