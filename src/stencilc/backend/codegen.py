@@ -11,12 +11,12 @@ input yields byte-identical text.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..iet import (ATOMIC, BLOCKED, PARALLEL, VECTORIZABLE, Block,
                    Conditional, Declaration, ExpressionStmt, Iteration,
                    Section, iterations, statements, walk)
-from ..lowering import collect_accesses
+from ..lowering import collect_functions
 from ..symbolic.expr import (Access, Add, Call, Constant, Expr, Mul, Pow,
                              Symbol, free_symbols)
 
@@ -201,21 +201,6 @@ class _Emitter:
             raise ValueError("cannot emit node %r" % (n,))
 
 
-def _collect_functions(iet) -> List:
-    seen: Dict[int, object] = {}
-    order = []
-    for s in statements(iet):
-        for acc in [s.eq.lhs] + collect_accesses(s.eq.rhs) + \
-                [a for i in s.eq.lhs.indices for a in collect_accesses(i)]:
-            f = acc.func
-            if f.kind == "temp":
-                continue
-            if id(f) not in seen:
-                seen[id(f)] = f
-                order.append(f)
-    return order
-
-
 def _scalar_params(iet, functions) -> List[str]:
     names = set()
     for it in iterations(iet):
@@ -243,7 +228,8 @@ def emit_c(iet, functions: Optional[Sequence] = None, name: str = "kernel",
            dtype: str = "f64") -> str:
     """Render the tree as deterministic C text with one entry function."""
     if functions is None:
-        functions = _collect_functions(iet)
+        functions = list(collect_functions(
+            s.eq for s in statements(iet)).values())
     em = _Emitter(dtype)
     params = _scalar_params(iet, functions)
     args = ["struct dataobj *restrict %s_vec" % f.name for f in functions]

@@ -22,7 +22,7 @@ from ..dse import cluster_op_count, run_dse
 from ..iet import (Block, Section, analyze_iet, block_loops, build_iet,
                    default_block_candidates, dump, place_declarations)
 from ..lowering import (LoweredEq, _shift_for, check_halo_coverage,
-                        collect_accesses, lower)
+                        collect_accesses, collect_functions, lower)
 from ..symbolic.grid import Equation, FunctionDecl, Grid
 from .codegen import emit_c
 from .interpreter import BackendError, DataBuffer, run
@@ -91,21 +91,7 @@ def _content_key(eqs, mode, block, dtype, subs) -> str:
     return h.hexdigest()
 
 
-def _collect_functions(lowered: Sequence[LoweredEq]) -> Dict[str, FunctionDecl]:
-    out: Dict[str, FunctionDecl] = {}
-    for eq in lowered:
-        accs = [eq.lhs] + collect_accesses(eq.rhs)
-        for i in eq.lhs.indices:
-            accs += collect_accesses(i)
-        for acc in accs:
-            f = acc.func
-            if f.kind == "temp":
-                continue
-            out.setdefault(f.name, f)
-    return out
-
-
-def _compile(eqs, mode, block, dtype, subs, name) -> OperatorArtifact:
+def _compile(key, eqs, mode, block, dtype, subs, name) -> OperatorArtifact:
     times: Dict[str, float] = {}
 
     def timed(label, fn):
@@ -129,12 +115,11 @@ def _compile(eqs, mode, block, dtype, subs, name) -> OperatorArtifact:
     iet.children = [Section("section%d" % i, [c])
                     for i, c in enumerate(iet.children)]
     timed("placement", lambda: place_declarations(iet))
-    functions = _collect_functions(lowered)
+    functions = collect_functions(lowered)
     ordered = [functions[k] for k in sorted(functions)]
     source = timed("emission",
                    lambda: emit_c(iet, ordered, name=name, dtype=dtype))
     grid = next(iter(functions.values())).grid
-    key = _content_key(eqs, mode, block, dtype, subs)
     return OperatorArtifact(key, lowered, clusters, iet, functions, grid,
                             source, [s.name for s in iet.children],
                             before, after, times)
@@ -158,7 +143,8 @@ class Operator:
         art = _CACHE.get(key)
         self.cache_hit = art is not None
         if art is None:
-            art = _compile(self.eqs, mode, self.block, dtype, subs, name)
+            art = _compile(key, self.eqs, mode, self.block, dtype, subs,
+                           name)
             _CACHE[key] = art
         self.artifact = art
 

@@ -82,13 +82,19 @@ def is_time_varying(e: Expr) -> bool:
     return any(is_time_varying(c) for c in children_of(e))
 
 
-def _walk_skip_indices(e: Expr):
+def _walk_skip_indices(e: Expr) -> List[Expr]:
     """Postorder over ``e`` treating Access nodes as leaves: integer index
     arithmetic is never a rewrite target."""
-    if not isinstance(e, Access):
-        for c in children_of(e):
-            yield from _walk_skip_indices(c)
-    yield e
+    out = []
+    stack = [(e, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded or isinstance(node, Access):
+            out.append(node)
+            continue
+        stack.append((node, True))
+        stack.extend((c, False) for c in reversed(children_of(node)))
+    return out
 
 
 def replace_subtrees(e: Expr, rules: Dict[Expr, Expr]) -> Expr:
@@ -154,6 +160,16 @@ def _split_defs(cluster: Cluster):
 # -- Common sub-expression elimination ---------------------------------------
 
 
+def _cse_counts(e: Expr) -> Counter:
+    """Occurrences of each compound, costed sub-expression of ``e``."""
+    counts: Counter = Counter()
+    for node in _walk_skip_indices(e):
+        if not isinstance(node, (Constant, Symbol, Access)) and \
+                op_count(node) >= 1:
+            counts[node] += 1
+    return counts
+
+
 def cse(cluster: Cluster, namer: Optional[Namer] = None) -> Cluster:
     """Hoist repeated compound sub-expressions into scalar temps, smallest
     first so nested redundancies chain naturally. Index arithmetic is
@@ -163,24 +179,32 @@ def cse(cluster: Cluster, namer: Optional[Namer] = None) -> Cluster:
     exprs = [eq.rhs for eq in defs + mains]
     new_defs: List[LoweredEq] = []
     grid = _grid_of(cluster)
+    # One counter per expression (``exprs``, then the new definitions),
+    # recounted only when a round rewrites that expression.
+    counters = [_cse_counts(e) for e in exprs]
     while True:
         counts: Counter = Counter()
-        for e in exprs + [d.rhs for d in new_defs]:
-            for node in _walk_skip_indices(e):
-                if not isinstance(node, (Constant, Symbol, Access)) and \
-                        op_count(node) >= 1:
-                    counts[node] += 1
+        for c in counters:
+            counts.update(c)
         repeated = [n for n, c in counts.items() if c >= 2]
         if not repeated:
             break
         pick = min(repeated, key=lambda n: (op_count(n), _sort_key(n)))
         decl = _make_temp(namer(), grid, (), pick)
         rule = {pick: Access(decl, ())}
-        exprs = [replace_subtrees(e, rule) for e in exprs]
-        new_defs = [replace(d, rhs=replace_subtrees(d.rhs, rule))
-                    for d in new_defs]
+        rhss = exprs + [d.rhs for d in new_defs]
+        # A counter lists every compound node of its expression, so an
+        # expression without ``pick`` in it is left as it is.
+        new_rhss = [replace_subtrees(e, rule) if pick in c else e
+                    for c, e in zip(counters, rhss)]
+        counters = [c if new is old else _cse_counts(new)
+                    for c, old, new in zip(counters, rhss, new_rhss)]
+        exprs = new_rhss[:len(exprs)]
+        new_defs = [d if e is d.rhs else replace(d, rhs=e)
+                    for d, e in zip(new_defs, new_rhss[len(exprs):])]
         new_defs.append(LoweredEq(Access(decl, ()), pick,
                                   ispace=cluster.ispace))
+        counters.append(_cse_counts(pick))
     rewritten = []
     for eq, e in zip(defs + mains, exprs):
         rewritten.append(eq if e is eq.rhs else replace(eq, rhs=e))

@@ -168,16 +168,19 @@ def build_iet(clusters: Sequence[Cluster]) -> Block:
 
 
 def _stmt_paths(iet) -> List[Tuple[ExpressionStmt, Tuple[Iteration, ...]]]:
+    """Every statement with its enclosing Iterations, in preorder."""
     out = []
-
-    def rec(node, path):
+    # Explicit stack: a recursive closure would leave a reference cycle.
+    stack = [(iet, ())]
+    while stack:
+        node, path = stack.pop()
         if isinstance(node, ExpressionStmt):
-            out.append((node, tuple(path)))
-            return
-        for ch in getattr(node, "children", ()):
-            rec(ch, path + [node] if isinstance(node, Iteration) else path)
-
-    rec(iet, [])
+            out.append((node, path))
+            continue
+        if isinstance(node, Iteration):
+            path = path + (node,)
+        stack.extend((ch, path)
+                     for ch in reversed(getattr(node, "children", ())))
     return out
 
 
@@ -295,24 +298,25 @@ def _reads_temps(it: Iteration, temps: set) -> bool:
 def _shift_temp_indices(node, temps: set, offsets: Dict[str, Expr]):
     """Rebase accesses to block-local temporaries: subtract the block
     origin along every blocked dimension."""
-
-    def fix(e):
-        if isinstance(e, Access):
-            new_idx = tuple(fix(i) for i in e.indices)
-            if e.func in temps:
-                new_idx = tuple(
-                    add(ix, mul(num(-1), offsets[d.name]))
-                    if d.name in offsets else ix
-                    for d, ix in zip(e.func.dims, new_idx))
-            return Access(e.func, new_idx)
-        kids = children_of(e)
-        if not kids:
-            return e
-        return rebuild(e, [fix(c) for c in kids])
-
     for s in statements(node):
         from dataclasses import replace
-        s.eq = replace(s.eq, lhs=fix(s.eq.lhs), rhs=fix(s.eq.rhs))
+        s.eq = replace(s.eq, lhs=_rebase(s.eq.lhs, temps, offsets),
+                       rhs=_rebase(s.eq.rhs, temps, offsets))
+
+
+def _rebase(e: Expr, temps: set, offsets: Dict[str, Expr]) -> Expr:
+    if isinstance(e, Access):
+        new_idx = tuple(_rebase(i, temps, offsets) for i in e.indices)
+        if e.func in temps:
+            new_idx = tuple(
+                add(ix, mul(num(-1), offsets[d.name]))
+                if d.name in offsets else ix
+                for d, ix in zip(e.func.dims, new_idx))
+        return Access(e.func, new_idx)
+    kids = children_of(e)
+    if not kids:
+        return e
+    return rebuild(e, [_rebase(c, temps, offsets) for c in kids])
 
 
 def _block_group(group: List[Iteration], shape: Dict[str, int],
@@ -392,43 +396,45 @@ def block_loops(iet, shape: Optional[Dict[str, int]]):
     read_pairs = [(a.func, s) for s in statements(iet)
                   for a in _accesses(s.eq.rhs)
                   if a.func.kind == "temp" and a.indices]
-
-    def visit(node):
-        kids = getattr(node, "children", None)
-        if kids is None:
-            return
-        out = []
-        i = 0
-        while i < len(kids):
-            c = kids[i]
-            if isinstance(c, Iteration) and c.dim.name in shape:
-                if PARALLEL not in c.properties:
-                    raise IETError(
-                        "cannot block sequential loop %s" % c.dim.name)
-                group = [c]
-                produced = _array_temp_writes(c)
-                j = i + 1
-                while j < len(kids) and isinstance(kids[j], Iteration) and \
-                        kids[j].dim.name == c.dim.name and \
-                        PARALLEL in kids[j].properties and \
-                        produced and _reads_temps(kids[j], produced):
-                    group.append(kids[j])
-                    produced |= _array_temp_writes(kids[j])
-                    j += 1
-                inside = {id(s) for g in group for s in statements(g)}
-                outside_reads = {f for f, s in read_pairs
-                                 if id(s) not in inside}
-                out.append(_block_group(group, shape,
-                                        produced - outside_reads))
-                i = j
-            else:
-                visit(c)
-                out.append(c)
-                i += 1
-        node.children = out
-
-    visit(iet)
+    _block_children(iet, shape, read_pairs)
     return iet
+
+
+def _block_children(node, shape: Dict[str, int], read_pairs) -> None:
+    """Block the loop nests below ``node`` in place, depth first. A module
+    function, not a closure: a recursive closure leaves a reference cycle."""
+    kids = getattr(node, "children", None)
+    if kids is None:
+        return
+    out = []
+    i = 0
+    while i < len(kids):
+        c = kids[i]
+        if isinstance(c, Iteration) and c.dim.name in shape:
+            if PARALLEL not in c.properties:
+                raise IETError(
+                    "cannot block sequential loop %s" % c.dim.name)
+            group = [c]
+            produced = _array_temp_writes(c)
+            j = i + 1
+            while j < len(kids) and isinstance(kids[j], Iteration) and \
+                    kids[j].dim.name == c.dim.name and \
+                    PARALLEL in kids[j].properties and \
+                    produced and _reads_temps(kids[j], produced):
+                group.append(kids[j])
+                produced |= _array_temp_writes(kids[j])
+                j += 1
+            inside = {id(s) for g in group for s in statements(g)}
+            outside_reads = {f for f, s in read_pairs
+                             if id(s) not in inside}
+            out.append(_block_group(group, shape,
+                                    produced - outside_reads))
+            i = j
+        else:
+            _block_children(c, shape, read_pairs)
+            out.append(c)
+            i += 1
+    node.children = out
 
 
 def autotune_blocks(iet, runner: Callable[[dict], float],
@@ -461,16 +467,16 @@ def place_declarations(iet):
     (private); everything hoisted above is shared."""
     from .dse import _accesses
 
+    # Each statement with every node from the root down to it, in preorder.
     node_paths: List[Tuple[ExpressionStmt, Tuple[object, ...]]] = []
-
-    def rec(node, path):
+    stack = [(iet, (iet,))]
+    while stack:
+        node, path = stack.pop()
         if isinstance(node, ExpressionStmt):
-            node_paths.append((node, tuple(path) + (node,)))
-            return
-        for ch in getattr(node, "children", ()):
-            rec(ch, path + [node])
-
-    rec(iet, [iet])
+            node_paths.append((node, path + (node,)))
+            continue
+        stack.extend((ch, path + (node,))
+                     for ch in reversed(getattr(node, "children", ())))
 
     touches: Dict[FunctionDecl, List[Tuple[object, ...]]] = {}
     read_temps = set()
@@ -492,16 +498,16 @@ def place_declarations(iet):
     # Elide never-read temporaries
     dead = {f for f in touches if f not in read_temps}
     if dead:
-        def prune(node):
+        stack = [iet]
+        while stack:
+            node = stack.pop()
             kids = getattr(node, "children", None)
             if kids is None:
-                return
+                continue
             node.children = [c for c in kids
                              if not (isinstance(c, ExpressionStmt) and
                                      c.eq.lhs.func in dead)]
-            for c in node.children:
-                prune(c)
-        prune(iet)
+            stack.extend(node.children)
 
     for f in order:
         if f in dead:

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .symbolic.expr import (Access, Add, Call, Constant, Expr, Mul, Pow,
                             Symbol, add, call, children_of, evaluate,
@@ -191,6 +192,19 @@ def collect_accesses_in_indices(acc: Access) -> List[Access]:
     return out
 
 
+def collect_functions(eqs) -> Dict[str, FunctionDecl]:
+    """Every non-temporary function the equations access, by name, in
+    order of first access."""
+    out: Dict[str, FunctionDecl] = {}
+    for eq in eqs:
+        for acc in [eq.lhs] + collect_accesses(eq.rhs) + \
+                collect_accesses_in_indices(eq.lhs):
+            f = acc.func
+            if f.kind != "temp":
+                out.setdefault(f.name, f)
+    return out
+
+
 # -- Index classification ----------------------------------------------------
 
 
@@ -201,18 +215,44 @@ def affine_offset(index: Expr, dim_symbol: Symbol,
     LoweringError for non-affine forms."""
     if index == dim_symbol:
         return 0
-    # Lowered indices are ``Add(Constant(k), dim)``: Add sorts its constant
-    # first. An integer k is the answer the symbolic route would give.
-    if isinstance(index, Add) and len(index.children) == 2 and \
-            index.children[1] == dim_symbol and \
-            isinstance(index.children[0], Constant):
-        k = index.children[0].value
-        if isinstance(k, Fraction):
-            if k.denominator == 1:
-                return k.numerator
-        elif k.is_integer():
-            return int(k)
+    k = _closed_form_offset(index, dim_symbol, unit)
+    if k is not None:
+        return k
     return _symbolic_offset(index, dim_symbol, unit)
+
+
+def _closed_form_offset(index: Expr, dim_symbol: Symbol,
+                        unit: Optional[Symbol]) -> Optional[int]:
+    """``affine_offset`` without symbolic arithmetic for the two shapes
+    indices take, None for any other form or a non-integer k. Lowered
+    indices are ``Add(Constant(k), dim)``: Add sorts its constant first.
+    Frontend indices built by ``fd.shift_expr`` are ``dim + k*unit``, that
+    is ``Add(dim, unit)`` or ``Add(dim, Mul(Constant(k), unit))`` in some
+    child order."""
+    if not isinstance(index, Add) or len(index.children) != 2:
+        return None
+    a, b = index.children
+    if b == dim_symbol:
+        a, b = b, a
+    if a != dim_symbol:
+        return None
+    if isinstance(b, Constant):
+        return _integer(b.value)
+    if unit is None:
+        return None
+    if b == unit:
+        return 1
+    if isinstance(b, Mul) and len(b.children) == 2 and \
+            isinstance(b.children[0], Constant) and b.children[1] == unit:
+        return _integer(b.children[0].value)
+    return None
+
+
+def _integer(value) -> Optional[int]:
+    """``value`` as an int when it is integral, else None."""
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else None
+    return int(value) if value.is_integer() else None
 
 
 def _symbolic_offset(index: Expr, dim_symbol: Symbol,
@@ -258,6 +298,26 @@ def _unit_for(decl: FunctionDecl, dim: Dimension) -> Optional[Symbol]:
     return None
 
 
+def _map_accesses(e: Expr, convert: Callable[[Access], Access],
+                  memo: dict) -> Expr:
+    """``e`` with ``convert`` applied to each outermost access. Equal
+    subtrees are converted once (``memo``), and a node none of whose
+    children changed is returned as is."""
+    out = memo.get(e)
+    if out is None:
+        if isinstance(e, Access):
+            out = convert(e)
+        else:
+            kids = children_of(e)
+            new = [_map_accesses(c, convert, memo) for c in kids]
+            if all(a is b for a, b in zip(new, kids)):
+                out = e
+            else:
+                out = rebuild(e, new)
+        memo[e] = out
+    return out
+
+
 def _indexify_access(acc: Access, guards: List[Guard]) -> Access:
     decl = acc.func
     if decl.kind == "temp":
@@ -267,7 +327,8 @@ def _indexify_access(acc: Access, guards: List[Guard]) -> Access:
         raise LoweringError("arity mismatch accessing %s" % decl.name)
     new_indices = []
     for dim, idx in zip(dims, acc.indices):
-        idx = _indexify_expr(idx)  # nested accesses first
+        # Nested accesses first; their guards are not the equation's.
+        idx = _map_accesses(idx, partial(_indexify_access, guards=[]), {})
         if dim.kind == "conditional":
             if idx != dim.symbol:
                 raise LoweringError(
@@ -286,22 +347,11 @@ def _indexify_access(acc: Access, guards: List[Guard]) -> Access:
     return Access(decl, tuple(new_indices))
 
 
-def _indexify_expr(e: Expr, guards: Optional[List[Guard]] = None) -> Expr:
-    if guards is None:
-        guards = []
-    if isinstance(e, Access):
-        return _indexify_access(e, guards)
-    kids = children_of(e)
-    if not kids:
-        return e
-    return rebuild(e, [_indexify_expr(c, guards) for c in kids])
-
-
 def indexify(eq: Equation) -> LoweredEq:
     """Convert function accesses into array accesses with integer offsets."""
     guards: List[Guard] = []
     lhs = _indexify_access(eq.lhs, guards)
-    rhs = _indexify_expr(eq.rhs, guards)
+    rhs = _map_accesses(eq.rhs, partial(_indexify_access, guards=guards), {})
     return LoweredEq(lhs, rhs, is_increment=eq.is_increment,
                      region=eq.region, guards=tuple(guards))
 
@@ -315,13 +365,14 @@ def _shift_for(decl: FunctionDecl, dim: Dimension) -> int:
     return 0
 
 
-def _align_access(acc: Access) -> Access:
+def _align_access(acc: Access, memo: dict) -> Access:
     decl = acc.func
     if decl.kind == "temp":
         return acc
+    align = partial(_align_access, memo=memo)
     new_indices = []
     for dim, idx in zip(decl.dims, acc.indices):
-        idx = _align_expr(idx)
+        idx = _map_accesses(idx, align, memo)
         shift = _shift_for(decl, dim)
         if shift:
             idx = add(idx, num(shift))
@@ -329,19 +380,13 @@ def _align_access(acc: Access) -> Access:
     return Access(decl, tuple(new_indices))
 
 
-def _align_expr(e: Expr) -> Expr:
-    if isinstance(e, Access):
-        return _align_access(e)
-    kids = children_of(e)
-    if not kids:
-        return e
-    return rebuild(e, [_align_expr(c) for c in kids])
-
-
 def align_domain(eq: LoweredEq) -> LoweredEq:
     """Shift every index by the accessed function's halo+padding so the
     accesses address allocated storage directly."""
-    return replace(eq, lhs=_align_access(eq.lhs), rhs=_align_expr(eq.rhs))
+    memo: dict = {}
+    return replace(eq, lhs=_align_access(eq.lhs, memo),
+                   rhs=_map_accesses(eq.rhs, partial(_align_access, memo=memo),
+                                     memo))
 
 
 # -- Local analysis ----------------------------------------------------------

@@ -33,10 +33,11 @@ class ExprError(ValueError):
 class Expr:
     """Base class for all expression nodes. Instances are immutable.
 
-    The two slots cache a node's hash and its sort key on first use. They
-    are not dataclass fields, so equality and pickled state ignore them."""
+    The slots cache a node's hash, its sort key and its operation count on
+    first use. They are not dataclass fields, so equality and pickled state
+    ignore them, and they die with the node."""
 
-    __slots__ = ("_hash", "_key")
+    __slots__ = ("_hash", "_key", "_ops")
 
     def __add__(self, other):
         return add(self, _coerce(other))
@@ -243,6 +244,9 @@ def add(*args) -> Expr:
     const = Fraction(0)
     terms: dict = {}
     order: list = []
+    # term -> the input node it came from, while the term occurs only once:
+    # that node is already ``coeff * term`` in normal form.
+    once: dict = {}
     # Explicit preorder stack: a recursive closure would leave a reference
     # cycle behind on every call.
     stack = list(reversed(args))
@@ -256,8 +260,10 @@ def add(*args) -> Expr:
             coeff, term = _as_coeff_term(e)
             if term in terms:
                 terms[term] = terms[term] + coeff
+                once.pop(term, None)
             else:
                 terms[term] = coeff
+                once[term] = e
                 order.append(term)
 
     children = []
@@ -267,6 +273,8 @@ def add(*args) -> Expr:
             continue
         if coeff == 1:
             children.append(term)
+        elif term in once:
+            children.append(once[term])
         else:
             children.append(mul(Constant(coeff), term))
     if const != 0 or isinstance(const, float) and const != 0.0:
@@ -427,10 +435,20 @@ def free_symbols(e: Expr, into=None) -> set:
 
 
 def op_count(e: Expr) -> int:
-    """Floating-point operation count. Index arithmetic inside accesses is
-    excluded; builtin calls are weighted at CALL_WEIGHT."""
+    """Floating-point operation count, computed once per node. Index
+    arithmetic inside accesses is excluded; builtin calls are weighted at
+    CALL_WEIGHT."""
     if isinstance(e, (Constant, Symbol, Access)):
         return 0
+    try:
+        return e._ops
+    except AttributeError:
+        n = _build_op_count(e)
+        object.__setattr__(e, "_ops", n)
+        return n
+
+
+def _build_op_count(e: Expr) -> int:
     if isinstance(e, Add):
         return len(e.children) - 1 + sum(op_count(c) for c in e.children)
     if isinstance(e, Mul):

@@ -9,6 +9,7 @@ computed in exact rational arithmetic. A centered stencil on radius r uses
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from .expr import (Access, Add, Call, Constant, Expr, Mul, Pow, Symbol, add,
@@ -54,7 +55,14 @@ def fornberg_weights(deriv_order: int, offsets: Tuple[int, ...],
 
 
 def centered_weights(fd_order: int, deriv_order: int) -> Dict[int, Fraction]:
-    """Offset -> weight map for a centered stencil of the requested accuracy."""
+    """Offset -> weight map for a centered stencil of the requested accuracy.
+    The map is a fresh dict on every call; the weights are derived once."""
+    return dict(_centered_weights(fd_order, deriv_order))
+
+
+@lru_cache(maxsize=64)
+def _centered_weights(fd_order: int, deriv_order: int
+                      ) -> Tuple[Tuple[int, Fraction], ...]:
     if fd_order % 2 != 0 or fd_order < 2:
         raise FDError("fd_order must be even and >= 2, got %d" % fd_order)
     if fd_order < deriv_order:
@@ -62,8 +70,7 @@ def centered_weights(fd_order: int, deriv_order: int) -> Dict[int, Fraction]:
                       % (fd_order, deriv_order))
     radius = (fd_order + deriv_order - 1) // 2
     offsets = tuple(range(-radius, radius + 1))
-    weights = fornberg_weights(deriv_order, offsets)
-    return {o: w for o, w in zip(offsets, weights)}
+    return tuple(zip(offsets, fornberg_weights(deriv_order, offsets)))
 
 
 def shift_expr(e: Expr, dim: Dimension, k: int, step: Symbol) -> Expr:

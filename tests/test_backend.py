@@ -10,7 +10,8 @@ from stencilc.backend import (BackendError, BoundsError, DataBuffer,
 from stencilc.backend import operator as op_mod
 from stencilc.iet import Block
 
-from helpers import acoustic_example, rotated_equations, wave_example
+from helpers import (acoustic_example, coupled_equations, rotated_equations,
+                     wave_example)
 
 DT = 0.02
 
@@ -288,7 +289,52 @@ class TestPlan:
             gc.enable()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: _acoustic_op((8, 8, 8)),
+    lambda: _acoustic_op((8, 8, 8), mode="aggressive",
+                         block={"x": 4, "y": 4, "z": 4}),
+    lambda: _rotated_op(block={"x": 8, "y": 8}),
+], ids=["acoustic", "acoustic-blocked", "rotated-blocked"])
+def test_compile_leaves_no_cyclic_garbage(build):
+    # Every compile pass frees its garbage by reference counting.
+    import gc
+    clear_cache()
+    gc.collect()
+    gc.disable()
+    try:
+        build()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+        clear_cache()
+
+
+#: SHA-256 of the emitted C (through ``Operator`` and through ``emit_c``
+#: with no function list) and of the tree dump, for two small operators.
+GOLDEN_SHA256 = {
+    "rotated": ("c12ff2666874d0e5ac3376d87e0cd7712b7c9f012ec90e7217f27c2d71dea055",
+                "c12ff2666874d0e5ac3376d87e0cd7712b7c9f012ec90e7217f27c2d71dea055",
+                "733aefec2aebe82d9971743918809f9cc05db117b0e72b8d38e83a4cdbf3e402"),
+    "coupled": ("8d83a28cba9d2dc1ee28edcf2cdd85e3dd3005a3f758a5818685e69da225b083",
+                "8360e250460408f50c5485d6c3316d404ed6769b179bc384a6d910090101ea4f",
+                "e2101404de0c3cff619b672617b2cd498267ed4adf248879023b2b09acedcc84"),
+}
+
+
 class TestCodegen:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+    def test_golden_source_and_tree(self, name):
+        import hashlib
+        clear_cache()
+        if name == "rotated":
+            op = _rotated_op(block={"x": 8, "y": 8})
+        else:
+            op = Operator(coupled_equations(3), mode="advanced")
+        texts = (op.source, emit_c(op.iet), op.dump_iet())
+        digests = tuple(hashlib.sha256(t.encode()).hexdigest()
+                        for t in texts)
+        assert digests == GOLDEN_SHA256[name]
+
     def test_emission_deterministic(self):
         funcs, eqs = acoustic_example((21,))
         clear_cache()

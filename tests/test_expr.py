@@ -165,10 +165,20 @@ def test_cache_slots_are_not_compared_or_pickled():
     x = Symbol("x")
     e = add(x, num(1))
     hash(e)
+    assert op_count(e) == op_count(e) == 1  # the second is the cached count
     assert e == add(Symbol("x"), num(1))  # fresh node, empty caches
     state = e.__getstate__()
     assert state == [e.children]
     assert pickle.loads(pickle.dumps(e)) == e
+
+
+def test_add_keeps_a_term_that_occurs_once():
+    term = mul(num(3), a, pow_(b, -2))
+    e = add(c, term, num(1))
+    assert e == add(num(1), c, mul(num(3), a, pow_(b, -2)))
+    assert any(child is term for child in e.children)
+    twice = add(term, c, term)
+    assert mul(num(6), a, pow_(b, -2)) in twice.children
 
 
 def test_add_and_mul_leave_no_reference_cycles():

@@ -212,3 +212,24 @@ def test_solve_random_affine_residual():
         residual = evaluate(expr, env,
                             on_access=lambda acc: tval if acc == target else 0.0)
         assert abs(residual) < 1e-10
+
+
+def test_centered_weights_derived_once_and_returned_fresh(monkeypatch):
+    from stencilc.symbolic import fd
+    derived = []
+    uncached = fd.fornberg_weights
+    monkeypatch.setattr(fd, "fornberg_weights",
+                        lambda *args: derived.append(args) or
+                        uncached(*args))
+    fd._centered_weights.cache_clear()
+    try:
+        first = centered_weights(8, 2)
+        first[0] = Fraction(99)
+        del first[4]
+        second = centered_weights(8, 2)
+        assert len(derived) == 1
+        offsets = tuple(range(-4, 5))
+        assert second == dict(zip(offsets, uncached(2, offsets)))
+        assert second is not first
+    finally:
+        fd._centered_weights.cache_clear()

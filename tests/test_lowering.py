@@ -231,3 +231,55 @@ def test_collect_accesses_preorder_without_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("kind", [Fraction, float])
+def test_affine_offset_closed_form_for_shifted_indices(kind, monkeypatch):
+    # ``fd.shift_expr`` builds ``dim + k*unit``; an integer k is answered
+    # without the symbolic route, and gives the answer that route gives.
+    import stencilc.lowering as lowering
+    from stencilc.lowering import _symbolic_offset, affine_offset
+    x, h = Symbol("x"), Symbol("h_x")
+    routed = []
+    monkeypatch.setattr(lowering, "_symbolic_offset",
+                        lambda *args: routed.append(args) or
+                        _symbolic_offset(*args))
+    for k in range(-20, 21):
+        index = add(x, mul(num(kind(k)), h))
+        closed = affine_offset(index, x, h)
+        assert closed == _symbolic_offset(index, x, h) == k
+        assert type(closed) is int
+    assert routed == []
+    for k in (Fraction(1, 2), Fraction(-7, 3), 2.5):
+        index = add(x, mul(num(k), h))
+        with pytest.raises(LoweringError):
+            affine_offset(index, x, h)
+    assert len(routed) == 3
+
+
+def test_rotated_lowering_takes_no_symbolic_offsets(monkeypatch):
+    import stencilc.lowering as lowering
+    from helpers import rotated_equations
+    routed = []
+    monkeypatch.setattr(lowering, "_symbolic_offset",
+                        lambda *args: routed.append(args))
+    _, eqs = rotated_equations(12, shape=(24, 24))
+    low = [lower(e) for e in eqs]
+    assert routed == []
+    assert low[0].rhs != eqs[0].rhs
+
+
+def test_coupled_lowering_rebuilds_only_changed_nodes(monkeypatch):
+    import stencilc.lowering as lowering
+    from stencilc.symbolic.expr import children_of, rebuild
+    from helpers import coupled_equations
+    calls = []
+
+    def counted(e, new):
+        calls.append(all(a is b for a, b in zip(new, children_of(e))))
+        return rebuild(e, new)
+
+    monkeypatch.setattr(lowering, "rebuild", counted)
+    for eq in coupled_equations(8, shape=(16, 16, 16), so=8):
+        lower(eq)
+    assert calls and not any(calls)
