@@ -167,8 +167,10 @@ def build_iet(clusters: Sequence[Cluster]) -> Block:
 # -- Analysis ----------------------------------------------------------------
 
 
-def _stmt_paths(iet) -> List[Tuple[ExpressionStmt, Tuple[Iteration, ...]]]:
-    """Every statement with its enclosing Iterations, in preorder."""
+def _stmt_paths(iet, keep: type = Iteration
+                ) -> List[Tuple[ExpressionStmt, Tuple[object, ...]]]:
+    """Every statement with its enclosing nodes of type ``keep``,
+    outermost first, in preorder."""
     out = []
     # Explicit stack: a recursive closure would leave a reference cycle.
     stack = [(iet, ())]
@@ -177,7 +179,7 @@ def _stmt_paths(iet) -> List[Tuple[ExpressionStmt, Tuple[Iteration, ...]]]:
         if isinstance(node, ExpressionStmt):
             out.append((node, path))
             continue
-        if isinstance(node, Iteration):
+        if isinstance(node, keep):
             path = path + (node,)
         stack.extend((ch, path)
                      for ch in reversed(getattr(node, "children", ())))
@@ -467,21 +469,11 @@ def place_declarations(iet):
     (private); everything hoisted above is shared."""
     from .dse import _accesses
 
-    # Each statement with every node from the root down to it, in preorder.
-    node_paths: List[Tuple[ExpressionStmt, Tuple[object, ...]]] = []
-    stack = [(iet, (iet,))]
-    while stack:
-        node, path = stack.pop()
-        if isinstance(node, ExpressionStmt):
-            node_paths.append((node, path + (node,)))
-            continue
-        stack.extend((ch, path + (node,))
-                     for ch in reversed(getattr(node, "children", ())))
-
     touches: Dict[FunctionDecl, List[Tuple[object, ...]]] = {}
     read_temps = set()
     order: List[FunctionDecl] = []
-    for stmt, path in node_paths:
+    # Each statement with every node from the root down to its parent.
+    for stmt, path in _stmt_paths(iet, keep=object):
         funcs = set()
         if stmt.eq.lhs.func.kind == "temp":
             funcs.add(stmt.eq.lhs.func)

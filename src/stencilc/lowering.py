@@ -300,10 +300,11 @@ def _unit_for(decl: FunctionDecl, dim: Dimension) -> Optional[Symbol]:
 
 def _map_accesses(e: Expr, convert: Callable[[Access], Access],
                   memo: dict) -> Expr:
-    """``e`` with ``convert`` applied to each outermost access. Equal
-    subtrees are converted once (``memo``), and a node none of whose
-    children changed is returned as is."""
-    out = memo.get(e)
+    """``e`` with ``convert`` applied to each outermost access. Each node
+    is converted once (``memo``), and a node none of whose children changed
+    is returned as is. The memo is keyed by identity, not equality: equal
+    nodes are not interchangeable, as ``Constant(2.0) == Constant(2)``."""
+    out = memo.get(id(e))
     if out is None:
         if isinstance(e, Access):
             out = convert(e)
@@ -314,7 +315,7 @@ def _map_accesses(e: Expr, convert: Callable[[Access], Access],
                 out = e
             else:
                 out = rebuild(e, new)
-        memo[e] = out
+        memo[id(e)] = out
     return out
 
 

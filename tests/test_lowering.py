@@ -283,3 +283,51 @@ def test_coupled_lowering_rebuilds_only_changed_nodes(monkeypatch):
     for eq in coupled_equations(8, shape=(16, 16, 16), so=8):
         lower(eq)
     assert calls and not any(calls)
+
+
+# SHA-256 of ``Operator.source`` for ``2.0 + laplace(u)`` ("const") and
+# ``2.0*u + laplace(u)`` ("coeff") on a 16x16 SO8 grid, taken before the
+# lowering walks shared results between equal nodes.
+FLOAT_CONSTANT_C_SHA256 = {
+    ("basic", "const"):
+        "7eee09793842325ecd721e4c2bd655186e9ea4339502384d553af821c6e99e12",
+    ("basic", "coeff"):
+        "eb2643203eb9bfd1025a1b4a7fd9c57eec688275348fdd9d9ad6eeb3396f38c3",
+    ("advanced", "const"):
+        "fec01fd8677992a606148ee32ffd7155b05bb1e822176c4bc6d78027621823c7",
+    ("advanced", "coeff"):
+        "5baaba1ef630e635f6444de77e63438bf764898680fe496f1f9d2c9dc0b11990",
+}
+
+
+@pytest.mark.parametrize("mode,variant", sorted(FLOAT_CONSTANT_C_SHA256))
+def test_float_constants_stay_apart_from_index_constants(mode, variant):
+    # Constant(2.0) == Constant(2), but a float in an index makes the C
+    # subscript a double, and a Fraction in the rhs changes the emitted
+    # literal. Lowering must keep the two apart in either walk order.
+    import hashlib
+    from stencilc.backend.operator import Operator
+    from stencilc.symbolic.expr import Constant, children_of
+    g = Grid((16, 16))
+    u = FunctionDecl("u", "timefunction", g, space_order=8, time_order=1)
+    v = FunctionDecl("v", "timefunction", g, space_order=8, time_order=1)
+    first = num(2.0) if variant == "const" else mul(num(2.0), u.at)
+    eq = Eq(v.forward, add(first, laplace(u)))
+    low = lower(eq)
+
+    index_consts, value_consts = [], []
+    stack = [(low.lhs, True), (low.rhs, False)]
+    while stack:
+        e, in_index = stack.pop()
+        if isinstance(e, Constant):
+            (index_consts if in_index else value_consts).append(e.value)
+        stack.extend((c, in_index or isinstance(e, Access))
+                     for c in children_of(e))
+    assert index_consts
+    assert all(type(k) is Fraction for k in index_consts)
+    assert 2.0 in value_consts
+    assert all(type(k) is float for k in value_consts if k == 2)
+
+    source = Operator([eq], mode=mode).source
+    assert hashlib.sha256(source.encode()).hexdigest() == \
+        FLOAT_CONSTANT_C_SHA256[(mode, variant)]
