@@ -25,7 +25,7 @@ from ..lowering import (LoweredEq, _shift_for, check_halo_coverage,
                         collect_accesses, collect_functions, lower)
 from ..symbolic.grid import Equation, FunctionDecl, Grid
 from .codegen import emit_c
-from .interpreter import BackendError, DataBuffer, run
+from .interpreter import BackendError, DataBuffer, allocate, run
 from .reference import reference_run
 
 #: Total pass invocations since import; a cache hit adds nothing.
@@ -176,8 +176,7 @@ class Operator:
         buffers: Dict[str, DataBuffer] = {}
         for f in self.functions.values():
             nt = steps if f.kind == "sparsetimefunction" else None
-            buffers[f.name] = DataBuffer(f.name, self.dtype,
-                                         f.storage_extents(nt))
+            buffers[f.name] = allocate(f, nt, self.dtype)
         for f in self.functions.values():
             if f.kind == "sparsetimefunction" and f.coordinate_values and \
                     f.coordinates.name in buffers:

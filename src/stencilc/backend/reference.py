@@ -3,10 +3,11 @@
 ``reference_run`` runs each equation in its own loop nest over its own
 iteration space, in program order, and serves as the differential-testing
 oracle for ``run``. Where an equation can be swept, it runs as whole-array
-slice operations whose offsets come from lowering's per-access analysis
-(``_access_offsets``), not from the interpreter's execution plan, so a
-fault in the plan's slicing shows as a difference; every other equation
-runs per point. Every access is checked against the allocated extents.
+slice operations whose offsets come from the equation's access table
+(``LoweredEq.offsets``, derived once by lowering), not from the
+interpreter's execution plan, so a fault in the plan's slicing shows as a
+difference; every other equation runs per point. Every access is checked
+against the allocated extents.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import operator
 from functools import reduce
 from typing import Dict, Sequence
 
-from ..lowering import (BACKWARD, OPAQUE, LoweredEq, _access_offsets,
-                        collect_accesses)
+from ..lowering import BACKWARD, OPAQUE, LoweredEq
 from ..symbolic.expr import (Access, Add, Call, Constant, Expr, ExprError,
                              Mul, Pow, Symbol, children_of, evaluate,
                              free_symbols)
@@ -34,13 +34,13 @@ def _overlap(a, b) -> bool:
 
 
 def _sweep_plan(eq: LoweredEq, names):
-    """``[(access, [(axis or None, offset, index), ...]), ...]`` for the
-    left-hand side and every read of ``eq``, from the offsets lowering
-    derives per access. None when ``eq`` cannot be swept over the loops
-    ``names``: it writes no grid function, reads a temporary, uses a swept
-    loop as a value, calls ``idiv``, has an index that is neither ``loop +
-    offset`` nor free of the swept loops, or its left-hand side does not
-    span them in order."""
+    """``[(access, [(axis or None, offset, index), ...]), ...]`` for every
+    entry of the equation's access table (left-hand side first), from the
+    storage offsets the table holds per access. None when ``eq`` cannot be
+    swept over the loops ``names``: it writes no grid function, reads a
+    temporary, uses a swept loop as a value, calls ``idiv``, has an index
+    that is neither ``loop + offset`` nor free of the swept loops, or its
+    left-hand side does not span them in order."""
 
     def sweepable(e):
         if isinstance(e, Symbol):
@@ -55,10 +55,9 @@ def _sweep_plan(eq: LoweredEq, names):
             not sweepable(eq.rhs):
         return None
     plan = []
-    for acc in [eq.lhs] + collect_accesses(eq.rhs):
+    for acc, offsets in zip(eq.accesses, eq.offsets):
         entries = []
-        for (_, loop, k), idx in zip(_access_offsets(acc, aligned=False),
-                                     acc.indices):
+        for (_, loop, k), idx in zip(offsets, acc.indices):
             if loop.name in names and k is not OPAQUE:
                 entries.append((names.index(loop.name), k, idx))
             elif free_symbols(idx) & set(names):

@@ -52,8 +52,7 @@ def enforce_directions(eqs: List[LoweredEq]) -> List[LoweredEq]:
                 if eq.ispace.direction_of(dim) == ANY:
                     updates[dim] = forced
         if updates:
-            from dataclasses import replace
-            eq = replace(eq, ispace=eq.ispace.with_directions(updates))
+            eq = eq.reanalyzed(ispace=eq.ispace.with_directions(updates))
         out.append(eq)
     return out
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .lowering import OPAQUE, LoweredEq, _access_offsets, collect_accesses
+from .lowering import OPAQUE, LoweredEq, _access_offsets
 from .symbolic.expr import Access, free_symbols
 from .symbolic.grid import Dimension, FunctionDecl
 
@@ -69,23 +69,15 @@ class Dependence:
         return "<%s on %s (%s)>" % (self.kind, self.function.name, bits)
 
 
-def _reads_of(eq: LoweredEq) -> List[Access]:
-    reads = collect_accesses(eq.rhs)
-    for idx in eq.lhs.indices:
-        reads.extend(collect_accesses(idx))
-    if eq.is_increment:
-        reads.append(eq.lhs)
-    return reads
-
-
-def _offsets_by_loop_dim(acc: Access) -> Tuple[Dict[Dimension, int], set]:
-    """Affine offsets keyed by loop dimension, plus the set of loop-dim
-    names referenced from non-affine indices."""
+def _offsets_by_loop_dim(acc: Access, offsets
+                         ) -> Tuple[Dict[Dimension, int], set]:
+    """Affine offsets of ``acc`` keyed by loop dimension, from its
+    ``_access_offsets``, plus the set of loop-dim names referenced from
+    non-affine indices."""
     affine: Dict[Dimension, int] = {}
     opaque_syms: set = set()
-    for dim, loop, k in _access_offsets(acc, aligned=True):
+    for (dim, loop, k), idx in zip(offsets, acc.indices):
         if k is OPAQUE:
-            idx = acc.indices[list(acc.func.dims).index(dim)]
             opaque_syms |= free_symbols(idx)
         else:
             affine[loop] = k
@@ -96,8 +88,8 @@ def lamport_distance(src: Access, snk: Access,
                      dims: Tuple[Dimension, ...]) -> Tuple[Optional[int], ...]:
     """Distance vector of a dependence from ``src`` to ``snk`` over the
     given loop dimensions; None marks an unknown entry."""
-    return _distance(_offsets_by_loop_dim(src), _offsets_by_loop_dim(snk),
-                     dims)
+    return _distance(_offsets_by_loop_dim(src, _access_offsets(src)),
+                     _offsets_by_loop_dim(snk, _access_offsets(snk)), dims)
 
 
 def _distance(src_offsets, snk_offsets, dims) -> Tuple[Optional[int], ...]:
@@ -151,25 +143,25 @@ def get_dependences(eqs: List[LoweredEq]) -> List[Dependence]:
     # dedup by equation identity: value-equal duplicate statements still
     # carry distinct dependences
     seen = set()
-    # Each equation's reads and each access's offsets, derived once; keyed
-    # by id, as equal accesses in distinct equations are distinct objects.
-    reads = [_reads_of(eq) for eq in eqs]
-    offsets: Dict[int, tuple] = {}
+    # Per equation, (access, offsets by loop dim) for the write and the
+    # reads, from the equation's access table. Accesses to one function
+    # share its alignment shift, so storage offsets give the distances.
+    writes, reads = [], []
+    for eq in eqs:
+        table = [(acc, _offsets_by_loop_dim(acc, offs))
+                 for acc, offs in zip(eq.accesses, eq.offsets)]
+        writes.append(table[0])
+        reads.append(table[1:] + table[:1] if eq.is_increment else table[1:])
 
-    def offsets_of(acc: Access):
-        key = id(acc)
-        if key not in offsets:
-            offsets[key] = _offsets_by_loop_dim(acc)
-        return offsets[key]
-
-    def emit(src_acc, snk_acc, src_eq, snk_eq, kind, dims):
+    def emit(src, snk, src_eq, snk_eq, kind, dims):
+        (src_acc, src_offsets), (snk_acc, snk_offsets) = src, snk
         if src_acc.func is not snk_acc.func:
             return
         if src_eq.is_increment and snk_eq.is_increment and kind != FLOW:
             return  # one reduction record per pair is enough
         if src_eq.is_increment and snk_eq.is_increment:
             kind = REDUCTION
-        dist = _distance(offsets_of(src_acc), offsets_of(snk_acc), dims)
+        dist = _distance(src_offsets, snk_offsets, dims)
         dep = _normalize(Dependence(src_eq, snk_eq, src_acc.func,
                                     kind, dims, dist))
         if dep is None:
@@ -186,11 +178,11 @@ def get_dependences(eqs: List[LoweredEq]) -> List[Dependence]:
             ei, ej = eqs[i], eqs[j]
             dims = _union_dims(ei, ej)
             for r in reads[j]:
-                emit(ei.lhs, r, ei, ej, FLOW, dims)
+                emit(writes[i], r, ei, ej, FLOW, dims)
             if i != j:
                 for r in reads[i]:
-                    emit(r, ej.lhs, ei, ej, ANTI, dims)
-                emit(ei.lhs, ej.lhs, ei, ej, OUTPUT, dims)
+                    emit(r, writes[j], ei, ej, ANTI, dims)
+                emit(writes[i], writes[j], ei, ej, OUTPUT, dims)
     return deps
 
 

@@ -18,14 +18,16 @@ advanced-mode wins.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from .clustering import Cluster
-from .lowering import Interval, IterationSpace, LoweredEq, affine_offset
-from .symbolic.expr import (Access, Add, Call, Constant, Expr, Mul, Pow,
-                            Symbol, _as_coeff_term, _sort_key, add,
-                            children_of, mul, num, op_count, pow_, rebuild)
+from .lowering import (OPAQUE, Interval, IterationSpace, LoweredEq,
+                       _access_offsets, _map_accesses, collect_accesses)
+from .symbolic.expr import (Access, Add, Constant, Expr, Mul, Pow, Symbol,
+                            _as_coeff_term, _sort_key, add, children_of, mul,
+                            num, op_count, pow_, rebuild)
 from .symbolic.grid import Dimension, FunctionDecl
 
 #: Extraction threshold: sub-expressions costing at least this many
@@ -49,21 +51,6 @@ class Namer:
         name = "%s%d" % (self.prefix, self.counter)
         self.counter += 1
         return name
-
-
-@dataclass
-class Temp:
-    """Bookkeeping record for a generated temporary."""
-
-    decl: FunctionDecl
-    kind: str  # scalar | array
-    definition: Expr
-    time_varying: bool
-    span: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def name(self) -> str:
-        return self.decl.name
 
 
 def _grid_of(cluster: Cluster):
@@ -131,7 +118,7 @@ def _order_defs(defs: List[LoweredEq]) -> List[LoweredEq]:
     done: set = set()
     while remaining:
         for eq in remaining:
-            needs = {a.func.name for a in _accesses(eq.rhs)
+            needs = {a.func.name for a in eq.accesses[1:]
                      if a.func.kind == "temp" and a.func.name in local}
             if needs <= done:
                 placed.append(eq)
@@ -141,14 +128,6 @@ def _order_defs(defs: List[LoweredEq]) -> List[LoweredEq]:
         else:
             raise ValueError("cyclic temp definitions")
     return placed
-
-
-def _accesses(e: Expr) -> List[Access]:
-    out = []
-    for n in _walk_skip_indices(e):
-        if isinstance(n, Access):
-            out.append(n)
-    return out
 
 
 def _split_defs(cluster: Cluster):
@@ -398,7 +377,7 @@ class AliasGroup:
 
 def _time_dim_names(e: Expr) -> set:
     out = set()
-    for acc in _accesses(e):
+    for acc in collect_accesses(e):
         for dim in acc.func.dims:
             if dim.is_time:
                 out.add(dim.root.name)
@@ -408,42 +387,25 @@ def _time_dim_names(e: Expr) -> set:
 def _displacements(e: Expr) -> Optional[List[Dict[str, int]]]:
     """One displacement vector per indexed object, in traversal order;
     None when any index is not a pure dimension-plus-offset."""
-    from .lowering import OPAQUE
     out = []
-    for acc in _accesses(e):
+    for acc in collect_accesses(e):
         disp: Dict[str, int] = {}
-        for dim, idx in zip(acc.func.dims, acc.indices):
-            sym = Symbol(dim.root.name) \
-                if dim.kind in ("stepping", "conditional") else dim.symbol
-            try:
-                k = affine_offset(idx, sym, None)
-            except Exception:
-                return None
+        for dim, loop, k in _access_offsets(acc):
             if k is OPAQUE:
                 return None
-            disp[dim.root.name] = k
+            disp[loop.name] = k
         out.append(disp)
     return out
+
+
+def _zeroed(acc: Access) -> Access:
+    return Access(acc.func, tuple(d.root.symbol for d in acc.func.dims))
 
 
 def _skeleton(e: Expr) -> Expr:
     """``e`` with every access displacement zeroed: equal skeletons mean
     the same operators over the same-shaped operands."""
-    if isinstance(e, Access):
-        new_idx = []
-        for dim, idx in zip(e.func.dims, e.indices):
-            sym = Symbol(dim.root.name) \
-                if dim.kind in ("stepping", "conditional") else dim.symbol
-            new_idx.append(sym)
-        return Access(e.func, tuple(new_idx))
-    kids = children_of(e)
-    if not kids:
-        return e
-    return rebuild(e, [_skeleton(c) for c in kids])
-
-
-def compare_ops(e1: Expr, e2: Expr) -> bool:
-    return _skeleton(e1) == _skeleton(e2)
+    return _map_accesses(e, _zeroed, {})
 
 
 def is_translated(d1: List[Dict[str, int]],
@@ -464,18 +426,15 @@ def is_translated(d1: List[Dict[str, int]],
     return True
 
 
+def _shifted(acc: Access, shift: Dict[str, int]) -> Access:
+    return Access(acc.func, tuple(
+        add(idx, num(shift[d.root.name])) if shift.get(d.root.name) else idx
+        for d, idx in zip(acc.func.dims, acc.indices)))
+
+
 def translate(e: Expr, shift: Dict[str, int]) -> Expr:
     """Shift every affine access index along the given loop dimensions."""
-    if isinstance(e, Access):
-        new_idx = []
-        for dim, idx in zip(e.func.dims, e.indices):
-            k = shift.get(dim.root.name, 0)
-            new_idx.append(add(idx, num(k)) if k else idx)
-        return Access(e.func, tuple(new_idx))
-    kids = children_of(e)
-    if not kids:
-        return e
-    return rebuild(e, [translate(c, shift) for c in kids])
+    return _map_accesses(e, partial(_shifted, shift=shift), {})
 
 
 def detect_aliases(candidates: List[Expr]) -> List[AliasGroup]:
@@ -484,6 +443,8 @@ def detect_aliases(candidates: List[Expr]) -> List[AliasGroup]:
     smallest access displacement per space dimension is zero; members then
     read the pivot temp at non-negative offsets."""
     disp = {id(c): _displacements(c) for c in candidates}
+    skeleton = {id(c): _skeleton(c) for c in candidates
+                if disp[id(c)] is not None}
     unseen = list(candidates)
     groups: List[AliasGroup] = []
     while unseen:
@@ -495,7 +456,8 @@ def detect_aliases(candidates: List[Expr]) -> List[AliasGroup]:
                 de = disp[id(e)]
                 if de is None:
                     continue
-                if compare_ops(top, e) and is_translated(disp[id(top)], de):
+                if skeleton[id(top)] == skeleton[id(e)] and \
+                        is_translated(disp[id(top)], de):
                     shift: Dict[str, int] = {}
                     for a, b in zip(disp[id(top)], de):
                         for dim in a:
@@ -559,14 +521,13 @@ def select_pivots(groups: List[AliasGroup], cluster: Cluster,
               (len(g.members) >= 2 or
                (always and _temp_dims(g.pivot, cluster)))]
     if not chosen:
-        return [], {}, []
+        return [], {}
     hull: Dict[str, int] = {}
     for g in chosen:
         for d, s in g.span.items():
             hull[d] = max(hull.get(d, 0), s)
     defs: List[LoweredEq] = []
     rules: Dict[Expr, Expr] = {}
-    temps: List[Temp] = []
     for g in chosen:
         dims = _temp_dims(g.pivot, cluster)
         keep_time = is_time_varying(g.pivot)
@@ -574,13 +535,11 @@ def select_pivots(groups: List[AliasGroup], cluster: Cluster,
         ispace = _producer_ispace(cluster, dims, hull, keep_time)
         defs.append(LoweredEq(Access(decl, tuple(d.symbol for d in dims)),
                               g.pivot, ispace=ispace))
-        temps.append(Temp(decl, "array" if dims else "scalar", g.pivot,
-                          keep_time, dict(hull)))
         for member, tr in zip(g.members, g.translations):
             idx = tuple(add(d.symbol, num(tr.get(d.name, 0)))
                         for d in dims)
             rules[member] = Access(decl, idx)
-    return defs, rules, temps
+    return defs, rules
 
 
 def _cire(clusters: List[Cluster], klass: str, threshold: int,
@@ -600,8 +559,8 @@ def _cire(clusters: List[Cluster], klass: str, threshold: int,
             out.append(c)
             continue
         groups = detect_aliases(candidates)
-        defs, rules, _ = select_pivots(groups, c, namer,
-                                       always=(klass == TIME_INVARIANT))
+        defs, rules = select_pivots(groups, c, namer,
+                                    always=(klass == TIME_INVARIANT))
         if not rules:
             out.append(c)
             continue
@@ -634,6 +593,13 @@ def _cire(clusters: List[Cluster], klass: str, threshold: int,
 # -- Array contraction -------------------------------------------------------
 
 
+def _demoted(acc: Access, rules: Dict[str, FunctionDecl]) -> Access:
+    """``acc`` on the scalar that replaces its array temporary, if any."""
+    if acc.func.kind == "temp" and acc.func.name in rules:
+        return Access(rules[acc.func.name], ())
+    return acc
+
+
 def contract_arrays(clusters: List[Cluster]) -> List[Cluster]:
     """Demote array temps to scalars when producer and consumers can live
     in the same loop nest at zero translation: the stored plane would
@@ -655,7 +621,7 @@ def contract_arrays(clusters: List[Cluster]) -> List[Cluster]:
             if j == i:
                 continue
             for eq in c.eqs:
-                if any(a.func.name in names for a in _accesses(eq.rhs)):
+                if any(a.func.name in names for a in eq.accesses[1:]):
                     consumers.append(j)
                     break
         contractable = (
@@ -674,14 +640,8 @@ def contract_arrays(clusters: List[Cluster]) -> List[Cluster]:
                     if eq.lhs.func is t:
                         scalar.time_varying = is_time_varying(eq.rhs)
                 rules[t.name] = scalar
-            def demote(e):
-                if isinstance(e, Access) and e.func.name in rules and \
-                        e.func.kind == "temp":
-                    return Access(rules[e.func.name], ())
-                kids = children_of(e)
-                if not kids or isinstance(e, Access):
-                    return e
-                return rebuild(e, [demote(c) for c in kids])
+            demote = partial(_map_accesses,
+                             convert=partial(_demoted, rules=rules), memo={})
             new_defs = [replace(eq, lhs=demote(eq.lhs), rhs=demote(eq.rhs),
                                 ispace=cons.ispace)
                         for eq in prod.eqs]

@@ -11,14 +11,14 @@ innermost scope dominating its uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .clustering import Cluster
 from .dependence import REDUCTION, get_dependences
-from .lowering import FORWARD, Guard, Interval, LoweredEq
-from .symbolic.expr import (Access, Expr, Symbol, add, call, children_of, mul,
-                            num, rebuild)
+from .lowering import FORWARD, Guard, Interval, LoweredEq, _map_accesses
+from .symbolic.expr import Access, Expr, Symbol, add, call, mul, num
 from .symbolic.grid import Dimension, FunctionDecl
 
 SEQUENTIAL = "sequential"
@@ -289,9 +289,8 @@ def _array_temp_writes(it: Iteration) -> set:
 
 
 def _reads_temps(it: Iteration, temps: set) -> bool:
-    from .dse import _accesses
     for s in statements(it):
-        for a in _accesses(s.eq.rhs):
+        for a in s.eq.accesses[1:]:
             if a.func in temps:
                 return True
     return False
@@ -301,24 +300,22 @@ def _shift_temp_indices(node, temps: set, offsets: Dict[str, Expr]):
     """Rebase accesses to block-local temporaries: subtract the block
     origin along every blocked dimension."""
     for s in statements(node):
-        from dataclasses import replace
-        s.eq = replace(s.eq, lhs=_rebase(s.eq.lhs, temps, offsets),
-                       rhs=_rebase(s.eq.rhs, temps, offsets))
+        memo: dict = {}
+        rebase = partial(_rebase, temps=temps, offsets=offsets, memo=memo)
+        s.eq = replace(s.eq, lhs=rebase(s.eq.lhs),
+                       rhs=_map_accesses(s.eq.rhs, rebase, memo))
 
 
-def _rebase(e: Expr, temps: set, offsets: Dict[str, Expr]) -> Expr:
-    if isinstance(e, Access):
-        new_idx = tuple(_rebase(i, temps, offsets) for i in e.indices)
-        if e.func in temps:
-            new_idx = tuple(
-                add(ix, mul(num(-1), offsets[d.name]))
-                if d.name in offsets else ix
-                for d, ix in zip(e.func.dims, new_idx))
-        return Access(e.func, new_idx)
-    kids = children_of(e)
-    if not kids:
-        return e
-    return rebuild(e, [_rebase(c, temps, offsets) for c in kids])
+def _rebase(acc: Access, temps: set, offsets: Dict[str, Expr],
+            memo: dict) -> Access:
+    rebase = partial(_rebase, temps=temps, offsets=offsets, memo=memo)
+    new_idx = tuple(_map_accesses(i, rebase, memo) for i in acc.indices)
+    if acc.func in temps:
+        new_idx = tuple(
+            add(ix, mul(num(-1), offsets[d.name]))
+            if d.name in offsets else ix
+            for d, ix in zip(acc.func.dims, new_idx))
+    return Access(acc.func, new_idx)
 
 
 def _block_group(group: List[Iteration], shape: Dict[str, int],
@@ -394,9 +391,8 @@ def block_loops(iet, shape: Optional[Dict[str, int]]):
     are wrapped in one shared block loop, producer first."""
     if not shape:
         return iet
-    from .dse import _accesses
     read_pairs = [(a.func, s) for s in statements(iet)
-                  for a in _accesses(s.eq.rhs)
+                  for a in s.eq.accesses[1:]
                   if a.func.kind == "temp" and a.indices]
     _block_children(iet, shape, read_pairs)
     return iet
@@ -467,8 +463,6 @@ def place_declarations(iet):
     definitions and uses; drop definitions of never-read temporaries.
     Temporaries scoped inside a parallel loop body are per-context
     (private); everything hoisted above is shared."""
-    from .dse import _accesses
-
     touches: Dict[FunctionDecl, List[Tuple[object, ...]]] = {}
     read_temps = set()
     order: List[FunctionDecl] = []
@@ -477,7 +471,7 @@ def place_declarations(iet):
         funcs = set()
         if stmt.eq.lhs.func.kind == "temp":
             funcs.add(stmt.eq.lhs.func)
-        for a in _accesses(stmt.eq.rhs):
+        for a in stmt.eq.accesses[1:]:
             if a.func.kind == "temp":
                 funcs.add(a.func)
                 read_temps.add(a.func)

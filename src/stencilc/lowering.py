@@ -15,14 +15,14 @@ halo+padding, so that index 0 addresses the first allocated point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from .symbolic.expr import (Access, Add, Call, Constant, Expr, Mul, Pow,
-                            Symbol, add, call, children_of, evaluate,
-                            free_symbols, mul, num, rebuild, substitute)
+from .symbolic.expr import (Access, Add, Constant, Expr, Mul, Symbol, add,
+                            call, children_of, evaluate, free_symbols, mul,
+                            num, rebuild, substitute)
 from .symbolic.grid import Dimension, Equation, FunctionDecl
 
 FORWARD = "+"
@@ -147,14 +147,35 @@ class LoweredEq:
     dspace: Optional[DataSpace] = None
     direction_clash: bool = False
 
+    # The access table: derived once per object, and not a field, so
+    # ``replace`` starts a new one and equality and repr ignore it.
+
+    @cached_property
+    def accesses(self) -> Tuple[Access, ...]:
+        """The left-hand side, every access of the right-hand side (nested
+        ones included, in preorder), then the accesses inside the
+        left-hand side's indices."""
+        return (self.lhs, *collect_accesses(self.rhs),
+                *collect_accesses(self.lhs)[1:])
+
+    @cached_property
+    def offsets(self) -> Tuple[List[Tuple[Dimension, Dimension, object]], ...]:
+        """``_access_offsets`` of each entry of ``accesses``."""
+        return tuple(_access_offsets(acc) for acc in self.accesses)
+
+    def reanalyzed(self, **changes) -> "LoweredEq":
+        """``replace`` for changes that keep ``lhs`` and ``rhs``: the new
+        equation inherits the access table."""
+        out = replace(self, **changes)
+        for name in ("accesses", "offsets"):
+            if name in self.__dict__:
+                out.__dict__[name] = self.__dict__[name]
+        return out
+
     @property
     def reads(self) -> Tuple[FunctionDecl, ...]:
         seen, out = set(), []
-        for acc in collect_accesses(self.rhs):
-            if id(acc.func) not in seen:
-                seen.add(id(acc.func))
-                out.append(acc.func)
-        for acc in collect_accesses_in_indices(self.lhs):
+        for acc in self.accesses[1:]:
             if id(acc.func) not in seen:
                 seen.add(id(acc.func))
                 out.append(acc.func)
@@ -185,20 +206,12 @@ def collect_accesses(e: Expr) -> List[Access]:
     return out
 
 
-def collect_accesses_in_indices(acc: Access) -> List[Access]:
-    out = []
-    for idx in acc.indices:
-        out.extend(collect_accesses(idx))
-    return out
-
-
 def collect_functions(eqs) -> Dict[str, FunctionDecl]:
     """Every non-temporary function the equations access, by name, in
     order of first access."""
     out: Dict[str, FunctionDecl] = {}
     for eq in eqs:
-        for acc in [eq.lhs] + collect_accesses(eq.rhs) + \
-                collect_accesses_in_indices(eq.lhs):
+        for acc in eq.accesses:
             f = acc.func
             if f.kind != "temp":
                 out.setdefault(f.name, f)
@@ -400,36 +413,20 @@ def _loop_dim_of(decl: FunctionDecl, dim: Dimension) -> Dimension:
     return dim
 
 
-def _access_offsets(acc: Access, aligned: bool = True) -> List[Tuple[Dimension, Dimension, object]]:
+def _access_offsets(acc: Access) -> List[Tuple[Dimension, Dimension, object]]:
     """(storage dim, loop dim, offset-or-OPAQUE) triples for an access.
-    Offsets are reported relative to the domain origin (alignment shift
-    removed), so halo credit can be applied uniformly."""
-    decl = acc.func
-    if decl.kind == "temp":
-        out = []
-        for dim, idx in zip(decl.dims, acc.indices):
-            try:
-                k = affine_offset(idx, dim.symbol, None)
-            except LoweringError:
-                k = OPAQUE
-            out.append((dim, dim, k))
-        return out
+    Offsets address storage, as aligned indices do; subtract ``_shift_for``
+    for an offset relative to the domain origin."""
     out = []
-    for dim, idx in zip(decl.dims, acc.indices):
-        if dim.kind == "conditional":
-            out.append((dim, dim.parent.root, OPAQUE))
-            continue
-        sym = dim.symbol if dim.kind != "stepping" else dim.root.symbol
-        try:
-            k = affine_offset(idx, Symbol(sym.name), None)
-        except LoweringError:
-            k = OPAQUE
-        if k is OPAQUE:
-            out.append((dim, _loop_dim_of(decl, dim), OPAQUE))
-        else:
-            if aligned:
-                k -= _shift_for(decl, dim)
-            out.append((dim, _loop_dim_of(decl, dim), k))
+    for dim, idx in zip(acc.func.dims, acc.indices):
+        loop = _loop_dim_of(acc.func, dim)
+        k = OPAQUE
+        if dim.kind != "conditional":
+            try:
+                k = affine_offset(idx, loop.symbol, None)
+            except LoweringError:
+                pass
+        out.append((dim, loop, k))
     return out
 
 
@@ -444,8 +441,7 @@ def _dims_in_expr(e: Expr, registry: Dict[str, Dimension]) -> List[Dimension]:
 
 def _dimension_registry(eq: LoweredEq) -> Dict[str, Dimension]:
     registry: Dict[str, Dimension] = {}
-    for acc in [eq.lhs] + collect_accesses(eq.rhs) + \
-            collect_accesses_in_indices(eq.lhs):
+    for acc in eq.accesses:
         decl = acc.func
         if decl.kind == "temp":
             for dim in decl.dims:
@@ -461,36 +457,18 @@ def _dimension_registry(eq: LoweredEq) -> Dict[str, Dimension]:
     return registry
 
 
-def analyze(eq: LoweredEq, aligned: bool = True) -> LoweredEq:
+def analyze(eq: LoweredEq) -> LoweredEq:
     """Inspect an equation in isolation: iteration space with per-dimension
     directions, data space, inputs and outputs."""
     registry = _dimension_registry(eq)
-    accesses = [eq.lhs] + collect_accesses(eq.rhs) + \
-        collect_accesses_in_indices(eq.lhs)
+    table = list(zip(eq.accesses, eq.offsets))
 
     # Topological dimension order: order of appearance across index functions
     order: List[Dimension] = []
-    for acc in accesses:
-        decl = acc.func
-        if decl.kind == "coordinates":
+    for acc, offsets in table:
+        if acc.func.kind == "coordinates":
             continue
-        dims = decl.dims if decl.kind != "temp" else decl.dims
-        for dim, idx in zip(dims, acc.indices):
-            if decl.kind == "temp":
-                loop = dim
-                k = OPAQUE
-                try:
-                    k = affine_offset(idx, dim.symbol, None)
-                except LoweringError:
-                    k = OPAQUE
-            else:
-                loop = _loop_dim_of(decl, dim)
-                sym = Symbol(loop.name) if dim.kind in ("stepping", "conditional") \
-                    else dim.symbol
-                try:
-                    k = affine_offset(idx, sym, None)
-                except LoweringError:
-                    k = OPAQUE
+        for (dim, loop, k), idx in zip(offsets, acc.indices):
             if k is not OPAQUE or dim.kind == "conditional":
                 if loop not in order:
                     order.append(loop)
@@ -501,14 +479,15 @@ def analyze(eq: LoweredEq, aligned: bool = True) -> LoweredEq:
                         order.append(d)
 
     # Directions from self-dependences: the leading-nonzero dimension of
-    # each (write, read) distance vector votes for its direction.
+    # each (write, read) distance vector votes for its direction. Write and
+    # read address the same function, so storage offsets give the distance.
     votes: Dict[Dimension, set] = {d: set() for d in order}
     inconsistent = False
-    write_offs = {ld: k for (_, ld, k) in _access_offsets(eq.lhs, aligned)}
-    for acc in collect_accesses(eq.rhs):
+    write_offs = {ld: k for (_, ld, k) in eq.offsets[0]}
+    for acc, offsets in table[1:]:
         if acc.func is not eq.lhs.func:
             continue
-        read_offs = {ld: k for (_, ld, k) in _access_offsets(acc, aligned)}
+        read_offs = {ld: k for (_, ld, k) in offsets}
         vector = []
         for dim in order:
             if dim in write_offs and dim in read_offs:
@@ -547,20 +526,22 @@ def analyze(eq: LoweredEq, aligned: bool = True) -> LoweredEq:
         entries.append((iv, direction))
     ispace = IterationSpace(tuple(entries))
 
-    # Data space: per function, hull of offsets with halo credit on space
-    # dims; stepping time wraps, so only the forward reach matters there.
+    # Data space: per function, hull of domain-relative offsets with halo
+    # credit on space dims; stepping time wraps, so only the forward reach
+    # matters there.
     per_func: Dict[int, Tuple[FunctionDecl, Dict[Dimension, Interval]]] = {}
-    for acc in accesses:
+    for acc, offsets in table:
         decl = acc.func
         if decl.kind in ("coordinates", "temp"):
             continue
         slot = per_func.setdefault(id(decl), (decl, {}))[1]
-        for dim, loop, k in _access_offsets(acc, aligned):
+        for dim, loop, k in offsets:
             if k is OPAQUE:
                 if dim.kind == "conditional":
                     iv = Interval(dim, 0, 0)
                     slot[dim] = slot.get(dim, iv).hull(iv)
                 continue
+            k -= _shift_for(decl, dim)
             if dim.kind == "space":
                 lo = min(0, k + decl.halo)
                 hi = max(0, k - decl.halo)
@@ -574,8 +555,8 @@ def analyze(eq: LoweredEq, aligned: bool = True) -> LoweredEq:
                   for decl, slot in per_func.values())
     dspace = DataSpace(parts)
 
-    return replace(eq, ispace=ispace, dspace=dspace,
-                   direction_clash=inconsistent)
+    return eq.reanalyzed(ispace=ispace, dspace=dspace,
+                         direction_clash=inconsistent)
 
 
 def lower(eq: Equation, subs: Optional[Dict[Expr, Expr]] = None) -> LoweredEq:
@@ -592,13 +573,14 @@ def lower(eq: Equation, subs: Optional[Dict[Expr, Expr]] = None) -> LoweredEq:
 
 def check_halo_coverage(eq: LoweredEq) -> None:
     """Every declared halo must cover the maximum stencil offset used."""
-    for acc in [eq.lhs] + collect_accesses(eq.rhs):
+    for acc, offsets in zip(eq.accesses, eq.offsets):
         decl = acc.func
         if decl.kind not in ("function", "timefunction"):
             continue
-        for dim, loop, k in _access_offsets(acc, aligned=True):
+        for dim, loop, k in offsets:
             if k is OPAQUE or dim.kind != "space":
                 continue
+            k -= _shift_for(decl, dim)
             if abs(k) > decl.halo:
                 raise LoweringError(
                     "halo %d of %s too small for offset %d along %s"

@@ -294,7 +294,9 @@ class TestPlan:
     lambda: _acoustic_op((8, 8, 8), mode="aggressive",
                          block={"x": 4, "y": 4, "z": 4}),
     lambda: _rotated_op(block={"x": 8, "y": 8}),
-], ids=["acoustic", "acoustic-blocked", "rotated-blocked"])
+    lambda: Operator(coupled_equations(3), mode="aggressive"),
+], ids=["acoustic", "acoustic-blocked", "rotated-blocked",
+        "coupled-aggressive"])
 def test_compile_leaves_no_cyclic_garbage(build):
     # Every compile pass frees its garbage by reference counting.
     import gc
@@ -310,8 +312,16 @@ def test_compile_leaves_no_cyclic_garbage(build):
 
 
 #: SHA-256 of the emitted C (through ``Operator`` and through ``emit_c``
-#: with no function list) and of the tree dump, for two small operators.
+#: with no function list) and of the tree dump, for four small operators:
+#: "acoustic" has accesses inside left-hand-side indices and opaque
+#: offsets (source and receiver), "wave" a sub-sampled snapshot.
 GOLDEN_SHA256 = {
+    "acoustic": ("a8ddd3ad36cd2df1be7015a41976fc43db2414d337725a039059d314a16cdf37",
+                 "f165aa7eed71bc5e7c220c650f64c4d286561c0c89bbff12c5adcc1600288499",
+                 "f5b27066ec917a3970823c05b89ef4fd8fa79ef6721aa432760c708a978de97f"),
+    "wave": ("13cf536a6dad1b9c551ac0e5670a296bbfb4e749918d60d38504938ac4108a3b",
+             "614ee2d0faadd9316085583ccb2a6e4eb782794cdba7da665e47e07acf4fbe6d",
+             "69e436e760e6855f320952b59f93f50a775ae32696fc834f297ec90450bb106f"),
     "rotated": ("c12ff2666874d0e5ac3376d87e0cd7712b7c9f012ec90e7217f27c2d71dea055",
                 "c12ff2666874d0e5ac3376d87e0cd7712b7c9f012ec90e7217f27c2d71dea055",
                 "733aefec2aebe82d9971743918809f9cc05db117b0e72b8d38e83a4cdbf3e402"),
@@ -328,8 +338,12 @@ class TestCodegen:
         clear_cache()
         if name == "rotated":
             op = _rotated_op(block={"x": 8, "y": 8})
-        else:
+        elif name == "coupled":
             op = Operator(coupled_equations(3), mode="advanced")
+        elif name == "acoustic":
+            op = _acoustic_op((8, 8, 8))
+        else:
+            op = Operator(wave_example()[1])
         texts = (op.source, emit_c(op.iet), op.dump_iet())
         digests = tuple(hashlib.sha256(t.encode()).hexdigest()
                         for t in texts)

@@ -5,10 +5,11 @@ import pytest
 
 from stencilc.clustering import Cluster, clusterize
 from stencilc.dse import (EXTRACT_THRESHOLD, Namer, TIME_INVARIANT,
-                          TIME_VARYING, _make_temp, cluster_op_count,
-                          compare_ops, contract_arrays, cse, detect_aliases,
-                          extract, factorize, is_time_varying, is_translated,
-                          replace_subtrees, run_dse, select_pivots)
+                          TIME_VARYING, _make_temp, _skeleton,
+                          cluster_op_count, contract_arrays, cse,
+                          detect_aliases, extract, factorize,
+                          is_time_varying, is_translated, replace_subtrees,
+                          run_dse, select_pivots)
 from stencilc.lowering import Interval, LoweredEq, lower
 from stencilc.symbolic import (Access, Eq, FunctionDecl, Grid, Symbol, add,
                                call, mul, num, pow_)
@@ -225,8 +226,9 @@ def test_alias_classification():
     c = add(mul(num(3), at(u, 2, 2)), mul(num(4), at(v, 2, 2)))
     d = add(mul(num(3), at(u, 0, 0)), mul(num(4), at(v, 0, 1)))
     e = add(mul(num(4), at(u, 1, 0)), mul(num(3), at(v, 1, 0)))
-    assert compare_ops(a, b) and compare_ops(a, c) and compare_ops(a, d)
-    assert not compare_ops(a, e)
+    sa, sb, sc, sd, se = map(_skeleton, (a, b, c, d, e))
+    assert sa == sb and sa == sc and sa == sd
+    assert sa != se
     groups = detect_aliases([a, b, c, d, e])
     partition = sorted(tuple(sorted(map(repr, grp.members)))
                        for grp in groups)
@@ -294,10 +296,10 @@ def test_select_pivots_translated_reads():
     groups = detect_aliases([m1, m3])
     assert len(groups) == 1
     assert groups[0].pivot == mul(num(9), Access(c0, ()), _u_at(u, 0))
-    defs, rules, temps = select_pivots(groups, cluster, Namer())
-    assert len(defs) == 1 and len(temps) == 1
+    defs, rules = select_pivots(groups, cluster, Namer())
+    assert len(defs) == 1
     x = Symbol("x")
-    decl = temps[0].decl
+    decl = defs[0].lhs.func
     assert defs[0].lhs == Access(decl, (x,))
     assert defs[0].rhs == groups[0].pivot
     assert rules[m1] == Access(decl, (add(x, num(1)),))
@@ -317,8 +319,8 @@ def test_select_pivots_rejects_time_translations():
     m2 = add(_u_at(u, 0, t_off=1), _u_at(u, 1, t_off=1))
     groups = detect_aliases([m1, m2])
     assert len(groups) == 1 and len(groups[0].members) == 2
-    defs, rules, temps = select_pivots(groups, cluster, Namer())
-    assert defs == [] and rules == {} and temps == []
+    defs, rules = select_pivots(groups, cluster, Namer())
+    assert defs == [] and rules == {}
 
 
 def test_select_pivots_single_member_stays_inline():
@@ -326,7 +328,7 @@ def test_select_pivots_single_member_stays_inline():
     host = lower(Eq(w.forward, u.at))
     cluster = Cluster([host], host.ispace)
     groups = detect_aliases([add(_u_at(u, 0), _u_at(u, 1))])
-    defs, rules, temps = select_pivots(groups, cluster, Namer())
+    defs, rules = select_pivots(groups, cluster, Namer())
     assert defs == [] and rules == {}
 
 

@@ -285,6 +285,71 @@ def test_coupled_lowering_rebuilds_only_changed_nodes(monkeypatch):
     assert calls and not any(calls)
 
 
+def _lhs_index_accesses(eq):
+    from stencilc.lowering import collect_accesses
+    return [a for idx in eq.lhs.indices for a in collect_accesses(idx)]
+
+
+def test_access_table_on_source_and_receiver():
+    from stencilc.lowering import _access_offsets, collect_accesses
+    from helpers import acoustic_example
+    _, eqs = acoustic_example((8, 8), so=4)
+    lowered = [lower(e) for e in eqs]
+    # Injection indexes u through the source coordinates.
+    assert any(_lhs_index_accesses(eq) for eq in lowered)
+    for eq in lowered:
+        expected = [eq.lhs] + collect_accesses(eq.rhs) + \
+            _lhs_index_accesses(eq)
+        assert len(eq.accesses) == len(expected)
+        assert all(a is b for a, b in zip(eq.accesses, expected))
+        assert list(eq.offsets) == [_access_offsets(a) for a in expected]
+
+
+def test_access_table_follows_replace():
+    from dataclasses import fields, replace
+    from stencilc.lowering import _access_offsets
+    g, u, m, eq = wave_setup()
+    low = lower(eq)
+    read = next(a for a in low.accesses if a.func is m)
+    new = replace(low, rhs=mul(num(2), read))
+    assert new.accesses == (low.lhs, read)
+    assert new.offsets == (low.offsets[0], _access_offsets(read))
+    assert read in low.accesses and len(low.accesses) > 2
+    # A change that keeps lhs and rhs hands the table on; the table is
+    # no field, so equality and repr ignore it.
+    clashed = low.reanalyzed(direction_clash=True)
+    assert clashed.accesses is low.accesses
+    assert clashed.offsets is low.offsets
+    assert not {"accesses", "offsets"} & {f.name for f in fields(low)}
+    assert replace(low) == low and repr(replace(low)) == repr(low)
+
+
+def test_offsets_derived_once_per_access(monkeypatch):
+    import sys
+    import stencilc.lowering as lowering
+    from stencilc.clustering import clusterize
+    from helpers import coupled_equations
+    original = lowering._access_offsets
+    calls = []
+
+    def counted(acc):
+        calls.append(acc)
+        return original(acc)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("stencilc") and \
+                getattr(mod, "_access_offsets", None) is original:
+            monkeypatch.setattr(mod, "_access_offsets", counted)
+    lowered = [lower(eq) for eq in
+               coupled_equations(8, shape=(16, 16, 16), so=8)]
+    assert len(calls) == sum(len(eq.accesses) for eq in lowered)
+    calls.clear()
+    for eq in lowered:
+        check_halo_coverage(eq)
+    clusterize(lowered)
+    assert calls == []
+
+
 # SHA-256 of ``Operator.source`` for ``2.0 + laplace(u)`` ("const") and
 # ``2.0*u + laplace(u)`` ("coeff") on a 16x16 SO8 grid, taken before the
 # lowering walks shared results between equal nodes.
