@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from ..iet import (ATOMIC, BLOCKED, PARALLEL, VECTORIZABLE, Block,
+from ..iet import (ATOMIC, PARALLEL, VECTORIZABLE, Block,
                    Conditional, Declaration, ExpressionStmt, Iteration,
                    Section, iterations, statements, walk)
 from ..lowering import collect_functions

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, Optional
+from typing import Optional
 
 from ..backend import BackendError, BoundsError, Operator
 from ..backend.interpreter import _temp_extents

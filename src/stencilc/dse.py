@@ -27,7 +27,7 @@ from .lowering import (OPAQUE, Interval, IterationSpace, LoweredEq,
                        _access_offsets, _map_accesses, collect_accesses)
 from .symbolic.expr import (Access, Add, Constant, Expr, Mul, Pow, Symbol,
                             _as_coeff_term, _sort_key, add, children_of, mul,
-                            num, op_count, pow_, rebuild)
+                            num, op_count, pow_, rewrite)
 from .symbolic.grid import Dimension, FunctionDecl
 
 #: Extraction threshold: sub-expressions costing at least this many
@@ -86,17 +86,8 @@ def _walk_skip_indices(e: Expr) -> List[Expr]:
 
 def replace_subtrees(e: Expr, rules: Dict[Expr, Expr]) -> Expr:
     """Structural replacement that does not descend into Access indices."""
-    if e in rules:
-        return rules[e]
-    if isinstance(e, Access):
-        return e
-    kids = children_of(e)
-    if not kids:
-        return e
-    new = [replace_subtrees(c, rules) for c in kids]
-    if all(a is b for a, b in zip(new, kids)):
-        return e
-    return rebuild(e, new)
+    return rewrite(e, lambda n: rules.get(
+        n, n if isinstance(n, Access) else None))
 
 
 def _make_temp(name: str, grid, dims: Tuple[Dimension, ...],
@@ -232,10 +223,20 @@ def factorize(e: Expr) -> Expr:
     """Collect common numeric coefficients (and their shared symbolic
     factors) across the children of every Add node, leaves first, without
     expanding products. Never increases the operation count."""
+    memo: dict = {}
+    return rewrite(e, partial(_factorize_add, memo=memo), memo)
+
+
+def _factorize_add(e: Expr, memo: dict) -> Optional[Expr]:
+    """``factorize``'s ``rewrite`` callback: an access is left as it is,
+    and a sum is factored once its children are."""
     if isinstance(e, Access):
         return e
-    kids = children_of(e)
-    inner = rebuild(e, [factorize(c) for c in kids]) if kids else e
+    if not isinstance(e, Add):
+        return None
+    fn = partial(_factorize_add, memo=memo)
+    kids = [rewrite(c, fn, memo) for c in e.children]
+    inner = e if all(a is b for a, b in zip(kids, e.children)) else add(*kids)
     if not isinstance(inner, Add):
         return inner
     groups: Dict[object, List[Expr]] = {}
@@ -246,6 +247,8 @@ def factorize(e: Expr) -> Expr:
             groups[coeff] = []
             order.append(coeff)
         groups[coeff].append(term)
+    if len(order) == len(inner.children):  # no coefficient to collect
+        return inner
     new_children = []
     for coeff in order:
         terms = groups[coeff]
@@ -262,7 +265,10 @@ def factorize(e: Expr) -> Expr:
 
 
 def factorize_cluster(cluster: Cluster) -> Cluster:
-    eqs = [replace(eq, rhs=factorize(eq.rhs)) for eq in cluster.eqs]
+    eqs = []
+    for eq in cluster.eqs:
+        rhs = factorize(eq.rhs)
+        eqs.append(eq if rhs is eq.rhs else replace(eq, rhs=rhs))
     return Cluster(eqs, cluster.ispace, set(cluster.atomics), cluster.guards)
 
 
@@ -331,35 +337,6 @@ def _temp_dims(e: Expr, cluster: Cluster) -> Tuple[Dimension, ...]:
         if not d.is_time and d.name in free:
             out.append(d)
     return tuple(out)
-
-
-def extract(cluster: Cluster, klass: str,
-            threshold: int = EXTRACT_THRESHOLD,
-            namer: Optional[Namer] = None) -> Cluster:
-    """Pull maximal expensive sub-expressions of the given class out into
-    temps read at offset zero. Array temps are used when the value varies
-    along space dimensions, letting scheduling hoist time-invariant
-    definitions out of the time loop."""
-    namer = namer or Namer()
-    grid = _grid_of(cluster)
-    defs, mains = _split_defs(cluster)
-    new_defs: List[LoweredEq] = []
-    rules: Dict[Expr, Expr] = {}
-    for eq in mains:
-        for cand in _find_candidates(eq.rhs, klass, threshold):
-            if cand in rules:
-                continue
-            dims = _temp_dims(cand, cluster)
-            decl = _make_temp(namer(), grid, dims, cand)
-            read = Access(decl, tuple(d.symbol for d in dims))
-            rules[cand] = read
-            new_defs.append(LoweredEq(read, cand, ispace=cluster.ispace))
-    if not rules:
-        return cluster
-    mains = [replace(eq, rhs=replace_subtrees(eq.rhs, rules))
-             for eq in mains]
-    return Cluster(_order_defs(defs + new_defs) + mains, cluster.ispace,
-                   set(cluster.atomics), cluster.guards)
 
 
 # -- Alias detection ---------------------------------------------------------

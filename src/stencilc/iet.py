@@ -17,8 +17,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .clustering import Cluster
 from .dependence import REDUCTION, get_dependences
-from .lowering import FORWARD, Guard, Interval, LoweredEq, _map_accesses
-from .symbolic.expr import Access, Expr, Symbol, add, call, mul, num
+from .lowering import FORWARD, Guard, Interval, LoweredEq
+from .symbolic.expr import Access, Expr, Symbol, add, call, mul, num, rewrite
 from .symbolic.grid import Dimension, FunctionDecl
 
 SEQUENTIAL = "sequential"
@@ -298,24 +298,32 @@ def _reads_temps(it: Iteration, temps: set) -> bool:
 
 def _shift_temp_indices(node, temps: set, offsets: Dict[str, Expr]):
     """Rebase accesses to block-local temporaries: subtract the block
-    origin along every blocked dimension."""
+    origin along every blocked dimension. A statement none of whose
+    accesses changed keeps its equation."""
     for s in statements(node):
         memo: dict = {}
         rebase = partial(_rebase, temps=temps, offsets=offsets, memo=memo)
-        s.eq = replace(s.eq, lhs=rebase(s.eq.lhs),
-                       rhs=_map_accesses(s.eq.rhs, rebase, memo))
+        lhs = rewrite(s.eq.lhs, rebase, memo)
+        rhs = rewrite(s.eq.rhs, rebase, memo)
+        if lhs is not s.eq.lhs or rhs is not s.eq.rhs:
+            s.eq = replace(s.eq, lhs=lhs, rhs=rhs)
 
 
-def _rebase(acc: Access, temps: set, offsets: Dict[str, Expr],
-            memo: dict) -> Access:
+def _rebase(e: Expr, temps: set, offsets: Dict[str, Expr],
+            memo: dict) -> Optional[Access]:
+    """``_shift_temp_indices``' ``rewrite`` callback: it shifts the indices
+    of an access to a temporary in ``temps``, and returns None for any
+    other node, so that node changes only if its children do."""
+    if not (isinstance(e, Access) and e.func in temps):
+        return None
     rebase = partial(_rebase, temps=temps, offsets=offsets, memo=memo)
-    new_idx = tuple(_map_accesses(i, rebase, memo) for i in acc.indices)
-    if acc.func in temps:
-        new_idx = tuple(
-            add(ix, mul(num(-1), offsets[d.name]))
-            if d.name in offsets else ix
-            for d, ix in zip(acc.func.dims, new_idx))
-    return Access(acc.func, new_idx)
+    new_idx = []
+    for d, ix in zip(e.func.dims, e.indices):
+        ix = rewrite(ix, rebase, memo)
+        if d.name in offsets:
+            ix = add(ix, mul(num(-1), offsets[d.name]))
+        new_idx.append(ix)
+    return Access(e.func, tuple(new_idx))
 
 
 def _block_group(group: List[Iteration], shape: Dict[str, int],

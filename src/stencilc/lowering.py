@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .symbolic.expr import (Access, Add, Constant, Expr, Mul, Symbol, add,
                             call, children_of, evaluate, free_symbols, mul,
-                            num, rebuild, substitute)
+                            num, rewrite, substitute)
 from .symbolic.grid import Dimension, Equation, FunctionDecl
 
 FORWARD = "+"
@@ -313,23 +313,9 @@ def _unit_for(decl: FunctionDecl, dim: Dimension) -> Optional[Symbol]:
 
 def _map_accesses(e: Expr, convert: Callable[[Access], Access],
                   memo: dict) -> Expr:
-    """``e`` with ``convert`` applied to each outermost access. Each node
-    is converted once (``memo``), and a node none of whose children changed
-    is returned as is. The memo is keyed by identity, not equality: equal
-    nodes are not interchangeable, as ``Constant(2.0) == Constant(2)``."""
-    out = memo.get(id(e))
-    if out is None:
-        if isinstance(e, Access):
-            out = convert(e)
-        else:
-            kids = children_of(e)
-            new = [_map_accesses(c, convert, memo) for c in kids]
-            if all(a is b for a, b in zip(new, kids)):
-                out = e
-            else:
-                out = rebuild(e, new)
-        memo[id(e)] = out
-    return out
+    """``e`` with ``convert`` applied to each outermost access."""
+    return rewrite(e, lambda n: convert(n) if isinstance(n, Access) else None,
+                   memo)
 
 
 def _indexify_access(acc: Access, guards: List[Guard]) -> Access:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 Number = Union[int, float, Fraction]
 
@@ -174,14 +174,6 @@ def _coerce(value) -> Expr:
     if isinstance(value, Expr):
         return value
     return num(value)
-
-
-def is_zero(e: Expr) -> bool:
-    return isinstance(e, Constant) and e.value == 0
-
-
-def is_one(e: Expr) -> bool:
-    return isinstance(e, Constant) and e.value == 1
 
 
 def _sort_key(e: Expr):
@@ -408,20 +400,36 @@ def postorder(e: Expr):
     yield e
 
 
+def rewrite(e: Expr, fn: Callable[[Expr], Optional[Expr]],
+            memo: Optional[dict] = None) -> Expr:
+    """``e`` rewritten top-down: ``fn(node)`` returns the node's
+    replacement, or None to rewrite its children instead. A node none of
+    whose children changed is returned as is. Each node is visited once:
+    ``memo`` maps ``id(node)`` to its result, so a caller that shares a
+    memo across calls, or calls ``rewrite`` from ``fn``, keeps those
+    inputs alive while the memo is. It is keyed by identity, not equality,
+    because equal nodes are not interchangeable:
+    ``Constant(2.0) == Constant(2)``."""
+    if memo is None:
+        memo = {}
+    out = memo.get(id(e))
+    if out is None:
+        out = fn(e)
+        if out is None:
+            kids = children_of(e)
+            new = [rewrite(c, fn, memo) for c in kids]
+            if all(a is b for a, b in zip(new, kids)):
+                out = e
+            else:
+                out = rebuild(e, new)
+        memo[id(e)] = out
+    return out
+
+
 def substitute(e: Expr, rules: Mapping[Expr, Expr]) -> Expr:
     """Simultaneous structural replacement; constant folding happens as a
     side effect of rebuilding through the normalizing constructors."""
-    if not rules:
-        return e
-    if e in rules:
-        return rules[e]
-    kids = children_of(e)
-    if not kids:
-        return e
-    new = [substitute(c, rules) for c in kids]
-    if all(a is b for a, b in zip(new, kids)):
-        return e
-    return rebuild(e, new)
+    return rewrite(e, rules.get) if rules else e
 
 
 def free_symbols(e: Expr, into=None) -> set:

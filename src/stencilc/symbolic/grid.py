@@ -8,7 +8,7 @@ functions, the point count and a companion coordinates table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .expr import Access, Expr, Symbol, add, mul, num

@@ -11,8 +11,7 @@ from __future__ import annotations
 from itertools import product
 from typing import List
 
-from .expr import (Access, Constant, Expr, Symbol, add, call, mul, num, pow_,
-                   substitute)
+from .expr import Access, Expr, add, call, mul, num, pow_, substitute
 from .grid import Equation, FunctionDecl, DeclarationError
 
 

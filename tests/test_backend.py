@@ -404,3 +404,23 @@ class TestCache:
         art = op.artifact
         assert art.op_count_before and art.op_count_after
         assert sum(art.op_count_after) <= sum(art.op_count_before)
+
+
+def test_traced_names_are_still_bound(monkeypatch):
+    # perfbench's tracer patches these names in place; one that stencilc
+    # no longer binds makes ``perfbench/run.py --trace 1`` fail.
+    import importlib
+    import importlib.util
+    import sys
+    from pathlib import Path
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up in sys.modules.
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    names = [(mod, attr) for mod, attr, _ in tracing.SPANNED]
+    names += tracing.COUNTED_EVERYWHERE + tracing.COUNTED_IN
+    assert names
+    for mod, attr in names:
+        assert hasattr(importlib.import_module(mod), attr), (mod, attr)

@@ -5,11 +5,11 @@ import pytest
 
 from stencilc.clustering import Cluster, clusterize
 from stencilc.dse import (EXTRACT_THRESHOLD, Namer, TIME_INVARIANT,
-                          TIME_VARYING, _make_temp, _skeleton,
-                          cluster_op_count, contract_arrays, cse,
-                          detect_aliases, extract, factorize,
-                          is_time_varying, is_translated, replace_subtrees,
-                          run_dse, select_pivots)
+                          TIME_VARYING, _find_candidates, _make_temp,
+                          _skeleton, _temp_dims, cluster_op_count,
+                          contract_arrays, cse, detect_aliases, factorize,
+                          factorize_cluster, is_time_varying, is_translated,
+                          replace_subtrees, run_dse, select_pivots)
 from stencilc.lowering import Interval, LoweredEq, lower
 from stencilc.symbolic import (Access, Eq, FunctionDecl, Grid, Symbol, add,
                                call, mul, num, pow_)
@@ -130,6 +130,16 @@ def test_factorize_collects_coefficients():
 def test_factorize_trivial_sum_unchanged():
     a, b = Symbol("a"), Symbol("b")
     assert factorize(add(a, b)) == add(a, b)
+    # No two children share a coefficient: the sum itself comes back.
+    scaled = add(mul(num(2), a), mul(num(3), call("sin", b)))
+    assert factorize(scaled) is scaled
+
+
+def test_factorize_cluster_keeps_unfactorable_equations():
+    g, u, w, m = _1d()
+    host = lower(Eq(w.forward, add(mul(num(2), u.at), mul(num(3), m.at))))
+    c = Cluster([host], host.ispace)
+    assert factorize_cluster(c).eqs[0] is host
 
 
 def test_factorize_random_safe():
@@ -160,35 +170,30 @@ def test_extract_pulls_nested_sum():
     host = lower(Eq(w.forward, u.at))
     rhs = mul(num(9), add(_u_at(u, 1), _u_at(u, 3)))
     c = Cluster([replace(host, rhs=rhs)], host.ispace)
-    out = extract(c, TIME_VARYING, threshold=1)
-    defs = [eq for eq in out.eqs if eq.lhs.func.kind == "temp"]
-    assert len(defs) == 1
-    assert defs[0].rhs == add(_u_at(u, 1), _u_at(u, 3))
-    assert defs[0].lhs.indices == (Symbol("x"),)
-    assert out.eqs[-1].rhs == mul(num(9), defs[0].lhs)
+    cands = _find_candidates(rhs, TIME_VARYING, threshold=1)
+    assert cands == [add(_u_at(u, 1), _u_at(u, 3))]
+    dims = _temp_dims(cands[0], c)
+    assert tuple(d.symbol for d in dims) == (Symbol("x"),)
+    read = Access(_make_temp("temp0", g, dims, cands[0]), (Symbol("x"),))
+    assert replace_subtrees(rhs, {cands[0]: read}) == mul(num(9), read)
 
 
 def test_extract_below_threshold_unchanged():
     g, u, w, m = _1d()
-    host = lower(Eq(w.forward, u.at))
     rhs = mul(num(9), add(_u_at(u, 1), _u_at(u, 3)))
-    c = Cluster([replace(host, rhs=rhs)], host.ispace)
-    assert extract(c, TIME_VARYING, threshold=100) is c
+    assert _find_candidates(rhs, TIME_VARYING, threshold=100) == []
 
 
 def test_extract_is_maximal():
     g, u, w, m = _1d()
     v = FunctionDecl("v", "timefunction", g, space_order=2, time_order=2)
-    host = lower(Eq(w.forward, u.at))
     inner = add(_u_at(u, 0), _u_at(u, 2))
     other = add(_u_at(v, 0), _u_at(v, 1))
     rhs = add(mul(num(2), inner), mul(num(3), other, Symbol("a")))
-    c = Cluster([replace(host, rhs=rhs)], host.ispace)
-    out = extract(c, TIME_VARYING, threshold=1)
-    defs = [eq for eq in out.eqs if eq.lhs.func.kind == "temp"]
+    cands = _find_candidates(rhs, TIME_VARYING, threshold=1)
     # The two sums are the outermost qualifying nodes; nothing nested
-    # below them is extracted separately.
-    assert sorted(repr(d.rhs) for d in defs) == \
+    # below them is a candidate of its own.
+    assert sorted(repr(e) for e in cands) == \
         sorted([repr(inner), repr(other)])
 
 
@@ -196,12 +201,11 @@ def test_extract_time_invariant_call():
     g, u, w, m = _1d()
     host = lower(Eq(u.forward, mul(call("sin", m.at), u.at)))
     c = Cluster([host], host.ispace)
-    out = extract(c, TIME_INVARIANT)
-    defs = [eq for eq in out.eqs if eq.lhs.func.kind == "temp"]
-    assert len(defs) == 1
-    assert not is_time_varying(defs[0].rhs)
-    assert defs[0].rhs.name == "sin"
-    assert defs[0].lhs.indices == (Symbol("x"),)
+    cands = _find_candidates(host.rhs, TIME_INVARIANT, EXTRACT_THRESHOLD)
+    assert len(cands) == 1
+    assert not is_time_varying(cands[0])
+    assert cands[0].name == "sin"
+    assert tuple(d.symbol for d in _temp_dims(cands[0], c)) == (Symbol("x"),)
 
 
 # -- Alias detection ---------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from stencilc.symbolic import (Access, Add, Call, Constant, Grid,
                                FunctionDecl, Mul, Pow, Symbol, add, call,
                                evaluate, mul, num, op_count, pow_, substitute)
+from stencilc.symbolic.expr import rewrite
 
 
 a, b, c = Symbol("a"), Symbol("b"), Symbol("c")
@@ -192,5 +193,34 @@ def test_add_and_mul_leave_no_reference_cycles():
         for _ in range(1000):
             mul(a, pow_(b, 2), num(3), c)
         assert gc.collect() == 0
+        e = mul(call("sin", add(a, b)), add(a, b), pow_(c, 2))
+        for _ in range(1000):
+            rewrite(e, lambda n: num(2) if n == c else None)
+        assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_rewrite_returns_unchanged_input_itself():
+    e = mul(call("sin", add(a, b)), pow_(c, -2))
+    assert rewrite(e, lambda n: None) is e
+    assert rewrite(e, lambda n: n if n == b else None) is e
+    assert substitute(e, {Symbol("z"): a}) is e
+
+
+def test_rewrite_visits_a_shared_subtree_once():
+    shared = add(a, b)
+    e = mul(call("sin", shared), call("cos", shared))
+    seen = []
+    out = rewrite(e, lambda n: seen.append(n) or (c if n == a else None))
+    assert sum(n is shared for n in seen) == 1
+    assert out == mul(call("sin", add(c, b)), call("cos", add(c, b)))
+
+
+def test_rewrite_keeps_equal_constants_of_different_types():
+    two_f, two_q = Constant(2.0), Constant(Fraction(2))
+    assert two_f == two_q
+    e = call("min", two_f, two_q, a)
+    out = rewrite(e, lambda n: b if n == a else None)
+    assert out.args[2] == b
+    assert [type(x.value) for x in out.args[:2]] == [float, Fraction]

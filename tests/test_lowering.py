@@ -270,7 +270,7 @@ def test_rotated_lowering_takes_no_symbolic_offsets(monkeypatch):
 
 
 def test_coupled_lowering_rebuilds_only_changed_nodes(monkeypatch):
-    import stencilc.lowering as lowering
+    import stencilc.symbolic.expr as expr
     from stencilc.symbolic.expr import children_of, rebuild
     from helpers import coupled_equations
     calls = []
@@ -279,7 +279,7 @@ def test_coupled_lowering_rebuilds_only_changed_nodes(monkeypatch):
         calls.append(all(a is b for a, b in zip(new, children_of(e))))
         return rebuild(e, new)
 
-    monkeypatch.setattr(lowering, "rebuild", counted)
+    monkeypatch.setattr(expr, "rebuild", counted)
     for eq in coupled_equations(8, shape=(16, 16, 16), so=8):
         lower(eq)
     assert calls and not any(calls)
