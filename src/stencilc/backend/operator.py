@@ -67,7 +67,7 @@ def _decl_signature(f: FunctionDecl) -> tuple:
             tuple(f.coordinate_values or ()))
 
 
-def _content_key(eqs, mode, block, dtype, subs) -> str:
+def _content_key(eqs, mode, block, dtype) -> str:
     h = hashlib.sha256()
     decls: Dict[str, FunctionDecl] = {}
     for eq in eqs:
@@ -85,13 +85,11 @@ def _content_key(eqs, mode, block, dtype, subs) -> str:
         blockpart = tuple(sorted(block.items()))
     else:
         blockpart = block
-    subspart = tuple(sorted((repr(k), repr(v))
-                            for k, v in (subs or {}).items()))
-    h.update(repr((mode, blockpart, dtype, subspart)).encode())
+    h.update(repr((mode, blockpart, dtype)).encode())
     return h.hexdigest()
 
 
-def _compile(key, eqs, mode, block, dtype, subs, name) -> OperatorArtifact:
+def _compile(key, eqs, mode, block, dtype, name) -> OperatorArtifact:
     times: Dict[str, float] = {}
 
     def timed(label, fn):
@@ -101,7 +99,7 @@ def _compile(key, eqs, mode, block, dtype, subs, name) -> OperatorArtifact:
         _work()
         return out
 
-    lowered = timed("lowering", lambda: [lower(e, subs) for e in eqs])
+    lowered = timed("lowering", lambda: [lower(e) for e in eqs])
     for eq in lowered:
         check_halo_coverage(eq)
     clusters = timed("clustering", lambda: clusterize(lowered))
@@ -130,21 +128,19 @@ class Operator:
 
     def __init__(self, eqs: Sequence[Equation], mode: str = "advanced",
                  block: Optional[Dict[str, int]] = None, dtype: str = "f64",
-                 subs: Optional[dict] = None, name: str = "kernel"):
+                 name: str = "kernel"):
         if not eqs:
             raise BackendError("operator needs at least one equation")
         self.eqs = list(eqs)
         self.mode = mode
         self.block = dict(block) if block else None
         self.dtype = dtype
-        self.subs = subs
         self.name = name
-        key = _content_key(self.eqs, mode, self.block, dtype, subs)
+        key = _content_key(self.eqs, mode, self.block, dtype)
         art = _CACHE.get(key)
         self.cache_hit = art is not None
         if art is None:
-            art = _compile(key, self.eqs, mode, self.block, dtype, subs,
-                           name)
+            art = _compile(key, self.eqs, mode, self.block, dtype, name)
             _CACHE[key] = art
         self.artifact = art
 

@@ -143,20 +143,22 @@ def get_dependences(eqs: List[LoweredEq]) -> List[Dependence]:
     # dedup by equation identity: value-equal duplicate statements still
     # carry distinct dependences
     seen = set()
-    # Per equation, (access, offsets by loop dim) for the write and the
-    # reads, from the equation's access table. Accesses to one function
-    # share its alignment shift, so storage offsets give the distances.
+    # Per equation, (access, offsets by loop dim) for the write, and the
+    # reads bucketed by function identity in access order, from the
+    # equation's access table. Accesses to one function share its
+    # alignment shift, so storage offsets give the distances.
     writes, reads = [], []
     for eq in eqs:
         table = [(acc, _offsets_by_loop_dim(acc, offs))
                  for acc, offs in zip(eq.accesses, eq.offsets)]
         writes.append(table[0])
-        reads.append(table[1:] + table[:1] if eq.is_increment else table[1:])
+        by_func: Dict[int, list] = {}
+        for r in (table[1:] + table[:1] if eq.is_increment else table[1:]):
+            by_func.setdefault(id(r[0].func), []).append(r)
+        reads.append(by_func)
 
     def emit(src, snk, src_eq, snk_eq, kind, dims):
-        (src_acc, src_offsets), (snk_acc, snk_offsets) = src, snk
-        if src_acc.func is not snk_acc.func:
-            return
+        (src_acc, src_offsets), (_, snk_offsets) = src, snk
         if src_eq.is_increment and snk_eq.is_increment and kind != FLOW:
             return  # one reduction record per pair is enough
         if src_eq.is_increment and snk_eq.is_increment:
@@ -174,14 +176,21 @@ def get_dependences(eqs: List[LoweredEq]) -> List[Dependence]:
 
     n = len(eqs)
     for i in range(n):
+        wi = id(writes[i][0].func)
         for j in range(i, n):
+            wj = id(writes[j][0].func)
+            flows = reads[j].get(wi, ())
+            antis = reads[i].get(wj, ()) if i != j else ()
+            output = i != j and wi == wj
+            if not (flows or antis or output):
+                continue  # the pair shares no function
             ei, ej = eqs[i], eqs[j]
             dims = _union_dims(ei, ej)
-            for r in reads[j]:
+            for r in flows:
                 emit(writes[i], r, ei, ej, FLOW, dims)
-            if i != j:
-                for r in reads[i]:
-                    emit(r, writes[j], ei, ej, ANTI, dims)
+            for r in antis:
+                emit(r, writes[j], ei, ej, ANTI, dims)
+            if output:
                 emit(writes[i], writes[j], ei, ej, OUTPUT, dims)
     return deps
 

@@ -247,15 +247,17 @@ def _factorize_add(e: Expr, memo: dict) -> Optional[Expr]:
             groups[coeff] = []
             order.append(coeff)
         groups[coeff].append(term)
-    if len(order) == len(inner.children):  # no coefficient to collect
-        return inner
+    commons = {coeff: _common_factors(groups[coeff]) for coeff in order
+               if len(groups[coeff]) > 1}
+    if all(coeff == 1 and not common for coeff, common in commons.items()):
+        return inner  # nothing factors out
     new_children = []
     for coeff in order:
         terms = groups[coeff]
         if len(terms) < 2:
             new_children.append(mul(Constant(coeff), terms[0]))
             continue
-        common = _common_factors(terms)
+        common = commons[coeff]
         residual = add(*[_strip_factors(t, common) for t in terms])
         new_children.append(mul(Constant(coeff),
                                 *[pow_(b, x) for b, x in common.items()],

@@ -1,16 +1,17 @@
 """Lowering of user equations to indexified, domain-aligned array form,
 plus the per-equation local analysis producing iteration and data spaces.
 
-Index conventions after lowering:
+One walk per equation converts each access: it indexifies every index
+and aligns it to the domain, shifting it by the accessed function's
+halo+padding so that index 0 addresses the first allocated point. Index
+conventions after lowering:
   - affine indices are ``dim_symbol + k`` with integer k (spacing and time
-    step symbols divided out);
+    step symbols divided out, the shift added in);
   - sub-sampled time indices become ``idiv(t, factor)`` with a guard
     ``t % factor == 0`` recorded on the equation;
-  - non-affine (sparse) indices stay opaque; their space dimension does
-    not enter the iteration space, the sparse point dimension does.
-
-Domain alignment then shifts every index by the accessed function's
-halo+padding, so that index 0 addresses the first allocated point.
+  - non-affine (sparse) indices stay opaque, plus the shift; their space
+    dimension does not enter the iteration space, the sparse point
+    dimension does.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .symbolic.expr import (Access, Add, Constant, Expr, Mul, Symbol, add,
                             call, children_of, evaluate, free_symbols, mul,
-                            num, rewrite, substitute)
+                            num, rewrite)
 from .symbolic.grid import Dimension, Equation, FunctionDecl
 
 FORWARD = "+"
@@ -318,17 +319,30 @@ def _map_accesses(e: Expr, convert: Callable[[Access], Access],
                    memo)
 
 
-def _indexify_access(acc: Access, guards: List[Guard]) -> Access:
+def _shift_for(decl: FunctionDecl, dim: Dimension) -> int:
+    if dim.kind == "space" and decl.kind in ("function", "timefunction"):
+        return decl.halo + decl.padding
+    return 0
+
+
+def _lower_access(acc: Access, guards: List[Guard], indices: dict,
+                  nested: dict) -> Access:
+    """``acc`` as an access into allocated storage. ``guards`` collects the
+    guards of sub-sampled indices; ``indices`` holds the equation's affine
+    index nodes by (dimension name, aligned offset), so each is built once;
+    ``nested`` is the rewrite memo of accesses nested in indices."""
     decl = acc.func
     if decl.kind == "temp":
         return acc
     dims = decl.dims
     if len(dims) != len(acc.indices):
         raise LoweringError("arity mismatch accessing %s" % decl.name)
+    # Nested accesses first; their guards are not the equation's.
+    lower_nested = partial(_lower_access, guards=[], indices=indices,
+                           nested=nested)
     new_indices = []
     for dim, idx in zip(dims, acc.indices):
-        # Nested accesses first; their guards are not the equation's.
-        idx = _map_accesses(idx, partial(_indexify_access, guards=[]), {})
+        idx = _map_accesses(idx, lower_nested, nested)
         if dim.kind == "conditional":
             if idx != dim.symbol:
                 raise LoweringError(
@@ -339,54 +353,28 @@ def _indexify_access(acc: Access, guards: List[Guard]) -> Access:
             new_indices.append(call("idiv", dim.parent.root.symbol,
                                     num(dim.factor)))
             continue
+        shift = _shift_for(decl, dim)
         k = affine_offset(idx, dim.symbol, _unit_for(decl, dim))
         if k is OPAQUE:
-            new_indices.append(idx)
-        else:
-            new_indices.append(add(dim.symbol, num(k)))
+            new_indices.append(add(idx, num(shift)) if shift else idx)
+            continue
+        key = (dim.name, k + shift)
+        node = indices.get(key)
+        if node is None:
+            node = indices[key] = add(dim.symbol, num(k + shift))
+        new_indices.append(node)
     return Access(decl, tuple(new_indices))
 
 
 def indexify(eq: Equation) -> LoweredEq:
-    """Convert function accesses into array accesses with integer offsets."""
+    """Convert function accesses into array accesses with integer offsets,
+    shifted by each function's halo+padding, in one walk of the equation."""
     guards: List[Guard] = []
-    lhs = _indexify_access(eq.lhs, guards)
-    rhs = _map_accesses(eq.rhs, partial(_indexify_access, guards=guards), {})
+    convert = partial(_lower_access, guards=guards, indices={}, nested={})
+    lhs = convert(eq.lhs)
+    rhs = _map_accesses(eq.rhs, convert, {})
     return LoweredEq(lhs, rhs, is_increment=eq.is_increment,
                      region=eq.region, guards=tuple(guards))
-
-
-# -- Domain alignment --------------------------------------------------------
-
-
-def _shift_for(decl: FunctionDecl, dim: Dimension) -> int:
-    if dim.kind == "space" and decl.kind in ("function", "timefunction"):
-        return decl.halo + decl.padding
-    return 0
-
-
-def _align_access(acc: Access, memo: dict) -> Access:
-    decl = acc.func
-    if decl.kind == "temp":
-        return acc
-    align = partial(_align_access, memo=memo)
-    new_indices = []
-    for dim, idx in zip(decl.dims, acc.indices):
-        idx = _map_accesses(idx, align, memo)
-        shift = _shift_for(decl, dim)
-        if shift:
-            idx = add(idx, num(shift))
-        new_indices.append(idx)
-    return Access(decl, tuple(new_indices))
-
-
-def align_domain(eq: LoweredEq) -> LoweredEq:
-    """Shift every index by the accessed function's halo+padding so the
-    accesses address allocated storage directly."""
-    memo: dict = {}
-    return replace(eq, lhs=_align_access(eq.lhs, memo),
-                   rhs=_map_accesses(eq.rhs, partial(_align_access, memo=memo),
-                                     memo))
 
 
 # -- Local analysis ----------------------------------------------------------
@@ -545,16 +533,9 @@ def analyze(eq: LoweredEq) -> LoweredEq:
                          direction_clash=inconsistent)
 
 
-def lower(eq: Equation, subs: Optional[Dict[Expr, Expr]] = None) -> LoweredEq:
-    """Full lowering chain: indexify, substitute, align, analyze."""
-    low = indexify(eq)
-    if subs:
-        low = replace(low, lhs=Access(low.lhs.func,
-                                      tuple(substitute(i, subs)
-                                            for i in low.lhs.indices)),
-                      rhs=substitute(low.rhs, subs))
-    low = align_domain(low)
-    return analyze(low)
+def lower(eq: Equation) -> LoweredEq:
+    """Full lowering chain: indexify, then analyze."""
+    return analyze(indexify(eq))
 
 
 def check_halo_coverage(eq: LoweredEq) -> None:

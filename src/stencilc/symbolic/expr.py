@@ -393,13 +393,6 @@ def rebuild(e: Expr, new_children) -> Expr:
     return e
 
 
-def postorder(e: Expr):
-    """Yield every node of ``e``, children first."""
-    for c in children_of(e):
-        yield from postorder(c)
-    yield e
-
-
 def rewrite(e: Expr, fn: Callable[[Expr], Optional[Expr]],
             memo: Optional[dict] = None) -> Expr:
     """``e`` rewritten top-down: ``fn(node)`` returns the node's

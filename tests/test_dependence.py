@@ -126,3 +126,64 @@ def test_dependences_require_analysis():
     from stencilc.lowering import indexify
     with pytest.raises(ValueError):
         get_dependences([indexify(Eq(u.forward, u.at))])
+
+
+def _all_pairs_dependences(eqs):
+    """``get_dependences`` by brute force: every (i, j) pair in program
+    order, every candidate access, other functions rejected one by one."""
+    from stencilc.dependence import Dependence, _normalize, _union_dims
+    deps, seen = [], set()
+
+    def reads(eq):
+        found = list(eq.accesses[1:])
+        return found + [eq.lhs] if eq.is_increment else found
+
+    def emit(src, snk, src_eq, snk_eq, kind, dims):
+        if src.func is not snk.func:
+            return
+        both = src_eq.is_increment and snk_eq.is_increment
+        if both and kind != FLOW:
+            return
+        dep = _normalize(Dependence(src_eq, snk_eq, src.func,
+                                    REDUCTION if both else kind, dims,
+                                    lamport_distance(src, snk, dims)))
+        if dep is None:
+            return
+        key = (id(dep.source), id(dep.sink), dep.function.name, dep.kind,
+               dep.distance, dep.flipped)
+        if key not in seen:
+            seen.add(key)
+            deps.append(dep)
+
+    for i, ei in enumerate(eqs):
+        for j in range(i, len(eqs)):
+            ej = eqs[j]
+            dims = _union_dims(ei, ej)
+            for r in reads(ej):
+                emit(ei.lhs, r, ei, ej, FLOW, dims)
+            if i != j:
+                for r in reads(ei):
+                    emit(r, ej.lhs, ei, ej, ANTI, dims)
+                emit(ei.lhs, ej.lhs, ei, ej, OUTPUT, dims)
+    return deps
+
+
+def _identities(deps):
+    return [(id(d.source), id(d.sink), id(d.function), d.kind, d.dims,
+             d.distance, d.flipped) for d in deps]
+
+
+@pytest.mark.parametrize("example", ["wave", "acoustic", "coupled8",
+                                     "coupled24"])
+def test_dependences_by_function_match_all_pairs(example):
+    from helpers import acoustic_example, coupled_equations, wave_example
+    eqs = {"wave": lambda: wave_example()[1],
+           "acoustic": lambda: acoustic_example((8, 8), so=4)[1],
+           "coupled8": lambda: coupled_equations(8),
+           "coupled24": lambda: coupled_equations(24)}[example]()
+    lowered = [lower(e) for e in eqs]
+    # Reversed, every flow between equations becomes an anti dependence.
+    for order in (lowered, lowered[::-1]):
+        got = get_dependences(order)
+        assert got
+        assert _identities(got) == _identities(_all_pairs_dependences(order))

@@ -128,11 +128,12 @@ def test_factorize_collects_coefficients():
 
 
 def test_factorize_trivial_sum_unchanged():
-    a, b = Symbol("a"), Symbol("b")
-    assert factorize(add(a, b)) == add(a, b)
-    # No two children share a coefficient: the sum itself comes back.
-    scaled = add(mul(num(2), a), mul(num(3), call("sin", b)))
-    assert factorize(scaled) is scaled
+    a, b, c = Symbol("a"), Symbol("b"), Symbol("c")
+    # Nothing factors out of terms with coefficient 1 and no common factor,
+    # nor out of children that share no coefficient: the sum comes back.
+    for e in (add(a, b), add(a, b, mul(num(2), c)),
+              add(mul(num(2), a), mul(num(3), call("sin", b)))):
+        assert factorize(e) is e
 
 
 def test_factorize_cluster_keeps_unfactorable_equations():

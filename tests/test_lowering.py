@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from stencilc.lowering import (ANY, BACKWARD, FORWARD, Guard, Interval,
-                               LoweringError, align_domain, analyze,
+from stencilc.lowering import (ANY, BACKWARD, FORWARD, OPAQUE, Guard,
+                               Interval, LoweringError, _shift_for, analyze,
                                check_halo_coverage, indexify, lower)
 from stencilc.symbolic import (Access, Eq, FunctionDecl, Grid, Symbol, add,
                                dt2, evaluate, inject, interpolate, laplace,
@@ -23,22 +23,24 @@ def wave_setup(shape=(11,), so=2):
 def test_indexify_offsets_become_integers():
     g, u, m, eq = wave_setup()
     low = indexify(eq)
+    shift = _shift_for(u, u.dims[1])
     assert low.lhs.indices[0] == add(Symbol("t"), num(1))
-    assert low.lhs.indices[1] == Symbol("x")
-    # Collect all space offsets used on u in the rhs
+    assert low.lhs.indices[1] == add(Symbol("x"), num(shift))
+    # Collect all space offsets used on u in the rhs, relative to the
+    # domain origin
     from stencilc.lowering import collect_accesses
     offs = set()
     for acc in collect_accesses(low.rhs):
         if acc.func is u:
             off = evaluate(substitute(acc.indices[1], {Symbol("x"): num(0)}), {})
-            offs.add(int(off))
+            offs.add(int(off) - shift)
     assert offs == {-1, 0, 1}
 
 
 def test_align_shifts_by_halo():
     g = Grid((16,))
     u = FunctionDecl("u", "timefunction", g, space_order=4)
-    low = align_domain(indexify(Eq(u.forward, laplace(u))))
+    low = indexify(Eq(u.forward, laplace(u)))
     assert low.lhs.indices[1] == add(Symbol("x"), num(2))
 
 
@@ -141,7 +143,7 @@ def test_aligned_accesses_stay_in_allocated_storage(so):
     index lands inside the allocated extent (bounds oracle by direct
     numeric evaluation at the domain extremes)."""
     g, u, m, eq = wave_setup(shape=(11,), so=so)
-    low = align_domain(indexify(eq))
+    low = indexify(eq)
     from stencilc.lowering import collect_accesses
     n = 11
     for acc in [low.lhs] + collect_accesses(low.rhs):
@@ -157,11 +159,11 @@ def test_halo_coverage_check():
     u = FunctionDecl("u", "timefunction", g, space_order=2)
     x, h = Symbol("x"), Symbol("h_x")
     wide = Access(u, (Symbol("t"), add(x, mul(num(3), h))))
-    low = align_domain(indexify(Eq(u.forward, wide)))
+    low = indexify(Eq(u.forward, wide))
     with pytest.raises(LoweringError):
         check_halo_coverage(low)
     g2, u2, m2, eq2 = wave_setup(so=4)
-    check_halo_coverage(align_domain(indexify(eq2)))  # no raise
+    check_halo_coverage(indexify(eq2))  # no raise
 
 
 def test_interval_hull_and_merged():
@@ -270,19 +272,53 @@ def test_rotated_lowering_takes_no_symbolic_offsets(monkeypatch):
 
 
 def test_coupled_lowering_rebuilds_only_changed_nodes(monkeypatch):
+    import stencilc.lowering as lowering
     import stencilc.symbolic.expr as expr
     from stencilc.symbolic.expr import children_of, rebuild
     from helpers import coupled_equations
-    calls = []
+    calls, walked = [], []
 
     def counted(e, new):
         calls.append(all(a is b for a, b in zip(new, children_of(e))))
         return rebuild(e, new)
 
+    def mapped(e, *args, _original=lowering._map_accesses):
+        walked.append(e)
+        return _original(e, *args)
+
+    eqs = coupled_equations(8, shape=(16, 16, 16), so=8)
     monkeypatch.setattr(expr, "rebuild", counted)
-    for eq in coupled_equations(8, shape=(16, 16, 16), so=8):
+    monkeypatch.setattr(lowering, "_map_accesses", mapped)
+    for eq in eqs:
+        walked.clear()
         lower(eq)
-    assert calls and not any(calls)
+        # One walk of the right-hand side converts and aligns its accesses.
+        assert [e for e in walked if e is eq.rhs] == [eq.rhs]
+    # Each changed ancestor of an access is rebuilt once: 295 rebuilds,
+    # where indexifying and aligning in two walks made 590.
+    assert len(calls) == 295 and not any(calls)
+
+
+@pytest.mark.parametrize("example", ["acoustic", "coupled", "rotated"])
+def test_affine_index_nodes_built_once_per_equation(example):
+    from helpers import acoustic_example, coupled_equations, \
+        rotated_equations
+    eqs = {"acoustic": lambda: acoustic_example((8, 8), so=4)[1],
+           "coupled": lambda: coupled_equations(3, so=8),
+           "rotated": lambda: rotated_equations(12, shape=(24, 24))[1]
+           }[example]()
+    shared = 0
+    for eq in eqs:
+        low = lower(eq)
+        nodes = {}
+        for acc, offsets in zip(low.accesses, low.offsets):
+            for (dim, _, k), idx in zip(offsets, acc.indices):
+                if k is not OPAQUE and dim.kind != "conditional":
+                    nodes.setdefault((dim.name, k), []).append(idx)
+        for found in nodes.values():
+            assert all(idx is found[0] for idx in found)
+            shared += len(found) > 1
+    assert shared
 
 
 def _lhs_index_accesses(eq):

@@ -46,14 +46,23 @@ def test_inject_at_midpoint():
     assert _eval_weights(eqs, q) == pytest.approx([0.5, 0.5])
 
 
+def _nodes(e):
+    from stencilc.symbolic.expr import children_of
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(children_of(node))
+
+
 def test_inject_structure_has_floor_terms():
-    from stencilc.symbolic.expr import postorder, Call
+    from stencilc.symbolic.expr import Call
     g, u, q = _setup_1d(4.5)
     eqs = inject(q, u.forward, num(1))
     # Each corner equation indexes u by a floor expression over the
     # coordinates table, matching the FLOAT/INT floor structure.
     for eq in eqs:
-        floor_calls = [n for n in postorder(eq.lhs.indices[1])
+        floor_calls = [n for n in _nodes(eq.lhs.indices[1])
                        if isinstance(n, Call) and n.name == "floor"]
         assert floor_calls
 
