@@ -114,7 +114,9 @@ class _Emitter:
             return f.name
         idx = [self.expr(i, in_index=True) for i in acc.indices]
         if getattr(f, "is_modulo_time", False):
-            idx[0] = "(%s)%%%d" % (idx[0], f.time_dim.modulo)
+            # C's % keeps the sign of the dividend: (t - 1)%3 is -1 at t=0
+            m = f.time_dim.modulo
+            idx[0] = "((%s)%%%d + %d)%%%d" % (idx[0], m, m, m)
         if f.kind == "temp":
             sizes = self._temp_sizes(f)
             base = f.name

@@ -15,6 +15,12 @@ scatter/gather and loops outside such nests run per point too. Running a
 block is then only slice arithmetic, bounds checks and numpy calls. Every
 access is checked against the allocated extents (``BoundsError``).
 
+A sliced nest runs all its statements over one slab of its outermost loop
+at a time, each slab at most ``SLAB_POINTS`` grid points (at least one
+outer index), so that the temporaries of a whole-grid nest stay in cache.
+Every loop of such a nest is parallel, so slabs never change the
+arithmetic of a point; a nest that fits in one slab runs once.
+
 The report gives per section the elapsed ``time``, the statement
 executions (``points``, one per statement and grid point) and how many of
 them ran ``sliced`` and ``per_point``, so that a silent fallback shows.
@@ -47,6 +53,9 @@ from ..symbolic.expr import (Access, Add, Call, Constant, Expr, ExprError,
                              free_symbols)
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
+
+#: Grid points per slab of a sliced nest: 512 KiB per f64 temporary.
+SLAB_POINTS = 1 << 16
 
 #: numpy forms of the builtin calls, for arrays and scalars alike;
 #: ``idiv`` takes scalars only and is handled apart.
@@ -410,19 +419,23 @@ class _Planner:
             stmts.append(_statement(eq, target[0], value[0]))
 
         def nest(fr: _Frame, indices):
-            lo, hi = [indices[0]], [indices[-1]]
+            lo0, hi0 = indices[0], indices[-1]
+            lo, hi, row = [lo0], [hi0], 1
             for lower, upper in bounds:
-                lo.append(int(round(lower(fr))))
-                hi.append(int(round(upper(fr))))
-            npts = 1
-            for l, h in zip(lo, hi):
+                l, h = int(round(lower(fr))), int(round(upper(fr)))
                 if h < l:
                     return
-                npts *= h - l + 1
-            fr.lo, fr.hi, fr.defined = lo, hi, {}
-            for s in stmts:
-                s(fr)
-            fr.sliced += npts * len(stmts)
+                lo.append(l)
+                hi.append(h)
+                row *= h - l + 1
+            fr.lo, fr.hi = lo, hi
+            slab = max(1, SLAB_POINTS // row)
+            for start in range(lo0, hi0 + 1, slab):
+                lo[0], hi[0] = start, min(start + slab - 1, hi0)
+                fr.defined = {}
+                for s in stmts:
+                    s(fr)
+            fr.sliced += (hi0 - lo0 + 1) * row * len(stmts)
         return nest
 
     def access(self, acc: Access, dims, defined):

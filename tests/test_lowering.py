@@ -388,16 +388,17 @@ def test_offsets_derived_once_per_access(monkeypatch):
 
 # SHA-256 of ``Operator.source`` for ``2.0 + laplace(u)`` ("const") and
 # ``2.0*u + laplace(u)`` ("coeff") on a 16x16 SO8 grid, taken before the
-# lowering walks shared results between equal nodes.
+# lowering walks shared results between equal nodes, and re-taken when the
+# emitted time index became non-negative (``((i)%m + m)%m``).
 FLOAT_CONSTANT_C_SHA256 = {
     ("basic", "const"):
-        "7eee09793842325ecd721e4c2bd655186e9ea4339502384d553af821c6e99e12",
+        "13eaf01281acd0db84c83e8bb4177bc65002fbdd492cc82b2938654852a64ef8",
     ("basic", "coeff"):
-        "eb2643203eb9bfd1025a1b4a7fd9c57eec688275348fdd9d9ad6eeb3396f38c3",
+        "f215861dde27695cc24c9fcac00f2c3ba3c98188b49c1cefe43b5c2960f675de",
     ("advanced", "const"):
-        "fec01fd8677992a606148ee32ffd7155b05bb1e822176c4bc6d78027621823c7",
+        "14f70707550b9aca86eed99d0f6dd97043c3c10cbaf324daa0c0bbb048022197",
     ("advanced", "coeff"):
-        "5baaba1ef630e635f6444de77e63438bf764898680fe496f1f9d2c9dc0b11990",
+        "81c2a550a0f4f2745feb440ea633b1d5fcc02db64c70940077d4ba181aba6451",
 }
 
 
