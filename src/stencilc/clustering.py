@@ -117,21 +117,6 @@ def group(eqs: List[LoweredEq]) -> List[Cluster]:
     return clusters
 
 
-def apply_control_flow(clusters: List[Cluster]) -> List[Cluster]:
-    """Lift equation-level guards to the owning cluster. Grouping never
-    merges across differing guards, so members always agree."""
-    out = []
-    for c in clusters:
-        guard_sets = {eq.guards for eq in c.eqs}
-        if len(guard_sets) > 1:
-            for eq in c.eqs:
-                out.append(Cluster([eq], c.ispace, set(c.atomics), eq.guards))
-            continue
-        c.guards = c.eqs[0].guards
-        out.append(c)
-    return out
-
-
 def clusterize(eqs: List[LoweredEq]) -> List[Cluster]:
-    """Full pipeline: direction enforcement, grouping, control flow."""
-    return apply_control_flow(group(enforce_directions(eqs)))
+    """Full pipeline: direction enforcement, then grouping."""
+    return group(enforce_directions(eqs))

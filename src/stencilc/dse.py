@@ -25,9 +25,9 @@ from typing import Dict, List, Optional, Tuple
 from .clustering import Cluster
 from .lowering import (OPAQUE, Interval, IterationSpace, LoweredEq,
                        _access_offsets, _map_accesses, collect_accesses)
-from .symbolic.expr import (Access, Add, Constant, Expr, Mul, Pow, Symbol,
-                            _as_coeff_term, _sort_key, add, children_of, mul,
-                            num, op_count, pow_, rewrite)
+from .symbolic.expr import (Access, Add, Call, Constant, Expr, Mul, Pow,
+                            Symbol, _as_coeff_term, _sort_key, add,
+                            children_of, mul, num, op_count, pow_, rewrite)
 from .symbolic.grid import Dimension, FunctionDecl
 
 #: Extraction threshold: sub-expressions costing at least this many
@@ -377,32 +377,33 @@ def _displacements(e: Expr) -> Optional[List[Dict[str, int]]]:
     return out
 
 
-def _zeroed(acc: Access) -> Access:
-    return Access(acc.func, tuple(d.root.symbol for d in acc.func.dims))
+def _shape(e: Expr):
+    """``e``'s operator tree with each access reduced to its function.
+    A plain walk: the normalizing constructors would fold it, and a
+    derivative's weights, which sum to zero, would fold it to ``0``."""
+    if isinstance(e, Access):
+        return e.func
+    if isinstance(e, Pow):
+        return (Pow, e.exponent, _shape(e.base))
+    if isinstance(e, Call):
+        return (e.name,) + tuple(map(_shape, e.args))
+    if isinstance(e, (Add, Mul)):
+        return (type(e),) + tuple(map(_shape, e.children))
+    return e
 
 
-def _skeleton(e: Expr) -> Expr:
-    """``e`` with every access displacement zeroed: equal skeletons mean
-    the same operators over the same-shaped operands."""
-    return _map_accesses(e, _zeroed, {})
-
-
-def is_translated(d1: List[Dict[str, int]],
-                  d2: List[Dict[str, int]]) -> bool:
-    """True when every displacement vector in d2 is the corresponding
-    vector in d1 shifted by one common translation."""
-    if len(d1) != len(d2):
-        return False
-    shift: Dict[str, int] = {}
-    for a, b in zip(d1, d2):
-        if set(a) != set(b):
-            return False
-        for dim in a:
-            delta = b[dim] - a[dim]
-            if dim in shift and shift[dim] != delta:
-                return False
-            shift[dim] = delta
-    return True
+def _alias_key(e: Expr, disp: List[Dict[str, int]]):
+    """``e``'s translation-invariant key: its shape, and each access's
+    displacement relative to the first occurrence of its loop dimension.
+    Also returns those first occurrences: two candidates with equal keys
+    are translated by the difference of theirs."""
+    first: Dict[str, int] = {}
+    rel = []
+    for vec in disp:
+        for d, k in vec.items():
+            first.setdefault(d, k)
+        rel.append(tuple((d, k - first[d]) for d, k in vec.items()))
+    return (_shape(e), tuple(rel)), first
 
 
 def _shifted(acc: Access, shift: Dict[str, int]) -> Access:
@@ -417,42 +418,33 @@ def translate(e: Expr, shift: Dict[str, int]) -> Expr:
 
 
 def detect_aliases(candidates: List[Expr]) -> List[AliasGroup]:
-    """Partition candidates into equivalence classes of mutually
-    translated expressions. The pivot of each class is translated so its
-    smallest access displacement per space dimension is zero; members then
-    read the pivot temp at non-negative offsets."""
-    disp = {id(c): _displacements(c) for c in candidates}
-    skeleton = {id(c): _skeleton(c) for c in candidates
-                if disp[id(c)] is not None}
-    unseen = list(candidates)
+    """Partition candidates into classes of mutually translated
+    expressions: equal alias keys, kept in first-seen order, and a class of
+    its own for a candidate with an opaque index. The pivot of each class
+    is translated so its smallest access displacement per space dimension
+    is zero; members then read the pivot temp at non-negative offsets."""
+    classes: Dict[object, list] = {}
+    for e in candidates:
+        disp = _displacements(e)
+        if disp is None:
+            classes[object()] = [(e, [], {})]
+            continue
+        key, first = _alias_key(e, disp)
+        classes.setdefault(key, []).append((e, disp, first))
     groups: List[AliasGroup] = []
-    while unseen:
-        top = unseen.pop(0)
-        members = [top]
-        rel: List[Dict[str, int]] = [{}]
-        if disp[id(top)] is not None:
-            for e in list(unseen):
-                de = disp[id(e)]
-                if de is None:
-                    continue
-                if skeleton[id(top)] == skeleton[id(e)] and \
-                        is_translated(disp[id(top)], de):
-                    shift: Dict[str, int] = {}
-                    for a, b in zip(disp[id(top)], de):
-                        for dim in a:
-                            shift[dim] = b[dim] - a[dim]
-                    members.append(e)
-                    rel.append(shift)
-                    unseen.remove(e)
+    for found in classes.values():
+        top, disp, top_first = found[0]
+        members = [e for e, _, _ in found]
+        rel = [{}] + [{d: k - top_first[d] for d, k in first.items()}
+                      for _, _, first in found[1:]]
         # Pivot origin: zero out the smallest displacement found in the
         # representative, except along time dimensions.
-        base = {}
-        if disp[id(top)] is not None:
-            times = _time_dim_names(top)
-            for vec in disp[id(top)]:
-                for d, k in vec.items():
-                    if d not in times:
-                        base[d] = min(base.get(d, k), k)
+        base: Dict[str, int] = {}
+        times = _time_dim_names(top) if disp else set()
+        for vec in disp:
+            for d, k in vec.items():
+                if d not in times:
+                    base[d] = min(base.get(d, k), k)
         dims = sorted({d for s in rel for d in s} | set(base))
         translations = [{d: s.get(d, 0) + base.get(d, 0) for d in dims}
                         for s in rel]
@@ -521,8 +513,8 @@ def select_pivots(groups: List[AliasGroup], cluster: Cluster,
     return defs, rules
 
 
-def _cire(clusters: List[Cluster], klass: str, threshold: int,
-          namer: Namer) -> List[Cluster]:
+def _cire(clusters: List[Cluster], klass: str, namer: Namer
+          ) -> List[Cluster]:
     """One extraction + alias-detection + pivot round over all clusters."""
     front: List[Cluster] = []
     out: List[Cluster] = []
@@ -530,7 +522,7 @@ def _cire(clusters: List[Cluster], klass: str, threshold: int,
         candidates = []
         seen = set()
         for eq in c.eqs:
-            for cand in _find_candidates(eq.rhs, klass, threshold):
+            for cand in _find_candidates(eq.rhs, klass, EXTRACT_THRESHOLD):
                 if cand not in seen:
                     seen.add(cand)
                     candidates.append(cand)
@@ -635,8 +627,8 @@ def contract_arrays(clusters: List[Cluster]) -> List[Cluster]:
 # -- Driver ------------------------------------------------------------------
 
 
-def run_dse(clusters: List[Cluster], mode: str = "advanced",
-            threshold: int = EXTRACT_THRESHOLD) -> List[Cluster]:
+def run_dse(clusters: List[Cluster], mode: str = "advanced"
+            ) -> List[Cluster]:
     if mode not in MODES:
         raise ValueError("unknown optimization mode %r" % mode)
     if not clusters:
@@ -644,9 +636,9 @@ def run_dse(clusters: List[Cluster], mode: str = "advanced",
     namer = Namer()
     out = list(clusters)
     if mode in ("advanced", "aggressive"):
-        out = _cire(out, TIME_INVARIANT, threshold, namer)
+        out = _cire(out, TIME_INVARIANT, namer)
     if mode == "aggressive":
-        out = _cire(out, TIME_VARYING, threshold, namer)
+        out = _cire(out, TIME_VARYING, namer)
     out = [cse(c, namer) for c in out]
     if mode in ("advanced", "aggressive"):
         out = [factorize_cluster(c) for c in out]

@@ -206,7 +206,7 @@ def _distance_entry(dep, dim: Dimension):
     return dep.distance_along(dim)
 
 
-def analyze_iet(iet, dependences=None) -> object:
+def analyze_iet(iet) -> object:
     """Attach sequential/parallel/vectorizable properties. A loop at nest
     position i is parallel iff every dependence distance vector D among
     the statements it contains satisfies (d_1..d_{i-1}) > 0 lexicographic
@@ -228,13 +228,10 @@ def analyze_iet(iet, dependences=None) -> object:
         dims = [n.dim for n in nest]
         pos = len(dims) - 1
         eqs = [s.eq for s, _ in located]
-        if dependences is not None:
-            deps = dependences
-        else:
-            outer = id(nest[0])
-            if outer not in graphs:
-                graphs[outer] = get_dependences(eqs)
-            deps = graphs[outer]
+        outer = id(nest[0])
+        if outer not in graphs:
+            graphs[outer] = get_dependences(eqs)
+        deps = graphs[outer]
         ids = {id(e) for e in eqs}
         deps = [d for d in deps if id(d.source) in ids and id(d.sink) in ids]
         parallel = True

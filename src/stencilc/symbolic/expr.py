@@ -483,7 +483,13 @@ def evaluate(e: Expr, symbols: Mapping[str, float],
             raise ExprError("no access handler for %r" % (e,))
         return on_access(e)
     if isinstance(e, Add):
-        return sum(evaluate(c, symbols, on_access) for c in e.children)
+        # Left to right from the first term, as the sliced path and the
+        # emitted C add. ``sum()`` starts from 0, which turns a sum of
+        # -0.0 terms into +0.0, and from Python 3.12 on it compensates.
+        out = evaluate(e.children[0], symbols, on_access)
+        for c in e.children[1:]:
+            out += evaluate(c, symbols, on_access)
+        return out
     if isinstance(e, Mul):
         out = 1.0
         for c in e.children:

@@ -56,6 +56,22 @@ def rotated_equations(so, shape=(13, 13)):
     return funcs, [Eq(w.forward, expr)]
 
 
+def two_field_equations(so, shape=(24, 24)):
+    """``cos(theta) * du/dx + sin(theta) * dv/dx``: the x derivatives of
+    two fields share one offset pattern, so only the function read tells
+    them apart."""
+    from stencilc.symbolic import call, mul
+    from stencilc.symbolic.fd import derivative
+    g = Grid(shape)
+    u, v, w = (FunctionDecl(n, "timefunction", g, space_order=so,
+                            time_order=2) for n in "uvw")
+    th = FunctionDecl("theta", "function", g, space_order=so)
+    x = g.dimensions[0]
+    expr = mul(call("cos", th.at), derivative(u, x, so, 1)) + \
+        mul(call("sin", th.at), derivative(v, x, so, 1))
+    return [Eq(w.forward, expr)]
+
+
 def coupled_equations(nfields, shape=(8, 8, 8), so=4):
     """``nfields`` leapfrog wave equations, each driven by the previous
     field: the coupled system whose compile cost grows with its size."""

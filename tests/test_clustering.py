@@ -2,8 +2,7 @@ from collections import Counter
 
 import pytest
 
-from stencilc.clustering import (apply_control_flow, clusterize,
-                                 enforce_directions, group)
+from stencilc.clustering import clusterize, enforce_directions, group
 from stencilc.lowering import ANY, BACKWARD, FORWARD, Guard, lower
 from stencilc.symbolic import (Access, Eq, FunctionDecl, Grid, Symbol, add,
                                mul, num)
@@ -98,10 +97,12 @@ def test_guard_mismatch_forbids_merging():
     assert clusters[1].guards[0].factor == 2
 
 
-def test_no_conditional_dims_control_flow_identity():
+def test_cluster_guards_equal_equation_guards():
     funcs, eqs = lowered_wave_example()
-    clusters = group(enforce_directions([eqs[0]] + eqs[2:]))
-    assert apply_control_flow(clusters) == clusters
+    clusters = clusterize(eqs)
+    assert any(c.guards for c in clusters)
+    for c in clusters:
+        assert all(eq.guards == c.guards for eq in c.eqs)
 
 
 def test_grouping_is_stable_and_idempotent():

@@ -5,11 +5,12 @@ import pytest
 
 from stencilc.clustering import Cluster, clusterize
 from stencilc.dse import (EXTRACT_THRESHOLD, Namer, TIME_INVARIANT,
-                          TIME_VARYING, _find_candidates, _make_temp,
-                          _skeleton, _temp_dims, cluster_op_count,
-                          contract_arrays, cse, detect_aliases, factorize,
-                          factorize_cluster, is_time_varying, is_translated,
-                          replace_subtrees, run_dse, select_pivots)
+                          TIME_VARYING, _alias_key, _displacements,
+                          _find_candidates, _make_temp, _shape, _temp_dims,
+                          cluster_op_count, contract_arrays, cse,
+                          detect_aliases, factorize, factorize_cluster,
+                          is_time_varying, replace_subtrees, run_dse,
+                          select_pivots)
 from stencilc.lowering import Interval, LoweredEq, lower
 from stencilc.symbolic import (Access, Eq, FunctionDecl, Grid, Symbol, add,
                                call, mul, num, pow_)
@@ -231,9 +232,12 @@ def test_alias_classification():
     c = add(mul(num(3), at(u, 2, 2)), mul(num(4), at(v, 2, 2)))
     d = add(mul(num(3), at(u, 0, 0)), mul(num(4), at(v, 0, 1)))
     e = add(mul(num(4), at(u, 1, 0)), mul(num(3), at(v, 1, 0)))
-    sa, sb, sc, sd, se = map(_skeleton, (a, b, c, d, e))
+    sa, sb, sc, sd, se = map(_shape, (a, b, c, d, e))
     assert sa == sb and sa == sc and sa == sd
     assert sa != se
+    ka, kb, kc, kd = (_alias_key(x, _displacements(x))[0]
+                      for x in (a, b, c, d))
+    assert ka == kb == kc and ka != kd
     groups = detect_aliases([a, b, c, d, e])
     partition = sorted(tuple(sorted(map(repr, grp.members)))
                        for grp in groups)
@@ -280,12 +284,37 @@ def test_detect_aliases_random_partition_oracle():
         assert len(groups) == len(set(labels)) and seen == set(labels)
 
 
-def test_is_translated_requires_common_shift():
-    d1 = [{"x": 0}, {"x": 1}]
-    assert is_translated(d1, [{"x": 2}, {"x": 3}])
-    assert not is_translated(d1, [{"x": 2}, {"x": 4}])
-    assert not is_translated(d1, [{"x": 2}])
-    assert not is_translated(d1, [{"y": 0}, {"y": 1}])
+def test_detect_aliases_requires_common_shift():
+    g, u, v, at = _2d_pair()
+
+    def grouped(p, q):
+        return [len(grp.members) for grp in detect_aliases([p, q])] == [2]
+
+    base = add(at(u, 0, 0), at(v, 1, 0))
+    groups = detect_aliases([base, add(at(u, 2, 0), at(v, 3, 0))])
+    assert [grp.translations for grp in groups] == \
+        [[{"x": 0, "y": 0}, {"x": 2, "y": 0}]]
+    # An inconsistent shift, or a different access count
+    assert not grouped(base, add(at(u, 2, 0), at(v, 4, 0)))
+    assert not grouped(base, add(at(u, 2, 0), at(v, 3, 0), at(v, 5, 0)))
+    # Accesses along different dimensions
+    x, y = g.dimensions
+    px = _make_temp("p", g, (x,), num(0))
+    py = _make_temp("p", g, (y,), num(0))
+    assert not grouped(add(Access(px, (Symbol("x"),)),
+                           Access(px, (add(Symbol("x"), num(1)),))),
+                       add(Access(py, (Symbol("y"),)),
+                           Access(py, (add(Symbol("y"), num(1)),))))
+
+
+def test_derivatives_of_different_fields_do_not_alias():
+    # Finite-difference weights sum to zero: a key built by zeroing every
+    # index and renormalizing folds both derivatives to 0.
+    g, u, v, at = _2d_pair()
+    du = 3 * at(u, 1, 0) - 3 * at(u, -1, 0)
+    dv = 3 * at(v, 3, 0) - 3 * at(v, 1, 0)
+    groups = detect_aliases([du, dv])
+    assert [grp.members for grp in groups] == [[du], [dv]]
 
 
 # -- Pivot selection ---------------------------------------------------------

@@ -127,6 +127,15 @@ def test_substitute_evaluate_commute():
         assert v1 == pytest.approx(v2, rel=1e-12, abs=1e-12)
 
 
+def test_evaluate_adds_from_the_first_term():
+    import math
+    out = evaluate(add(a, b), {"a": -0.0, "b": -0.0})
+    assert out == 0.0 and math.copysign(1.0, out) == -1.0
+    # Left to right, uncompensated: (1e100 + 1.0) - 1e100 is 0.0
+    assert evaluate(add(a, b, c), {"a": 1e100, "b": 1.0, "c": -1e100}) \
+        == 0.0
+
+
 def test_deterministic_ordering():
     e1 = add(b, a, c)
     e2 = add(c, a, b)
