@@ -97,23 +97,15 @@ class _Emitter:
         raise ValueError("cannot emit %r" % (e,))
 
     def _temp_sizes(self, decl) -> List[str]:
-        span = getattr(decl, "span", None) or {}
-        bshape = getattr(decl, "block_shape", None) or {}
-        sizes = []
-        for d in decl.dims:
-            if d.name in bshape:
-                sizes.append(str(bshape[d.name] + span.get(d.name, 0)))
-            else:
-                pad = span.get(d.name, 0) + 1
-                sizes.append("(%s_M + %d)" % (d.name, pad))
-        return sizes
+        return [str(k) if bound is None else "(%s + %d)" % (bound, k)
+                for bound, k in decl.temp_extents()]
 
     def access(self, acc: Access) -> str:
         f = acc.func
         if f.kind == "temp" and not acc.indices:
             return f.name
         idx = [self.expr(i, in_index=True) for i in acc.indices]
-        if getattr(f, "is_modulo_time", False):
+        if f.is_modulo_time:
             # C's % keeps the sign of the dividend: (t - 1)%3 is -1 at t=0
             m = f.time_dim.modulo
             idx[0] = "((%s)%%%d + %d)%%%d" % (idx[0], m, m, m)
@@ -219,9 +211,8 @@ def _scalar_params(iet, functions) -> List[str]:
     # Temporaries are sized by the _M bounds of their dimensions
     for s in statements(iet):
         f = s.eq.lhs.func
-        if f.kind == "temp" and f.dims:
-            bshape = getattr(f, "block_shape", None) or {}
-            names |= {d.name + "_M" for d in f.dims if d.name not in bshape}
+        if f.kind == "temp":
+            names |= {bound for bound, _ in f.temp_extents() if bound}
     names -= loop_names
     return sorted(names)
 

@@ -116,19 +116,16 @@ class _Frame:
     defined: dict = field(default_factory=dict)
 
 
-def _temp_extents(decl, env) -> Tuple[int, ...]:
-    span = getattr(decl, "span", None) or {}
-    bshape = getattr(decl, "block_shape", None) or {}
+def temp_extents(decl, env) -> Tuple[int, ...]:
+    """``decl.temp_extents()`` with each runtime bound read from ``env``."""
     extents = []
-    for d in decl.dims:
-        if d.name in bshape:
-            extents.append(bshape[d.name] + span.get(d.name, 0))
-            continue
-        upper = env.get(d.name + "_M")
-        if upper is None:
-            raise BackendError(
-                "cannot size temporary %s: %s_M unbound" % (decl.name, d.name))
-        extents.append(int(upper) + 1 + span.get(d.name, 0))
+    for bound, k in decl.temp_extents():
+        if bound is not None:
+            if bound not in env:
+                raise BackendError("cannot size temporary %s: %s unbound"
+                                   % (decl.name, bound))
+            k += int(env[bound])
+        extents.append(k)
     return tuple(extents)
 
 
@@ -150,7 +147,7 @@ def _out_of_range(f, pos: int, start: int, stop: int, extent: int):
 
 def _point_index(f, pos: int, value: float, extent: int) -> int:
     v = int(round(value))
-    if pos == 0 and getattr(f, "is_modulo_time", False):
+    if pos == 0 and f.is_modulo_time:
         v %= f.time_dim.modulo
     if not 0 <= v < extent:
         raise _out_of_range(f, pos, v, v + 1, extent)
@@ -537,7 +534,7 @@ def run(iet, buffers: Dict[str, DataBuffer], params: dict,
         f = s.eq.lhs.func
         if f.kind == "temp" and s.eq.lhs.indices and f.name not in buffers:
             buffers[f.name] = DataBuffer(f.name, dtype,
-                                         _temp_extents(f, env))
+                                         temp_extents(f, env))
     report: dict = {}
     planner = _Planner(buffers, report, workers)
     try:

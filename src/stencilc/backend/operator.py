@@ -241,8 +241,9 @@ class Operator:
 
 def autotune(eqs: Sequence[Equation], mode: str = "advanced",
              dtype: str = "f64", steps: int = 3,
-             candidates: Optional[Sequence[dict]] = None) -> dict:
-    """Pick a block shape by timing short runs over zeroed buffers."""
+             candidates: Optional[Sequence[dict]] = None, **params) -> dict:
+    """Pick a block shape by timing short runs over zeroed buffers.
+    ``params`` binds the scalars the runs need, such as ``dt``."""
     from ..iet import autotune_blocks
     probe = Operator(eqs, mode=mode, dtype=dtype)
     dims = [d.name for d in probe.grid.dimensions]
@@ -252,7 +253,7 @@ def autotune(eqs: Sequence[Equation], mode: str = "advanced",
     def runner(shape: dict) -> float:
         op = Operator(eqs, mode=mode, block=shape, dtype=dtype)
         t0 = perf_counter()
-        op.apply(steps=steps)
+        op.apply(steps=steps, **params)
         return perf_counter() - t0
 
     return autotune_blocks(probe.iet, runner, list(candidates))

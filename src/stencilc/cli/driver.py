@@ -7,7 +7,7 @@ import sys
 from typing import Optional
 
 from ..backend import BackendError, BoundsError, Operator
-from ..backend.interpreter import _temp_extents
+from ..backend.interpreter import temp_extents
 from ..dse import MODES
 from ..iet import dump as dump_iet
 from ..iet import statements
@@ -15,6 +15,11 @@ from ..lowering import LoweringError
 from ..symbolic.expr import ExprError
 from ..symbolic.grid import DeclarationError
 from .parser import ProblemSpec, SpecError, parse_spec
+
+
+#: ``run``'s time step when ``--dt`` is not given; ``--block auto`` times
+#: its candidate block shapes with it too
+DT = 0.01
 
 
 class CliError(ValueError):
@@ -49,7 +54,7 @@ def _block_shape(spec: ProblemSpec, flag: Optional[str]):
 
 def _build(spec: ProblemSpec, mode: Optional[str] = None,
            block: Optional[str] = None,
-           precision: Optional[str] = None) -> Operator:
+           precision: Optional[str] = None, dt: float = DT) -> Operator:
     if not spec.equations:
         raise CliError("spec declares no equations")
     mode = mode or spec.params.get("mode", "advanced")
@@ -59,7 +64,7 @@ def _build(spec: ProblemSpec, mode: Optional[str] = None,
     shape = _block_shape(spec, block)
     if shape == "auto":
         from ..backend.operator import autotune
-        shape = autotune(spec.equations, mode=mode, dtype=dtype)
+        shape = autotune(spec.equations, mode=mode, dtype=dtype, dt=dt)
     return Operator(spec.equations, mode=mode, block=shape, dtype=dtype)
 
 
@@ -87,7 +92,7 @@ def _dump_buffer(buf, path: str):
 
 def _cmd_run(args) -> int:
     spec = _load_spec(args.spec)
-    op = _build(spec, args.mode, args.block, args.precision)
+    op = _build(spec, args.mode, args.block, args.precision, args.dt)
     steps = args.steps if args.steps is not None \
         else spec.params.get("steps", 1)
     workers = args.workers if args.workers is not None \
@@ -128,7 +133,7 @@ def report_text(spec: ProblemSpec, mode: str, timings: bool = False) -> str:
     for s in statements(art.iet):
         f = s.eq.lhs.func
         if f.kind == "temp" and f.dims and f.name not in temps:
-            extents = _temp_extents(f, env)
+            extents = temp_extents(f, env)
             n = 1
             for e in extents:
                 n *= e
@@ -170,7 +175,7 @@ def _make_parser() -> argparse.ArgumentParser:
     r.add_argument("--mode", choices=MODES)
     r.add_argument("--block")
     r.add_argument("--precision", choices=("f32", "f64"))
-    r.add_argument("--dt", type=float, default=0.01)
+    r.add_argument("--dt", type=float, default=DT)
     r.add_argument("--dump", action="append")
     r.set_defaults(fn=_cmd_run)
 

@@ -63,9 +63,7 @@ def is_time_varying(e: Expr) -> bool:
         f = e.func
         if f.kind in ("timefunction", "sparsetimefunction"):
             return True
-        if f.kind == "temp" and getattr(f, "time_varying", False):
-            return True
-        return False
+        return f.kind == "temp" and f.time_varying
     return any(is_time_varying(c) for c in children_of(e))
 
 
@@ -354,15 +352,6 @@ class AliasGroup:
     span: Dict[str, int]
 
 
-def _time_dim_names(e: Expr) -> set:
-    out = set()
-    for acc in collect_accesses(e):
-        for dim in acc.func.dims:
-            if dim.is_time:
-                out.add(dim.root.name)
-    return out
-
-
 def _displacements(e: Expr) -> Optional[List[Dict[str, int]]]:
     """One displacement vector per indexed object, in traversal order;
     None when any index is not a pure dimension-plus-offset."""
@@ -420,37 +409,30 @@ def translate(e: Expr, shift: Dict[str, int]) -> Expr:
 def detect_aliases(candidates: List[Expr]) -> List[AliasGroup]:
     """Partition candidates into classes of mutually translated
     expressions: equal alias keys, kept in first-seen order, and a class of
-    its own for a candidate with an opaque index. The pivot of each class
-    is translated so its smallest access displacement per space dimension
-    is zero; members then read the pivot temp at non-negative offsets."""
+    its own for a candidate with an opaque index. Along each dimension, the
+    pivot of a class is its leftmost member, and each member's translation
+    is its distance from that member; a single candidate is its own pivot,
+    at translation zero."""
     classes: Dict[object, list] = {}
     for e in candidates:
         disp = _displacements(e)
         if disp is None:
-            classes[object()] = [(e, [], {})]
+            classes[object()] = [(e, {})]
             continue
         key, first = _alias_key(e, disp)
-        classes.setdefault(key, []).append((e, disp, first))
+        classes.setdefault(key, []).append((e, first))
     groups: List[AliasGroup] = []
     for found in classes.values():
-        top, disp, top_first = found[0]
-        members = [e for e, _, _ in found]
-        rel = [{}] + [{d: k - top_first[d] for d, k in first.items()}
-                      for _, _, first in found[1:]]
-        # Pivot origin: zero out the smallest displacement found in the
-        # representative, except along time dimensions.
-        base: Dict[str, int] = {}
-        times = _time_dim_names(top) if disp else set()
-        for vec in disp:
-            for d, k in vec.items():
-                if d not in times:
-                    base[d] = min(base.get(d, k), k)
-        dims = sorted({d for s in rel for d in s} | set(base))
-        translations = [{d: s.get(d, 0) + base.get(d, 0) for d in dims}
-                        for s in rel]
-        pivot = translate(top, {d: -m for d, m in base.items() if m})
-        span = {d: max(s.get(d, 0) for s in translations) for d in dims}
-        groups.append(AliasGroup(members, translations, pivot, span))
+        top, top_first = found[0]
+        rel = [{d: first[d] - k for d, k in sorted(top_first.items())}
+               for _, first in found]
+        low = {d: min(r[d] for r in rel) for d in rel[0]}
+        translations = [{d: k - low[d] for d, k in r.items()} for r in rel]
+        span = {d: max(t[d] for t in translations) for d in low}
+        shift = {d: k for d, k in low.items() if k}
+        pivot = translate(top, shift) if shift else top
+        groups.append(AliasGroup([e for e, _ in found], translations,
+                                 pivot, span))
     return groups
 
 
@@ -479,31 +461,25 @@ def select_pivots(groups: List[AliasGroup], cluster: Cluster,
                   always: bool = False):
     """Turn alias groups into array temps plus rewrite rules for the
     consumer expressions. Single-member groups stay inline unless
-    ``always`` (used for time-invariant hoisting). All producers of one
-    consumer cluster share a hulled iteration space so they land in a
-    single loop nest."""
+    ``always`` (used for time-invariant hoisting). Each producer covers
+    the consumer's iteration space extended by its own group's span, so
+    it computes only points some member reads; producers with equal
+    iteration spaces land in one loop nest."""
     namer = namer or Namer()
     grid = _grid_of(cluster)
-    def usable(g: AliasGroup) -> bool:
-        times = _time_dim_names(g.pivot)
-        return not any(t.get(d) for t in g.translations for d in times)
-
-    chosen = [g for g in groups if usable(g) and
+    # A temp holds one timestep: members translated in time stay inline
+    times = [iv.dim.name for iv, _ in cluster.ispace.entries
+             if iv.dim.is_time]
+    chosen = [g for g in groups if not any(g.span.get(t) for t in times) and
               (len(g.members) >= 2 or
                (always and _temp_dims(g.pivot, cluster)))]
-    if not chosen:
-        return [], {}
-    hull: Dict[str, int] = {}
-    for g in chosen:
-        for d, s in g.span.items():
-            hull[d] = max(hull.get(d, 0), s)
     defs: List[LoweredEq] = []
     rules: Dict[Expr, Expr] = {}
     for g in chosen:
         dims = _temp_dims(g.pivot, cluster)
         keep_time = is_time_varying(g.pivot)
-        decl = _make_temp(namer(), grid, dims, g.pivot, span=hull)
-        ispace = _producer_ispace(cluster, dims, hull, keep_time)
+        decl = _make_temp(namer(), grid, dims, g.pivot, span=g.span)
+        ispace = _producer_ispace(cluster, dims, g.span, keep_time)
         defs.append(LoweredEq(Access(decl, tuple(d.symbol for d in dims)),
                               g.pivot, ispace=ispace))
         for member, tr in zip(g.members, g.translations):
@@ -599,18 +575,13 @@ def contract_arrays(clusters: List[Cluster]) -> List[Cluster]:
             consumers == [i + 1] and
             prod.ispace == cons.ispace and
             prod.guards == cons.guards and
-            all(all(s == 0 for s in t.span.values()) for t in prod_temps))
+            not any(any(t.span.values()) for t in prod_temps))
         if contractable:
             rules = {}
-            for t in prod_temps:
-                scalar = _make_temp(t.name, t.grid, (),
-                                    num(0))
-                scalar.time_varying = t.time_varying
-                scalar.span = {}
-                for eq in prod.eqs:
-                    if eq.lhs.func is t:
-                        scalar.time_varying = is_time_varying(eq.rhs)
-                rules[t.name] = scalar
+            for eq in prod.eqs:
+                t = eq.lhs.func
+                if t in prod_temps:
+                    rules[t.name] = _make_temp(t.name, t.grid, (), eq.rhs)
             demote = partial(_map_accesses,
                              convert=partial(_demoted, rules=rules), memo={})
             new_defs = [replace(eq, lhs=demote(eq.lhs), rhs=demote(eq.rhs),

@@ -9,7 +9,7 @@ functions, the point count and a companion coordinates table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from .expr import Access, Expr, Symbol, add, mul, num
 
@@ -149,6 +149,13 @@ class FunctionDecl:
         self._dims = tuple(dims) if dims is not None else None
         if kind == "temp" and self._dims is None:
             raise DeclarationError("temp function needs explicit dims")
+        #: Temporaries only: the points a producer computes past the
+        #: consumer's upper bound, and the extent of each block-local
+        #: dimension (both by dimension name); whether the value changes
+        #: every timestep.
+        self.span: Dict[str, int] = {}
+        self.block_shape: Dict[str, int] = {}
+        self.time_varying = False
 
         if kind == "timefunction":
             if time_dim is not None:
@@ -217,6 +224,19 @@ class FunctionDecl:
     @property
     def is_modulo_time(self) -> bool:
         return self.kind == "timefunction" and self.time_dim.kind == "stepping"
+
+    def temp_extents(self) -> Tuple[Tuple[Optional[str], int], ...]:
+        """A temporary's extent per dimension, as ``(bound, k)``: the runtime
+        upper bound ``bound`` plus ``k``, or just ``k`` when ``bound`` is
+        None (a block-local dimension)."""
+        out = []
+        for d in self.dims:
+            k = self.span.get(d.name, 0)
+            if d.name in self.block_shape:
+                out.append((None, self.block_shape[d.name] + k))
+            else:
+                out.append((d.name + "_M", k + 1))
+        return tuple(out)
 
     def storage_extents(self, nt: Optional[int] = None) -> tuple:
         """Allocated extent per storage dimension. ``nt`` bounds the time

@@ -89,6 +89,38 @@ def coupled_equations(nfields, shape=(8, 8, 8), so=4):
     return eqs
 
 
+def tti_equations(shape=(12, 12, 12), so=4):
+    """The pseudo-acoustic TTI operator: two coupled fields ``p`` and ``r``
+    with a rotated second derivative ``G(f) = D(D(f))``, where ``D`` sums
+    first derivatives of order ``so // 2`` along x, y and z weighted by the
+    tilted axis ``(cos(phi) sin(theta), sin(phi) sin(theta), cos(theta))``.
+    Both fields apply the same rotated stencils, so their derivatives share
+    offset patterns."""
+    from stencilc.symbolic import add, call, mul
+    from stencilc.symbolic.fd import derivative_of
+    g = Grid(shape)
+    p, r = (FunctionDecl(n, "timefunction", g, space_order=so, time_order=2)
+            for n in "pr")
+    m, eps, theta, phi = (FunctionDecl(n, "function", g, space_order=so)
+                          for n in ("m", "eps", "theta", "phi"))
+    sin_theta = call("sin", theta.at)
+    axis = (mul(call("cos", phi.at), sin_theta),
+            mul(call("sin", phi.at), sin_theta), call("cos", theta.at))
+
+    def rotated(e):
+        return add(*[mul(c, derivative_of(e, d, so // 2, 1, g.spacing_of(d)))
+                     for c, d in zip(axis, g.dimensions)])
+
+    def G(f):
+        return rotated(rotated(f.at))
+
+    h = laplace(p) - G(p)
+    eqs = [Eq(p.forward, solve_for(m.at * dt2(p) - (1 + 2 * eps.at) * h
+                                   - G(r), p.forward)),
+           Eq(r.forward, solve_for(m.at * dt2(r) - h - G(r), r.forward))]
+    return eqs
+
+
 def acoustic_example(shape, so=2, src_coord=None, rec_coord=None):
     """Acoustic wave operator: leapfrog stencil, one injecting source and
     one interpolating receiver."""
@@ -154,7 +186,7 @@ def run_clusters(clusters, nt, data, grid, env_extra=None, npoint=0):
                     return scalars[f.name]
                 idx = [int(round(evaluate(i, penv, on_access=on_access)))
                        for i in acc.indices]
-                if getattr(f, "is_modulo_time", False):
+                if f.is_modulo_time:
                     idx[0] %= f.time_dim.modulo
                 return data.setdefault(f.name, {}).get(tuple(idx), 0.0)
 
@@ -166,7 +198,7 @@ def run_clusters(clusters, nt, data, grid, env_extra=None, npoint=0):
                     continue
                 idx = [int(round(evaluate(i, penv, on_access=on_access)))
                        for i in eq.lhs.indices]
-                if getattr(f, "is_modulo_time", False):
+                if f.is_modulo_time:
                     idx[0] %= f.time_dim.modulo
                 bucket = data.setdefault(f.name, {})
                 key = tuple(idx)

@@ -14,7 +14,7 @@ from stencilc.dse import MODES
 from stencilc.iet import Block
 
 from helpers import (acoustic_example, coupled_equations, rotated_equations,
-                     two_field_equations, wave_example)
+                     tti_equations, two_field_equations, wave_example)
 
 DT = 0.02
 
@@ -61,6 +61,21 @@ def _rel_err(a, b):
 
 def _assert_close(a, b, rel=1e-12):
     assert _rel_err(a, b) <= rel
+
+
+def _assert_matches_oracle(op, steps):
+    """``op.apply`` and ``op.reference`` from one random fill agree."""
+    runs = []
+    for run in (op.apply, op.reference):
+        bufs = op.allocate(steps)
+        rng = np.random.default_rng(11)
+        for buf in bufs.values():
+            buf.data[:] = rng.uniform(1.0, 2.0, buf.extents)
+        run(steps=steps, buffers=bufs, dt=DT)
+        runs.append(bufs)
+    got, refs = runs
+    for name in refs:
+        _assert_close(got[name].data, refs[name].data)
 
 
 def _rotated_fixture(op, steps):
@@ -155,17 +170,17 @@ class TestInterpreter:
         # offset pattern must not share an alias pivot.
         build, block = DIFFERENTIAL_CASES[case]
         op = Operator(build(), mode=mode, block=block if blocked else None)
-        runs = []
-        for run in (op.apply, op.reference):
-            bufs = op.allocate(4)
-            rng = np.random.default_rng(11)
-            for buf in bufs.values():
-                buf.data[:] = rng.uniform(1.0, 2.0, buf.extents)
-            run(steps=4, buffers=bufs, dt=DT)
-            runs.append(bufs)
-        got, refs = runs
-        for name in refs:
-            _assert_close(got[name].data, refs[name].data)
+        _assert_matches_oracle(op, steps=4)
+
+    @pytest.mark.parametrize("block", [None, {"x": 8, "y": 8, "z": 8}],
+                             ids=["unblocked", "blocked"])
+    def test_tti_aggressive_matches_oracle(self, block):
+        # Each alias producer covers its own group's span: given the hull
+        # of all groups' spans, the narrower ones read p and r past their
+        # halo at space order 8.
+        op = Operator(tti_equations((12, 12, 12), so=8), mode="aggressive",
+                      block=block)
+        _assert_matches_oracle(op, steps=3)
 
     def test_differential_2d_blocked(self):
         bufs, refs = _run_pair((24, 24), 4, "aggressive", {"x": 8, "y": 8})
@@ -432,9 +447,9 @@ GOLDEN_SHA256 = {
     "wave": ("b95b18a49c6649ef759687c6a00b18d6a86e9432aee6120c4eb9b0797518bab8",
              "0d841f2765afe7266e5a52ff350f312bcf777bbce72ae929bb7a4cb4bd10aaf3",
              "69e436e760e6855f320952b59f93f50a775ae32696fc834f297ec90450bb106f"),
-    "rotated": ("bcfe87aefa263709378cb15c41248b6a6bbed148cdacdb76357801841016f915",
-                "bcfe87aefa263709378cb15c41248b6a6bbed148cdacdb76357801841016f915",
-                "733aefec2aebe82d9971743918809f9cc05db117b0e72b8d38e83a4cdbf3e402"),
+    "rotated": ("9520c021c88ce2cd9cd39d0a5752320bc1f9db9fc9e7b572d26941a6931ce7ec",
+                "9520c021c88ce2cd9cd39d0a5752320bc1f9db9fc9e7b572d26941a6931ce7ec",
+                "7f0d64a08b0e54997362218f62e7b53322771e5b6dc299ced4f04a59c44ea15e"),
     "coupled": ("405fb5f597ccfc73d3e0e541b2b5dde609fe67f2df38db2867c1b135784e758b",
                 "a1600c5dbd7f188f538e5a15b7a82beb08e49b2d5a3fc61aa525e8defcb6c0de",
                 "e2101404de0c3cff619b672617b2cd498267ed4adf248879023b2b09acedcc84"),
@@ -524,32 +539,52 @@ def _run_c(op, buffers, env, tmp_path):
     assert kernel(*args) == 0
 
 
-@pytest.mark.skipif(shutil.which("gcc") is None, reason="needs gcc")
-@pytest.mark.parametrize("shape,so,block", [
-    ((64, 64), 4, None),
-    ((64, 64), 4, {"x": 8, "y": 8}),
-    ((24, 24, 24), 8, None),
-], ids=["2d-so4", "2d-so4-blocked", "3d-so8"])
-def test_emitted_c_matches_interpreter(tmp_path, shape, so, block):
-    # The time index wraps with (((t + k)%3 + 3)%3): C's % is negative
-    # for a negative dividend, so (t - 1)%3 alone reads slot -1 at t=0.
+def _acoustic_c_op(shape, so, block=None):
+    """Acoustic operator with the source mid-grid and the receiver four
+    points off it along x."""
     mid = tuple((s - 1) / 2.0 for s in shape)
     near = (mid[0] - 4.0,) + mid[1:]
     funcs, eqs = acoustic_example(shape, so=so, src_coord=mid,
                                   rec_coord=near)
-    op = Operator(eqs, block=block)
-    steps = 10
-    got, want = op.allocate(steps), op.allocate(steps)
+    return Operator(eqs, block=block)
+
+
+def _acoustic_c_fixture(op, steps):
+    bufs = op.allocate(steps)
     rng = np.random.default_rng(7)
-    m = 1.5 + 0.1 * rng.uniform(size=got["m"].extents)
-    for bufs in (got, want):
-        bufs["m"].data[:] = m
-        bufs["src"].data[:, 0] = np.linspace(1.0, 0.1, steps)
+    bufs["m"].data[:] = 1.5 + 0.1 * rng.uniform(size=bufs["m"].extents)
+    bufs["src"].data[:, 0] = np.linspace(1.0, 0.1, steps)
+    return bufs
+
+
+def _rotated_so4_op(block=None):
+    funcs, eqs = rotated_equations(4, shape=(24, 24))
+    return Operator(eqs, mode="aggressive", block=block)
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="needs gcc")
+@pytest.mark.parametrize("build,fixture", [
+    (lambda: _acoustic_c_op((64, 64), 4), _acoustic_c_fixture),
+    (lambda: _acoustic_c_op((64, 64), 4, {"x": 8, "y": 8}),
+     _acoustic_c_fixture),
+    (lambda: _acoustic_c_op((24, 24, 24), 8), _acoustic_c_fixture),
+    (_rotated_so4_op, _rotated_fixture),
+    (lambda: _rotated_so4_op({"x": 8, "y": 8}), _rotated_fixture),
+], ids=["2d-so4", "2d-so4-blocked", "3d-so8", "rotated-so4",
+        "rotated-so4-blocked"])
+def test_emitted_c_matches_interpreter(tmp_path, build, fixture):
+    # The time index wraps with (((t + k)%3 + 3)%3): C's % is negative
+    # for a negative dividend, so (t - 1)%3 alone reads slot -1 at t=0.
+    # The rotated operator sizes whole-grid and block-local array
+    # temporaries from the runtime bounds and the block shape.
+    op = build()
+    steps = 10
+    got, want = fixture(op, steps), fixture(op, steps)
     op.apply(steps=steps, buffers=want, dt=DT)
     env = op.default_params(steps)
     env["dt"] = DT
     _run_c(op, got, env, tmp_path)
-    assert want["u"].data.any() and want["rec"].data.any()
+    assert all(buf.data.any() for buf in want.values())
     for name, buf in got.items():
         assert buf.data.tobytes() == want[name].data.tobytes(), name
 

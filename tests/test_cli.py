@@ -155,6 +155,16 @@ class TestDriver:
         assert main(["run", path, "--steps", "3", "--block", "8x8",
                      "--workers", "2"]) == 0
 
+    def test_run_block_auto(self, tmp_path, capsys):
+        # Autotuning times short runs, which need the caller's dt
+        path = self._write(tmp_path)
+        outs = []
+        for extra in ([], ["--block", "auto"]):
+            assert main(["run", path, "--steps", "3"] + extra) == 0
+            outs.append(capsys.readouterr().out)
+        assert "points=" in outs[0] and outs[1] == outs[0]
+        assert main(["compile", path, "--block", "auto"]) == 0
+
     def test_report_deterministic(self, tmp_path):
         path = self._write(tmp_path)
         spec = parse_spec(ACOUSTIC)

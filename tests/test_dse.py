@@ -252,10 +252,19 @@ def test_detect_aliases_singleton_and_pivot_origin():
     groups = detect_aliases([a])
     assert len(groups) == 1
     grp = groups[0]
-    # Pivot shifted so its smallest displacement per dimension is zero
-    assert grp.pivot == add(mul(num(3), at(u, 0, 0)), mul(num(4), at(v, 2, 0)))
-    assert grp.translations == [{"x": 2, "y": 1}]
-    assert grp.span == {"x": 2, "y": 1}
+    # A single candidate is its own pivot: no leading points to compute
+    assert grp.pivot is a
+    assert grp.translations == [{"x": 0, "y": 0}]
+    assert grp.span == {"x": 0, "y": 0}
+    # The pivot starts at the leftmost member along each dimension, even
+    # when that member is not the first seen
+    b = add(mul(num(3), at(u, 5, 0)), mul(num(4), at(v, 7, 0)))
+    c = add(mul(num(3), at(u, 4, 2)), mul(num(4), at(v, 6, 2)))
+    grp, = detect_aliases([a, b, c])
+    assert grp.pivot == add(mul(num(3), at(u, 2, 0)), mul(num(4), at(v, 4, 0)))
+    assert grp.translations == [{"x": 0, "y": 1}, {"x": 3, "y": 0},
+                                {"x": 2, "y": 2}]
+    assert grp.span == {"x": 3, "y": 2}
 
 
 def test_detect_aliases_random_partition_oracle():
@@ -329,19 +338,20 @@ def test_select_pivots_translated_reads():
     m3 = mul(num(9), Access(c0, ()), _u_at(u, 3))
     groups = detect_aliases([m1, m3])
     assert len(groups) == 1
-    assert groups[0].pivot == mul(num(9), Access(c0, ()), _u_at(u, 0))
+    assert groups[0].pivot is m1
     defs, rules = select_pivots(groups, cluster, Namer())
     assert len(defs) == 1
     x = Symbol("x")
     decl = defs[0].lhs.func
     assert defs[0].lhs == Access(decl, (x,))
     assert defs[0].rhs == groups[0].pivot
-    assert rules[m1] == Access(decl, (add(x, num(1)),))
-    assert rules[m3] == Access(decl, (add(x, num(3)),))
+    assert rules[m1] == Access(decl, (x,))
+    assert rules[m3] == Access(decl, (add(x, num(2)),))
     # Producer keeps the time loop (value changes per step) and computes
-    # three extra points so the farthest translated read is covered.
+    # two extra points so the farthest translated read is covered.
     xd = g.dimensions[0]
-    assert defs[0].ispace.interval_of(xd) == Interval(xd, 0, 3)
+    assert defs[0].ispace.interval_of(xd) == Interval(xd, 0, 2)
+    assert decl.span == {"t": 0, "x": 2}
     assert any(iv.dim.is_time for iv, _ in defs[0].ispace.entries)
 
 

@@ -238,7 +238,7 @@ def test_fused_producer_consumer_blocking():
     # The hoisted time-invariant array stays a full-grid array
     inv = statements(iet.children[0])[-1]
     assert inv.eq.lhs.indices == (Symbol("x"), Symbol("y"))
-    assert not hasattr(inv.eq.lhs.func, "block_shape")
+    assert inv.eq.lhs.func.block_shape == {}
 
 
 def test_fused_blocking_preserves_visits():
