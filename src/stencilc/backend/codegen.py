@@ -195,7 +195,7 @@ class _Emitter:
             raise ValueError("cannot emit node %r" % (n,))
 
 
-def _scalar_params(iet, functions) -> List[str]:
+def _scalar_params(iet) -> List[str]:
     names = set()
     for it in iterations(iet):
         free_symbols(it.lower, names)
@@ -224,7 +224,7 @@ def emit_c(iet, functions: Optional[Sequence] = None, name: str = "kernel",
         functions = list(collect_functions(
             s.eq for s in statements(iet)).values())
     em = _Emitter(dtype)
-    params = _scalar_params(iet, functions)
+    params = _scalar_params(iet)
     args = ["struct dataobj *restrict %s_vec" % f.name for f in functions]
     for p in params:
         if p.endswith("_m") or p.endswith("_M"):

@@ -47,7 +47,7 @@ import numpy as np
 
 from ..iet import (ATOMIC, PARALLEL, Block, Conditional, ExpressionStmt,
                    Iteration, Section, statements, walk)
-from ..lowering import BACKWARD, LoweredEq
+from ..lowering import BACKWARD, LoweredEq, linear_form
 from ..symbolic.expr import (Access, Add, Call, Constant, Expr, ExprError,
                              Mul, Pow, Symbol, children_of, evaluate,
                              free_symbols)
@@ -192,34 +192,11 @@ def _point(eq: LoweredEq, fr: _Frame):
 # -- Plan ----------------------------------------------------------------------
 
 
-def _affine(e: Expr) -> Optional[Tuple[int, Dict[str, int]]]:
-    """``(const, {symbol: coeff})`` when ``e`` is affine in plain symbols
-    with integer coefficients, else None."""
-    const, terms = 0, {}
-    for t in (e.children if isinstance(e, Add) else (e,)):
-        if isinstance(t, Constant):
-            coeff, name = t.value, None
-        elif isinstance(t, Symbol):
-            coeff, name = 1, t.name
-        elif isinstance(t, Mul) and len(t.children) == 2 and \
-                isinstance(t.children[0], Constant) and \
-                isinstance(t.children[1], Symbol):
-            coeff, name = t.children[0].value, t.children[1].name
-        else:
-            return None
-        if coeff != int(coeff):
-            return None
-        if name is None:
-            const += int(coeff)
-        else:
-            terms[name] = terms.get(name, 0) + int(coeff)
-    return const, terms
-
-
 def _index_plan(acc: Access, dims: Sequence[str]):
     """Per index of ``acc``: its affine form ``(axis, const, ((symbol,
     coeff), ...))`` when it is ``dims[axis] + const + sum(coeff *
-    symbol)``, or ``(None, 0, ())`` when it uses no loop of ``dims``.
+    symbol)`` with integer ``const`` and coefficients, or ``(None, 0,
+    ())`` when it uses no loop of ``dims``.
     None when an index is neither, or the vector axes do not increase."""
     out, axes = [], []
     for idx in acc.indices:
@@ -227,16 +204,20 @@ def _index_plan(acc: Access, dims: Sequence[str]):
         if not used:
             out.append((None, 0, ()))
             continue
-        form = _affine(idx)
+        form = linear_form(idx)
         if form is None or len(used) > 1:
             return None
-        const, terms = form
+        const, coeffs = form
         name = used.pop()
         axis = dims.index(name)
-        if terms.pop(name) != 1 or (axes and axis <= axes[-1]):
+        if coeffs.pop(name) != 1 or (axes and axis <= axes[-1]):
+            return None
+        k = int(const)
+        terms = {n: int(c) for n, c in coeffs.items()}
+        if k != const or terms != coeffs:
             return None
         axes.append(axis)
-        out.append((axis, const, tuple(terms.items())))
+        out.append((axis, k, tuple(terms.items())))
     return out
 
 

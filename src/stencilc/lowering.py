@@ -17,13 +17,11 @@ conventions after lowering:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .symbolic.expr import (Access, Add, Constant, Expr, Mul, Symbol, add,
-                            call, children_of, evaluate, free_symbols, mul,
-                            num, rewrite)
+                            call, children_of, free_symbols, num, rewrite)
 from .symbolic.grid import Dimension, Equation, FunctionDecl
 
 FORWARD = "+"
@@ -99,25 +97,6 @@ class DataSpace:
     through loop-variable indices."""
 
     parts: Tuple[Tuple[FunctionDecl, Tuple[Interval, ...]], ...]
-
-    def for_function(self, func: FunctionDecl) -> Tuple[Interval, ...]:
-        for f, ivs in self.parts:
-            if f is func:
-                return ivs
-        return ()
-
-    def merged(self) -> Dict[str, Interval]:
-        """Hull per dimension name across all functions."""
-        out: Dict[str, Interval] = {}
-        for _, ivs in self.parts:
-            for iv in ivs:
-                name = iv.dim.root.name
-                if name in out:
-                    out[name] = out[name].hull(
-                        Interval(out[name].dim, iv.lower, iv.upper))
-                else:
-                    out[name] = Interval(iv.dim.root, iv.lower, iv.upper)
-        return out
 
     def __repr__(self):
         bits = []
@@ -222,84 +201,54 @@ def collect_functions(eqs) -> Dict[str, FunctionDecl]:
 # -- Index classification ----------------------------------------------------
 
 
+def linear_form(e: Expr) -> Optional[Tuple[object, Dict[str, object]]]:
+    """``(const, {symbol name: coeff})`` when ``e`` is a sum of numbers,
+    symbols and ``number*symbol`` terms, else None. Coefficients keep the
+    numbers' types. The normalizing constructors give such a sum at most
+    one number and each symbol once (``add`` folds constants and merges
+    like terms), so a repeated term is summed only in hand-built nodes."""
+    if isinstance(e, Symbol):  # the most common index, read without a loop
+        return 0, {e.name: 1}
+    form: Dict[Optional[str], object] = {}
+    for t in (e.children if isinstance(e, Add) else (e,)):
+        if isinstance(t, Symbol):
+            name, coeff = t.name, 1
+        elif isinstance(t, Constant):
+            name, coeff = None, t.value
+        elif isinstance(t, Mul) and len(t.children) == 2 and \
+                isinstance(t.children[0], Constant) and \
+                isinstance(t.children[1], Symbol):
+            name, coeff = t.children[1].name, t.children[0].value
+        else:
+            return None
+        form[name] = form[name] + coeff if name in form else coeff
+    return form.pop(None, 0), form
+
+
 def affine_offset(index: Expr, dim_symbol: Symbol,
                   unit: Optional[Symbol]) -> Union[int, object]:
-    """Integer offset k when ``index == dim + k*unit`` (or ``dim + k`` for
-    unit-free dimensions); OPAQUE when the dimension symbol does not occur;
-    LoweringError for non-affine forms."""
-    if index == dim_symbol:
-        return 0
-    k = _closed_form_offset(index, dim_symbol, unit)
-    if k is not None:
-        return k
-    return _symbolic_offset(index, dim_symbol, unit)
-
-
-def _closed_form_offset(index: Expr, dim_symbol: Symbol,
-                        unit: Optional[Symbol]) -> Optional[int]:
-    """``affine_offset`` without symbolic arithmetic for the two shapes
-    indices take, None for any other form or a non-integer k. Lowered
-    indices are ``Add(Constant(k), dim)``: Add sorts its constant first.
-    Frontend indices built by ``fd.shift_expr`` are ``dim + k*unit``, that
-    is ``Add(dim, unit)`` or ``Add(dim, Mul(Constant(k), unit))`` in some
-    child order."""
-    if not isinstance(index, Add) or len(index.children) != 2:
-        return None
-    a, b = index.children
-    if b == dim_symbol:
-        a, b = b, a
-    if a != dim_symbol:
-        return None
-    if isinstance(b, Constant):
-        return _integer(b.value)
-    if unit is None:
-        return None
-    if b == unit:
-        return 1
-    if isinstance(b, Mul) and len(b.children) == 2 and \
-            isinstance(b.children[0], Constant) and b.children[1] == unit:
-        return _integer(b.children[0].value)
-    return None
-
-
-def _integer(value) -> Optional[int]:
-    """``value`` as an int when it is integral, else None."""
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else None
-    return int(value) if value.is_integer() else None
-
-
-def _symbolic_offset(index: Expr, dim_symbol: Symbol,
-                     unit: Optional[Symbol]) -> Union[int, object]:
-    """``affine_offset`` through symbolic subtraction, for any form."""
-    free = free_symbols(index)
-    if dim_symbol.name not in free:
+    """Integer offset k when ``index`` is ``dim + k`` or ``dim + k*unit``;
+    OPAQUE when the dimension symbol does not occur; LoweringError for
+    any other form."""
+    form = linear_form(index)
+    if form is None:
+        if dim_symbol.name in free_symbols(index):
+            raise LoweringError(
+                "index %r is not affine in %s" % (index, dim_symbol.name))
         return OPAQUE
-    diff = add(index, mul(num(-1), dim_symbol))
-    dfree = free_symbols(diff)
-    allowed = {unit.name} if unit is not None else set()
-    if not dfree <= allowed:
+    const, coeffs = form
+    coeff = coeffs.pop(dim_symbol.name, None)
+    if coeff is None:
+        return OPAQUE
+    if unit is not None and unit.name in coeffs and not const:
+        const = coeffs.pop(unit.name)
+    if coeff != 1 or coeffs:
         raise LoweringError(
             "index %r is not affine in %s" % (index, dim_symbol.name))
-    if not dfree:
-        if isinstance(diff, Constant) and Fraction(diff.value).denominator == 1:
-            return int(diff.value)
-        raise LoweringError("non-integer index offset %r" % (diff,))
-    # diff = c0 + c1*unit; reject mixed or nonlinear forms
-    e1 = evaluate(diff, {unit.name: 1.0})
-    e2 = evaluate(diff, {unit.name: 2.0})
-    e4 = evaluate(diff, {unit.name: 4.0})
-    c1 = e2 - e1
-    c0 = 2 * e1 - e2
-    if abs(c0 + 4 * c1 - e4) > 1e-9:
-        raise LoweringError("index offset %r not linear in %s"
-                            % (diff, unit.name))
-    if abs(c0) > 1e-9 and abs(c1) > 1e-9:
-        raise LoweringError("mixed index offset %r" % (diff,))
-    k = c1 if abs(c1) > 1e-9 else c0
-    if abs(k - round(k)) > 1e-9:
-        raise LoweringError("non-integer index offset %r" % (diff,))
-    return int(round(k))
+    k = int(const)
+    if k != const:
+        raise LoweringError("non-integer index offset in %r" % (index,))
+    return k
 
 
 def _unit_for(decl: FunctionDecl, dim: Dimension) -> Optional[Symbol]:

@@ -99,7 +99,7 @@ def test_criterion_3_local_analysis_and_bound_capping():
     stencil = lower(eqs[0])
     u = funcs["u"]
     dspace = {iv.dim.name: (iv.lower, iv.upper)
-              for iv in stencil.dspace.for_function(u)}
+              for f, ivs in stencil.dspace.parts if f is u for iv in ivs}
     analysis_ok = (repr(stencil.ispace) == "[t[0,0]+, x[0,0]*]" and
                    dspace == {"t": (0, 1), "x": (0, 0)})
     op = Operator(eqs)

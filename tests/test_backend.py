@@ -342,6 +342,29 @@ class TestPlan:
         finally:
             gc.enable()
 
+    def test_index_plan_forms(self):
+        from stencilc.backend.interpreter import _index_plan
+        from stencilc.lowering import indexify
+        from stencilc.symbolic import (Access, Eq, FunctionDecl, Grid,
+                                       Symbol, add, mul, num)
+        g = Grid((8, 8))
+        u = FunctionDecl("u", "function", g, space_order=8)
+        x, y, xb, t = (Symbol(n) for n in ("x", "y", "xb", "t"))
+        dims = ("x", "y")
+        lowered = indexify(Eq(u.at, u.at)).rhs
+        assert lowered.indices == (add(x, num(4)), add(y, num(4)))
+        plan = _index_plan(lowered, dims)
+        assert plan == [(0, 4, ()), (1, 4, ())]
+        assert type(plan[0][1]) is int
+        # A block-local temporary's index, rebased by the block origin.
+        rebased = Access(u, (add(x, mul(num(-1), xb), num(2)), y))
+        assert _index_plan(rebased, dims) == [(0, 2, (("xb", -1),)),
+                                              (1, 0, ())]
+        assert _index_plan(Access(u, (t, x)), ("x",)) == [(None, 0, ()),
+                                                          (0, 0, ())]
+        assert _index_plan(Access(u, (mul(num(2), x), y)), dims) is None
+        assert _index_plan(Access(u, (y, x)), dims) is None
+
 
 def _counts(report):
     return {name: (slot["points"], slot["sliced"], slot["per_point"])

@@ -5,9 +5,10 @@ import pytest
 from stencilc.lowering import (ANY, BACKWARD, FORWARD, OPAQUE, Guard,
                                Interval, LoweringError, _shift_for, analyze,
                                check_halo_coverage, indexify, lower)
-from stencilc.symbolic import (Access, Eq, FunctionDecl, Grid, Symbol, add,
-                               dt2, evaluate, inject, interpolate, laplace,
-                               mul, num, solve_for, substitute)
+from stencilc.symbolic import (Access, Add, Eq, FunctionDecl, Grid, Mul,
+                               Symbol, add, call, dt2, evaluate, inject,
+                               interpolate, laplace, mul, num, solve_for,
+                               substitute)
 from stencilc.symbolic.grid import Dimension
 
 
@@ -48,9 +49,10 @@ def test_wave_iteration_and_data_space_golden():
     g, u, m, eq = wave_setup()
     low = lower(eq)
     assert repr(low.ispace) == "[t[0,0]+, x[0,0]*]"
-    merged = low.dspace.merged()
-    assert (merged["t"].lower, merged["t"].upper) == (0, 1)
-    assert (merged["x"].lower, merged["x"].upper) == (0, 0)
+    parts = {f.name: ivs for f, ivs in low.dspace.parts}
+    assert parts["u"] == (Interval(u.dims[0], 0, 1),
+                          Interval(u.dims[1], 0, 0))
+    assert parts["m"] == (Interval(m.dims[0], 0, 0),)
     assert low.writes is u
     assert set(low.reads) == {u, m}
 
@@ -186,21 +188,22 @@ def test_undersized_halo_fails_at_compile():
 @pytest.mark.parametrize("unit", [None, Symbol("h_x")])
 @pytest.mark.parametrize("kind", [Fraction, float])
 def test_affine_offset_fast_path_matches_symbolic(unit, kind):
-    from stencilc.lowering import _symbolic_offset, affine_offset
-    from stencilc.symbolic import Add, Constant
+    # Lowered indices are ``Add(Constant(k), dim)``; k comes back as an
+    # int whether the constant is exact or a float.
+    from stencilc.lowering import affine_offset
+    from stencilc.symbolic import Constant
     x = Symbol("x")
     for k in range(-20, 21):
         index = add(num(kind(k)), x)
         if k:
             assert isinstance(index, Add) and \
                 index.children == (Constant(kind(k)), x)
-        fast = affine_offset(index, x, unit)
-        assert fast == _symbolic_offset(index, x, unit) == k
-        assert type(fast) is int
+        offset = affine_offset(index, x, unit)
+        assert offset == k
+        assert type(offset) is int
     half = add(num(kind(Fraction(1, 2))), x)
-    for route in (affine_offset, _symbolic_offset):
-        with pytest.raises(LoweringError):
-            route(half, x, unit)
+    with pytest.raises(LoweringError):
+        affine_offset(half, x, unit)
 
 
 def _preorder_accesses(e):
@@ -236,39 +239,58 @@ def test_collect_accesses_preorder_without_cycles():
 
 
 @pytest.mark.parametrize("kind", [Fraction, float])
-def test_affine_offset_closed_form_for_shifted_indices(kind, monkeypatch):
-    # ``fd.shift_expr`` builds ``dim + k*unit``; an integer k is answered
-    # without the symbolic route, and gives the answer that route gives.
-    import stencilc.lowering as lowering
-    from stencilc.lowering import _symbolic_offset, affine_offset
+def test_affine_offset_closed_form_for_shifted_indices(kind):
+    # ``fd.shift_expr`` builds ``dim + k*unit``; an integer k is the offset.
+    from stencilc.lowering import affine_offset
     x, h = Symbol("x"), Symbol("h_x")
-    routed = []
-    monkeypatch.setattr(lowering, "_symbolic_offset",
-                        lambda *args: routed.append(args) or
-                        _symbolic_offset(*args))
     for k in range(-20, 21):
         index = add(x, mul(num(kind(k)), h))
-        closed = affine_offset(index, x, h)
-        assert closed == _symbolic_offset(index, x, h) == k
-        assert type(closed) is int
-    assert routed == []
+        offset = affine_offset(index, x, h)
+        assert offset == k
+        assert type(offset) is int
     for k in (Fraction(1, 2), Fraction(-7, 3), 2.5):
         index = add(x, mul(num(k), h))
         with pytest.raises(LoweringError):
             affine_offset(index, x, h)
-    assert len(routed) == 3
 
 
-def test_rotated_lowering_takes_no_symbolic_offsets(monkeypatch):
-    import stencilc.lowering as lowering
-    from helpers import rotated_equations
-    routed = []
-    monkeypatch.setattr(lowering, "_symbolic_offset",
-                        lambda *args: routed.append(args))
-    _, eqs = rotated_equations(12, shape=(24, 24))
-    low = [lower(e) for e in eqs]
-    assert routed == []
-    assert low[0].rhs != eqs[0].rhs
+_X, _Y, _H, _T, _DT = (Symbol(n) for n in ("x", "y", "h_x", "t", "dt"))
+_THREE = num(3)
+_THREE_H = Mul((_THREE, _H))
+
+#: (index, dimension symbol, unit, expected): the expected offset, OPAQUE
+#: or LoweringError. The first four sums are built without ``add``, which
+#: would sort their children, so that both child orders occur.
+AFFINE_FORMS = {
+    "x+k": (Add((_X, _THREE)), _X, _H, 3),
+    "k+x": (Add((_THREE, _X)), _X, _H, 3),
+    "x+k*h": (Add((_X, _THREE_H)), _X, _H, 3),
+    "k*h+x": (Add((_THREE_H, _X)), _X, _H, 3),
+    "t+dt": (add(_T, _DT), _T, _DT, 1),
+    "x": (_X, _X, _H, 0),
+    "2*x": (mul(num(2), _X), _X, _H, LoweringError),
+    "x+h+1": (add(_X, _H, num(1)), _X, _H, LoweringError),
+    "x+y": (add(_X, _Y), _X, _H, LoweringError),
+    "x+h*h": (add(_X, mul(_H, _H)), _X, _H, LoweringError),
+    "x+(1/2)*h": (add(_X, mul(num(Fraction(1, 2)), _H)), _X, _H,
+                  LoweringError),
+    "x+floor(x)": (add(_X, call("floor", _X)), _X, _H, LoweringError),
+    "y+k": (add(_Y, _THREE), _X, _H, OPAQUE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AFFINE_FORMS))
+def test_affine_offset_forms(name):
+    from stencilc.lowering import affine_offset
+    index, dim, unit, expected = AFFINE_FORMS[name]
+    if expected is LoweringError:
+        with pytest.raises(LoweringError):
+            affine_offset(index, dim, unit)
+    elif expected is OPAQUE:
+        assert affine_offset(index, dim, unit) is OPAQUE
+    else:
+        offset = affine_offset(index, dim, unit)
+        assert offset == expected and type(offset) is int
 
 
 def test_coupled_lowering_rebuilds_only_changed_nodes(monkeypatch):
