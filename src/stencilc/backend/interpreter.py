@@ -12,14 +12,31 @@ once per nest whether its statements run as whole-array slice operations
 or per point through ``evaluate`` (a non-affine or transposed index, a
 loop symbol used as a value, integer division of arrays); sparse
 scatter/gather and loops outside such nests run per point too. Running a
-block is then only slice arithmetic, bounds checks and numpy calls. Every
+nest is then only slice arithmetic, bounds checks and numpy calls. Every
 access is checked against the allocated extents (``BoundsError``).
 
-A sliced nest runs all its statements over one slab of its outermost loop
-at a time, each slab at most ``SLAB_POINTS`` grid points (at least one
-outer index), so that the temporaries of a whole-grid nest stay in cache.
-Every loop of such a nest is parallel, so slabs never change the
-arithmetic of a point; a nest that fits in one slab runs once.
+A band of parallel block loops (``xb``, ``yb``, ...) whose body holds
+only sliceable nests runs all its blocks at once: each statement gets one
+leading batch axis per block loop. Shared arrays are read and written
+through strided views whose batch stride is the block step times the
+array's stride; private (block-local) temporaries get a copy per block,
+allocated per call (per chunk under workers). The blocks along each block
+loop split into the full ones and the ragged last one, so a band of k
+block loops runs as at most 2^k regular batches. A band runs block by
+block through the generic loop executor instead when a nest in it does
+not slice, a loop under a block loop carries no ``tile`` (the ``xb + c``
+/ ``min(xb + B - 1, X) + e`` bounds blocking records), or the points
+distinct blocks write in an array other than a private one could
+overlap. The block loops are parallel, so batching reorders statements
+only across independent blocks, as worker chunks do. An unblocked nest
+runs through the same executor with no batch axes.
+
+A sliced nest runs all its statements over one slab of its outermost
+loop at a time, a batch over one slab of whole blocks (``_slabs``), each
+slab at most ``SLAB_POINTS`` grid points per statement (at least one
+outer index or block), so that the temporaries of a whole-grid nest stay
+in cache. Every loop of such a nest is parallel, so slabs never change
+the arithmetic of a point; a nest that fits in one slab runs once.
 
 The report gives per section the elapsed ``time``, the statement
 executions (``points``, one per statement and grid point) and how many of
@@ -40,13 +57,16 @@ import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial, reduce
+from itertools import product
+from math import prod
 from time import perf_counter
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from ..iet import (ATOMIC, PARALLEL, Block, Conditional, ExpressionStmt,
-                   Iteration, Section, statements, walk)
+from ..iet import (ATOMIC, BLOCKED, PARALLEL, Block, Conditional,
+                   ExpressionStmt, Iteration, Section, statements, walk)
 from ..lowering import BACKWARD, LoweredEq, linear_form
 from ..symbolic.expr import (Access, Add, Call, Constant, Expr, ExprError,
                              Mul, Pow, Symbol, children_of, evaluate,
@@ -102,8 +122,10 @@ def allocate(decl, nt: Optional[int] = None, dtype: str = "f64") -> DataBuffer:
 class _Frame:
     """Per-worker execution state: bindings, scalar temporaries, the arrays
     statements touch (in a chunk, its own private temporaries), statement
-    executions per path, and the inclusive loop ranges and scalar
-    temporaries of the sliced nest running now."""
+    executions per path, and of the sliced nest running now: the first
+    index and the length of each of its loops for the first block of the
+    slab, the blocks per batch axis (``counts``) and its scalar
+    temporaries."""
 
     env: dict
     arrays: Dict[str, np.ndarray]
@@ -112,7 +134,8 @@ class _Frame:
     sliced: int = 0
     per_point: int = 0
     lo: list = field(default_factory=list)
-    hi: list = field(default_factory=list)
+    size: list = field(default_factory=list)
+    counts: list = field(default_factory=list)
     defined: dict = field(default_factory=dict)
 
 
@@ -232,8 +255,8 @@ def _fold(op, fns):
     return fold
 
 
-def _statement(eq: LoweredEq, index, value):
-    """The closure running one sliced statement; ``index`` is None for a
+def _statement(eq: LoweredEq, view, value):
+    """The closure running one sliced statement; ``view`` is None for a
     scalar temporary, which the nest keeps in ``defined``."""
     name = eq.lhs.func.name
 
@@ -243,19 +266,112 @@ def _statement(eq: LoweredEq, index, value):
     def store(fr: _Frame):
         val = value(fr)
         if eq.is_increment:
-            fr.arrays[name][index(fr)] += val
+            target = view(fr)
+            target += val
         else:
-            fr.arrays[name][index(fr)] = val
-    return bind if index is None else store
+            view(fr)[...] = val
+    return bind if view is None else store
+
+
+class _Axes:
+    """The loops a sliced executor vectorizes: the nest's ``dims`` and,
+    when it runs batched over a band of block loops, the band's
+    ``blocks`` ``(name, step)``, per dim the position in ``blocks`` of the
+    block loop that bounds it (``binds``, None where none does), and the
+    ``private`` array temporaries, which get one copy per block."""
+
+    __slots__ = ("dims", "blocks", "binds", "private", "loops")
+
+    def __init__(self, dims=(), blocks=(), binds=(), private=frozenset()):
+        self.dims, self.blocks, self.binds = dims, blocks, binds
+        self.private = private
+        self.loops = set(dims) | {name for name, _ in blocks}
+
+
+_NO_AXES = _Axes()
+
+#: the one batch of an executor with no block loops
+_UNBATCHED = ((),)
+
+
+@dataclass
+class _Nest:
+    """A perfect nest of a sliced executor: its loops' rank, the ``free``
+    loops ``(axis, lower, upper)`` that no block loop bounds, the
+    ``bound`` ones ``(axis, q, c, e)``: the loop's ``tile``, with ``q``
+    the position of its block loop in the band, and its statements. An
+    unbatched nest's outermost loop is in neither list: it runs over the
+    indices the executor is called with."""
+
+    ndim: int
+    free: list
+    bound: list
+    stmts: list
+
+
+def _runs(first: int, last: int, step: int, limit: int) -> list:
+    """The blocks with origins ``first, first + step, ... <= last`` as
+    regular runs ``(origin, count, length)``: the full blocks, whose
+    ``step`` points all lie at or below ``limit``, then each ragged block
+    alone."""
+    count = len(range(first, last + 1, step))
+    full = min(count, max(0, (limit - first + 1) // step))
+    out = [(first, full, step)] if full else []
+    for k in range(full, count):
+        origin = first + k * step
+        out.append((origin, 1, limit - origin + 1))
+    return out
+
+
+def _slabs(counts: list, points: int) -> list:
+    """A batch of ``counts`` blocks per batch axis, ``points`` points per
+    block, cut into slabs ``(origin, shape)`` (in blocks) of at most
+    ``SLAB_POINTS`` points, and at least one block: in C order, each slab
+    takes every block along the later axes, a run of blocks along one axis
+    and a single block along the earlier ones. The first slab is the
+    largest."""
+    axis, inner = len(counts) - 1, points
+    while axis and inner * counts[axis] <= SLAB_POINTS:
+        inner *= counts[axis]
+        axis -= 1
+    run, count = max(1, SLAB_POINTS // inner), counts[axis]
+    if run >= count and not axis:
+        return [((0,) * len(counts), tuple(counts))]
+    single, rest = (1,) * axis, tuple(counts[axis + 1:])
+    return [(outer + (start,) + (0,) * len(rest),
+             single + (min(run, count - start),) + rest)
+            for outer in product(*map(range, counts[:axis]))
+            for start in range(0, count, run)]
+
+
+def _strided(arr: np.ndarray, idx: list, vector, counts, ndim: int):
+    """The view of ``arr`` over every block of a slab: ``idx`` holds each
+    index's value or slice for the first block, and each vector index's
+    ``steps`` give its displacement from one block to the next along each
+    batch axis."""
+    nb = len(counts)
+    shape, strides = list(counts) + [1] * ndim, [0] * (nb + ndim)
+    for pos, axis, _, _, _, steps in vector:
+        stride = arr.strides[pos]
+        shape[nb + axis] = idx[pos].stop - idx[pos].start
+        strides[nb + axis] = stride
+        for q, k in enumerate(steps):
+            strides[q] += k * stride
+    first = tuple(slice(i, i + 1) if isinstance(i, int) else
+                  slice(i.start, i.start + 1) for i in idx)
+    return as_strided(arr[first], shape, strides)
 
 
 class _Planner:
     """Turns tree nodes into closures over a ``_Frame``, once per ``run``;
     owns the worker pool and the report the sections fill."""
 
-    def __init__(self, buffers: Dict[str, DataBuffer], report: dict,
-                 workers: int):
-        self.extents = {name: b.extents for name, b in buffers.items()}
+    def __init__(self, extents: Dict[str, Tuple[int, ...]], dtype: str,
+                 report: dict, workers: int):
+        self.extents = extents
+        self.dtype = DTYPES[dtype]
+        #: private temporaries that batched bands allocate per call
+        self.batched: set = set()
         self.report = report
         self.workers = max(1, int(workers))
         self.pool = ThreadPoolExecutor(self.workers) if self.workers > 1 \
@@ -306,7 +422,7 @@ class _Planner:
 
     def scalar(self, e: Expr):
         """A closure computing ``e`` at the current bindings."""
-        compiled = self.value(e, (), {})
+        compiled = self.value(e, _NO_AXES, {})
         if compiled is None:
             raise BackendError("cannot evaluate %r" % (e,))
         return compiled[0]
@@ -315,7 +431,7 @@ class _Planner:
         lower, upper = self.scalar(n.lower), self.scalar(n.upper)
         step, name = n.step, n.dim.name
         backward = n.direction == BACKWARD
-        body = self.nest(n)
+        body = self.sliced(n)
         if body is None:
             kids = [self.node(c) for c in n.children]
 
@@ -327,10 +443,8 @@ class _Planner:
         chunkable = (self.pool is not None and PARALLEL in n.properties and
                      ATOMIC not in n.properties and not n.dim.is_time and
                      not backward)
-        private = [d.decl.name for nd in walk(n)
-                   for d in getattr(nd, "declarations", ())
-                   if d.scope == "private" and
-                   d.decl.name in self.extents] if chunkable else []
+        private = [name for name in self.private(n)
+                   if name not in self.batched] if chunkable else []
 
         def iteration(fr: _Frame):
             indices = range(int(round(lower(fr))), int(round(upper(fr))) + 1,
@@ -342,6 +456,12 @@ class _Planner:
             elif indices:
                 body(fr, indices)
         return iteration
+
+    def private(self, n) -> list:
+        """The array temporaries declared private at or below ``n``."""
+        return [d.decl.name for nd in walk(n)
+                for d in getattr(nd, "declarations", ())
+                if d.scope == "private" and d.decl.name in self.extents]
 
     def chunks(self, body, indices, fr: _Frame, private):
         """Run ``body`` over contiguous chunks of ``indices`` on the pool,
@@ -360,10 +480,43 @@ class _Planner:
         fr.sliced += sum(sub.sliced for sub in frames)
         fr.per_point += sum(sub.per_point for sub in frames)
 
-    def nest(self, n: Iteration):
-        """The sliced executor ``(frame, indices)`` of the nest headed by
-        ``n``, or None when it must run per point."""
-        loops, cur = [], n
+    def sliced(self, n: Iteration):
+        """The sliced executor ``(frame, indices)`` of the loops headed by
+        ``n``, or None when they must run loop by loop. ``n`` heads either
+        a perfect nest of parallel, unit-stride, forward space loops
+        around statements, or a band of block loops around such nests,
+        which runs all its blocks at once: each statement then sees one
+        leading batch axis per block loop."""
+        band, cur = [], n
+        while BLOCKED in cur.properties and PARALLEL in cur.properties and \
+                cur.direction != BACKWARD:
+            band.append(cur)
+            if len(cur.children) != 1 or \
+                    not isinstance(cur.children[0], Iteration):
+                break
+            cur = cur.children[0]
+        heads = band[-1].children if band else [n]
+        blocks = tuple((it.dim.name, it.step) for it in band)
+        if not heads or not all(isinstance(h, Iteration) for h in heads) or \
+                any(free_symbols(b) & {name for name, _ in blocks}
+                    for it in band for b in (it.lower, it.upper)):
+            return None
+        private = frozenset(self.private(n) if band else ())
+        windows: dict = {}
+        nests = [self.nest(h, blocks, private, windows) for h in heads]
+        if None in nests:
+            return None
+        self.batched |= private
+        return self.batches(nests, blocks, private,
+                            [(self.scalar(it.lower), self.scalar(it.upper))
+                             for it in band])
+
+    def nest(self, head: Iteration, blocks, private, windows):
+        """The ``_Nest`` headed by ``head`` under the block loops
+        ``blocks``, or None when it does not slice. Gathers, per array
+        other than a private one and block loop, the window a block
+        writes, relative to its origin."""
+        loops, cur = [], head
         while True:
             if cur.dim.kind != "space" or PARALLEL not in cur.properties or \
                     cur.step != 1 or cur.direction == BACKWARD:
@@ -375,85 +528,188 @@ class _Planner:
             if len(kids) != 1 or not isinstance(kids[0], Iteration):
                 return None
             cur = kids[0]
-        dims = [it.dim.name for it in loops]
-        if any(free_symbols(b) & set(dims)
-               for it in loops[1:] for b in (it.lower, it.upper)):
+        dims = tuple(it.dim.name for it in loops)
+        names = [name for name, _ in blocks]
+        nest, binds = _Nest(len(dims), [], [], []), []
+        for axis, it in enumerate(loops):
+            used = free_symbols(it.lower) | free_symbols(it.upper)
+            by = used & set(names)
+            if used & set(dims) or len(by) > 1:
+                return None
+            q = names.index(by.pop()) if by else None
+            binds.append(q)
+            if q is not None:
+                if it.tile is None or it.tile[0] != names[q]:
+                    return None
+                nest.bound.append((axis, q) + it.tile[1:])
+            elif blocks or axis:
+                nest.free.append((axis, self.scalar(it.lower),
+                                  self.scalar(it.upper)))
+        if sorted(q for q in binds if q is not None) != \
+                list(range(len(blocks))):
             return None
-        bounds = [(self.scalar(it.lower), self.scalar(it.upper))
-                  for it in loops[1:]]
+        axes = _Axes(dims, blocks, tuple(binds), private)
         defined: Dict[str, bool] = {}
-        stmts = []
         for eq in (k.eq for k in cur.children):
-            value = self.value(eq.rhs, dims, defined)
+            value = self.value(eq.rhs, axes, defined)
             if value is None:
                 return None
             if eq.lhs.func.kind == "temp" and not eq.lhs.indices:
                 defined[eq.lhs.func.name] = value[1]
-                stmts.append(_statement(eq, None, value[0]))
+                nest.stmts.append(_statement(eq, None, value[0]))
                 continue
-            target = self.access(eq.lhs, dims, defined)
-            if target is None or target[1] != tuple(range(len(dims))):
+            target = self.access(eq.lhs, axes, defined)
+            if target is None or target[1] != tuple(range(len(dims))) or \
+                    (blocks and eq.lhs.func.name not in private and
+                     not _window(eq.lhs, axes, nest, windows)):
                 return None
-            stmts.append(_statement(eq, target[0], value[0]))
-
-        def nest(fr: _Frame, indices):
-            lo0, hi0 = indices[0], indices[-1]
-            lo, hi, row = [lo0], [hi0], 1
-            for lower, upper in bounds:
-                l, h = int(round(lower(fr))), int(round(upper(fr)))
-                if h < l:
-                    return
-                lo.append(l)
-                hi.append(h)
-                row *= h - l + 1
-            fr.lo, fr.hi = lo, hi
-            slab = max(1, SLAB_POINTS // row)
-            for start in range(lo0, hi0 + 1, slab):
-                lo[0], hi[0] = start, min(start + slab - 1, hi0)
-                fr.defined = {}
-                for s in stmts:
-                    s(fr)
-            fr.sliced += (hi0 - lo0 + 1) * row * len(stmts)
+            nest.stmts.append(_statement(eq, target[0], value[0]))
         return nest
 
-    def access(self, acc: Access, dims, defined):
-        """``(index closure, vector axes)`` of an array access, or None."""
+    def batches(self, nests, blocks, private, bounds):
+        """The executor ``(frame, indices)`` running ``nests`` over all
+        blocks of the band ``blocks``, whose loops have the ``bounds``
+        ``(lower, upper)`` and whose origins along the first block loop
+        are ``indices``; with no block loops, the one nest over the
+        ``indices`` of its outermost loop. The blocks of each regular run
+        (``_runs``) along every block loop form one batch, which runs in
+        slabs (``_slabs``) of at most ``SLAB_POINTS`` points per
+        statement; an unbatched nest runs in slabs of its outermost
+        loop."""
+        dtype = self.dtype
+        extents = {name: self.extents[name] for name in private}
+        names = [name for name, _ in blocks]
+
+        def batches(fr: _Frame, indices):
+            env = fr.env
+            first, last = indices[0], indices[-1]
+            groups = _UNBATCHED
+            if blocks:
+                runs = []
+                for q, ((lower, upper), (_, step)) in enumerate(zip(bounds,
+                                                                    blocks)):
+                    limit = int(round(upper(fr)))
+                    runs.append(_runs(first, last, step, limit) if q == 0
+                                else _runs(int(round(lower(fr))), limit,
+                                           step, limit))
+                groups = product(*runs)
+            for batch in groups:
+                active, most = [], 0
+                for nest in nests:
+                    lo = [first] * nest.ndim
+                    size = [last - first + 1] * nest.ndim
+                    for axis, lower, upper in nest.free:
+                        lo[axis] = int(round(lower(fr)))
+                        size[axis] = int(round(upper(fr))) - lo[axis] + 1
+                    for axis, q, c, e in nest.bound:
+                        size[axis] = batch[q][2] + e - c
+                    if min(size) > 0:
+                        active.append((nest, lo, size))
+                        most = max(most, prod(size))
+                if not active:
+                    continue
+                if blocks:
+                    slabs = _slabs([count for _, count, _ in batch], most)
+                    copies = [(name, np.zeros(slabs[0][1] + extents[name],
+                                              dtype)) for name in private]
+                else:
+                    # one nest: slab its outermost loop, ``lo`` and ``size``
+                    slabs, nblocks = _slabs(size[:1], most // size[0]), 1
+                for origin, shape in slabs:
+                    if blocks:
+                        for name, k, (start, _, _), (_, step) in zip(
+                                names, origin, batch, blocks):
+                            env[name] = start + k * step
+                        for name, copy in copies:
+                            fr.arrays[name] = copy[tuple(map(slice, shape))]
+                        fr.counts, nblocks = shape, prod(shape)
+                    else:
+                        lo[0], size[0] = first + origin[0], shape[0]
+                    for nest, lo, size in active:
+                        for axis, q, c, _ in nest.bound:
+                            lo[axis] = env[names[q]] + c
+                        fr.lo, fr.size, fr.defined = lo, size, {}
+                        for s in nest.stmts:
+                            s(fr)
+                        fr.sliced += nblocks * prod(size) * len(nest.stmts)
+        return batches
+
+    def access(self, acc: Access, axes: _Axes, defined):
+        """``(view closure, vector axes, batched)`` of an array access, or
+        None. The view broadcasts over the nest's points: when
+        ``batched``, one leading axis per block loop (a private temporary
+        has a copy per block; any other array is read through a strided
+        view that steps from block to block), then one axis per loop of
+        the nest, of length 1 where the access does not vary."""
         f = acc.func
         if f.name not in self.extents:
             raise BackendError("no buffer for %s" % f.name)
-        plan = _index_plan(acc, dims)
+        plan = _index_plan(acc, axes.dims)
         if plan is None:
             return None
         extents = self.extents[f.name]
+        private = f.name in axes.private
         fixed, vector = [], []
         for pos, (idx, (axis, const, terms)) in enumerate(zip(acc.indices,
                                                               plan)):
-            if axis is not None:
-                vector.append((pos, axis, const, terms, extents[pos]))
+            if axis is None:
+                value = self.value(idx, axes, defined)
+                if value is None or value[1]:
+                    return None
+                fixed.append((pos, value[0]))
                 continue
-            value = self.value(idx, dims, defined)
-            if value is None or value[1]:
-                return None
-            fixed.append((pos, value[0]))
+            steps = ()
+            if axes.blocks:
+                coeffs = dict(terms)
+                steps = tuple(step * ((axes.binds[axis] == q) +
+                                      coeffs.get(name, 0))
+                              for q, (name, step) in enumerate(axes.blocks))
+                if min(steps) < 0 or (private and any(steps)):
+                    return None
+            vector.append((pos, axis, const, terms, extents[pos], steps))
+        strided = any(k for v in vector for k in v[5])
+        along = tuple(v[1] for v in vector)
+        ndim, name = len(axes.dims), f.name
+        whole = len(along) == ndim or not (along or private)
 
-        def index(fr: _Frame) -> tuple:
+        def view(fr: _Frame) -> np.ndarray:
             idx = [None] * len(plan)
             for pos, value in fixed:
                 idx[pos] = _point_index(f, pos, value(fr), extents[pos])
-            lo, hi = fr.lo, fr.hi
-            for pos, axis, off, terms, extent in vector:
+            lo, size = fr.lo, fr.size
+            for pos, axis, off, terms, extent, steps in vector:
                 for s, k in terms:
                     off += k * _lookup(fr.env, s, "unbound symbol")
-                start, stop = lo[axis] + off, hi[axis] + off + 1
-                if start < 0 or stop > extent:
-                    raise _out_of_range(f, pos, start, stop, extent)
+                start = lo[axis] + off
+                stop = start + size[axis]
+                reach = stop
+                if strided:
+                    for k, count in zip(steps, fr.counts):
+                        reach += k * (count - 1)
+                if start < 0 or reach > extent:
+                    raise _out_of_range(f, pos, start, reach, extent)
                 idx[pos] = slice(start, stop)
-            return tuple(idx)
-        return index, tuple(v[1] for v in vector)
+            arr = fr.arrays[name]
+            if strided:
+                return _strided(arr, idx, vector, fr.counts, ndim)
+            if not private:
+                out = arr[tuple(idx)]
+                if whole:
+                    return out
+                shape = [1] * ndim
+            else:
+                out = arr[(Ellipsis,) + tuple(idx)]
+                if whole:
+                    return out
+                shape = list(fr.counts) + [1] * ndim
+            for k in along:
+                shape[k - ndim] = size[k]
+            return out.reshape(shape)
+        return view, along, strided or private
 
-    def value(self, e: Expr, dims, defined):
+    def value(self, e: Expr, axes: _Axes, defined):
         """``(closure, is_array)`` computing ``e`` over the current nest
-        ranges of ``dims``, or None when it cannot."""
+        ranges of ``axes``, or None when it cannot."""
         if isinstance(e, Constant):
             const = float(e.value)
             return (lambda fr: const), False
@@ -462,7 +718,7 @@ class _Planner:
 
             def symbol(fr: _Frame) -> float:
                 return float(_lookup(fr.env, name, "unbound symbol"))
-            return None if name in dims else (symbol, False)
+            return None if name in axes.loops else (symbol, False)
         if isinstance(e, Access) and e.func.kind == "temp" and not e.indices:
             name = e.func.name
             if name in defined:
@@ -470,20 +726,11 @@ class _Planner:
             return (lambda fr: _lookup(fr.scalars, name,
                                        "read of undefined scalar")), False
         if isinstance(e, Access):
-            target = self.access(e, dims, defined)
+            target = self.access(e, axes, defined)
             if target is None:
                 return None
-            (index, axes), name = target, e.func.name
-            if len(axes) in (0, len(dims)):
-                return (lambda fr: fr.arrays[name][index(fr)]), bool(axes)
-
-            def broadcast(fr: _Frame):
-                shape = [1] * len(dims)
-                for k in axes:
-                    shape[k] = fr.hi[k] - fr.lo[k] + 1
-                return fr.arrays[name][index(fr)].reshape(shape)
-            return broadcast, True
-        kids = [self.value(c, dims, defined) for c in children_of(e)]
+            return target[0], bool(target[1]) or target[2]
+        kids = [self.value(c, axes, defined) for c in children_of(e)]
         if None in kids:
             return None
         fns, is_array = [k[0] for k in kids], any(k[1] for k in kids)
@@ -502,25 +749,62 @@ class _Planner:
         return None
 
 
+def _window(acc: Access, axes: _Axes, nest: _Nest, windows: dict) -> bool:
+    """Widen ``windows[array, block loop]`` by the span a block writes
+    through ``acc`` along that block loop, relative to the block's origin.
+    False when distinct blocks of the band could write one point: the
+    span outgrows the block step, a block loop moves no index of ``acc``
+    or moves one by other than its step, or ``acc`` indexes an array
+    unlike another write to it."""
+    names = {name for name, _ in axes.blocks}
+    bounds = {axis: (c, e) for axis, _, c, e in nest.bound}
+    covered = 0
+    for pos, (axis, const, terms) in enumerate(_index_plan(acc, axes.dims)):
+        q = None if axis is None else axes.binds[axis]
+        if q is None:
+            continue
+        if any(s in names for s, _ in terms):
+            return False
+        step = axes.blocks[q][1]
+        c, e = bounds[axis]
+        lo, hi = const + c, const + step - 1 + e
+        old = windows.get((acc.func.name, q))
+        if old is not None:
+            if old[2] != (pos, terms):
+                return False
+            lo, hi = min(lo, old[0]), max(hi, old[1])
+        if hi - lo >= step:
+            return False
+        windows[acc.func.name, q] = (lo, hi, (pos, terms))
+        covered += 1
+    return covered == len(axes.blocks)
+
+
 def run(iet, buffers: Dict[str, DataBuffer], params: dict,
         workers: int = 1) -> dict:
     """Execute an optimized tree in place over ``buffers``. Returns the
     profiling report: per section, elapsed ``time``, statement executions
     (``points``) and how many of them ran ``sliced`` and ``per_point``.
     Array temporaries get sized from the runtime bounds (block-local ones
-    from their block shape plus producer span) and allocated on entry."""
+    from their block shape plus producer span) and allocated for this
+    call only, outside ``buffers``; a band that runs batched allocates
+    its private ones itself."""
     env = dict(params)
     dtype = next(iter(buffers.values())).dtype if buffers else "f64"
-    for s in statements(iet):
-        f = s.eq.lhs.func
-        if f.kind == "temp" and s.eq.lhs.indices and f.name not in buffers:
-            buffers[f.name] = DataBuffer(f.name, dtype,
-                                         temp_extents(f, env))
+    extents = {name: b.extents for name, b in buffers.items()}
+    temps = {s.eq.lhs.func.name: s.eq.lhs.func for s in statements(iet)
+             if s.eq.lhs.func.kind == "temp" and s.eq.lhs.indices}
+    for name, f in temps.items():
+        extents[name] = temp_extents(f, env)
     report: dict = {}
-    planner = _Planner(buffers, report, workers)
+    planner = _Planner(extents, dtype, report, workers)
     try:
         execute = planner.node(iet)
-        execute(_Frame(env, {name: b.data for name, b in buffers.items()}))
+        arrays = {name: b.data for name, b in buffers.items()}
+        for name in temps:
+            if name not in planner.batched:
+                arrays[name] = np.zeros(extents[name], DTYPES[dtype])
+        execute(_Frame(env, arrays))
     finally:
         planner.close()
     return report

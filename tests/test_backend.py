@@ -87,6 +87,16 @@ def _rotated_fixture(op, steps):
     return bufs
 
 
+def _random_fixture(op, steps):
+    """Every buffer but the coordinate tables drawn from [1, 2)."""
+    bufs = op.allocate(steps)
+    rng = np.random.default_rng(11)
+    for name, buf in sorted(bufs.items()):
+        if not name.endswith("_coords"):
+            buf.data[:] = rng.uniform(1.0, 2.0, buf.extents)
+    return bufs
+
+
 def _rotated_apply(op, steps=3, workers=1, **params):
     bufs = _rotated_fixture(op, steps)
     report = op.apply(steps=steps, buffers=bufs, workers=workers, dt=DT,
@@ -104,6 +114,16 @@ DIFFERENTIAL_CASES = {
 def _rotated_op(block=None):
     funcs, eqs = rotated_equations(12, shape=(24, 24))
     return Operator(eqs, mode="aggressive", block=block)
+
+
+def _rotated_so4_op(block=None, shape=(24, 24)):
+    funcs, eqs = rotated_equations(4, shape=shape)
+    return Operator(eqs, mode="aggressive", block=block)
+
+
+def _tti_so8_op(block=None):
+    return Operator(tti_equations((12, 12, 12), so=8), mode="aggressive",
+                    block=block)
 
 
 class TestDataBuffer:
@@ -376,12 +396,38 @@ SLAB_CASES = {
     "acoustic3d-so8": (lambda: _acoustic_op((24, 24, 24), so=8), _fixture,
                        ("u", "rec"), 24 * 24),
     "rotated-so12": (_rotated_op, _rotated_fixture, ("w",), 24),
+    # 27x29 in 8x8 blocks: the batch of 3x3 full blocks has 96 points per
+    # block in its widest nest (12x8), 288 per x block, so 120 points per
+    # slab run it block by block, and 600 in x runs of two then one.
+    "rotated-so4-blocked": (lambda: _rotated_so4_op({"x": 8, "y": 8},
+                                                    (27, 29)),
+                            _rotated_fixture, ("w",), 120),
 }
 
 
 class TestSlabs:
-    """Whole-grid sliced nests run in slabs of the outermost loop; the
-    grids here fit in one slab at the default ``SLAB_POINTS``."""
+    """Sliced nests run in slabs of the outermost loop, batched bands of
+    block loops in slabs of whole blocks; the grids here fit in one slab
+    at the default ``SLAB_POINTS``."""
+
+    def test_batch_slabs(self, monkeypatch):
+        # A slab takes every block along the later block loops while they
+        # fit, then a run along one, single blocks along the earlier ones.
+        from stencilc.backend import interpreter
+        monkeypatch.setattr(interpreter, "SLAB_POINTS", 100)
+        assert interpreter._slabs([2, 3, 4], 10) == [
+            ((0, 0, 0), (1, 2, 4)), ((0, 2, 0), (1, 1, 4)),
+            ((1, 0, 0), (1, 2, 4)), ((1, 2, 0), (1, 1, 4))]
+        assert interpreter._slabs([2, 3], 10) == [((0, 0), (2, 3))]
+        assert interpreter._slabs([3, 2], 40) == [
+            ((0, 0), (1, 2)), ((1, 0), (1, 2)), ((2, 0), (1, 2))]
+        # One block over the bound still runs whole.
+        assert interpreter._slabs([2, 2], 101) == [
+            ((0, 0), (1, 1)), ((0, 1), (1, 1)), ((1, 0), (1, 1)),
+            ((1, 1), (1, 1))]
+        # An unbatched nest: rows of 30 points, 3 rows per slab.
+        assert interpreter._slabs([7], 30) == [
+            ((0,), (3,)), ((3,), (3,)), ((6,), (1,))]
 
     @pytest.mark.parametrize("case", sorted(SLAB_CASES))
     @pytest.mark.parametrize("rows", [1, 5], ids=["one-row", "ragged"])
@@ -435,6 +481,177 @@ class TestSlabs:
         monkeypatch.setattr(interpreter, "SLAB_POINTS", 1)
         for a, b in zip(got, run_f32()):
             assert a.tobytes() == b.tobytes()
+
+
+@pytest.fixture
+def dispatched(monkeypatch):
+    """A list that gets one entry per call of a sliced statement."""
+    from stencilc.backend import interpreter
+    calls = []
+    original = interpreter._statement
+
+    def counted(*args):
+        statement = original(*args)
+
+        def call(fr):
+            calls.append(1)
+            statement(fr)
+        return call
+    monkeypatch.setattr(interpreter, "_statement", counted)
+    return calls
+
+
+def _per_step(calls, op, fixture):
+    """Sliced statement calls that one more time step adds."""
+    made = []
+    for steps in (2, 3):
+        del calls[:]
+        op.apply(steps=steps, buffers=fixture(op, steps), dt=DT)
+        made.append(len(calls))
+    return made[1] - made[0]
+
+
+#: (builder taking a block shape, block shape, fixture) of operators whose
+#: blocked bands run batched; the first is ragged along both block loops
+BATCH_CASES = {
+    "rotated-so4": (lambda block: _rotated_so4_op(block, (27, 29)),
+                    {"x": 8, "y": 8}, _rotated_fixture),
+    "tti-so8": (_tti_so8_op, {"x": 8, "y": 8, "z": 8}, _random_fixture),
+    "acoustic3d-so4": (lambda block: Operator(
+        acoustic_example((13, 13, 13), so=4)[1], mode="aggressive",
+        block=block), {"x": 4, "y": 4}, _random_fixture),
+}
+
+
+class TestBatchedBlocks:
+    """A band of parallel block loops runs all its blocks at once, one
+    batch per regular run of blocks, so a statement costs one numpy call
+    per term and slab, not per block."""
+
+    @staticmethod
+    def _apply(op, fixture, workers=1, steps=3):
+        bufs = fixture(op, steps)
+        report = op.apply(steps=steps, buffers=bufs, workers=workers,
+                          dt=DT)[1]
+        return ({name: b.data.tobytes() for name, b in bufs.items()},
+                _counts(report))
+
+    @pytest.mark.parametrize("case", sorted(BATCH_CASES))
+    def test_batched_equals_unblocked(self, monkeypatch, case):
+        from stencilc.backend import interpreter
+        from stencilc.iet import BLOCKED
+        build, block, fixture = BATCH_CASES[case]
+        want, _ = self._apply(build(None), fixture)
+        op = build(block)
+        batched = [self._apply(op, fixture, workers)
+                   for workers in (1, 2, 4)]
+        # Each block in turn, as the generic loop executor runs them.
+        original = interpreter._Planner.sliced
+        monkeypatch.setattr(
+            interpreter._Planner, "sliced",
+            lambda self, n: None if BLOCKED in n.properties
+            else original(self, n))
+        by_block = self._apply(op, fixture)
+        assert by_block[0] == want
+        for got in batched:
+            assert got == by_block
+
+    def test_dispatch_does_not_grow_with_blocks(self, dispatched):
+        # 24x24 in 8x8 blocks is 9 blocks, in 4x4 blocks 36; either way
+        # every time step calls each of the 4 statements once.
+        eight, four = (_per_step(dispatched, _rotated_op(block),
+                                 _rotated_fixture)
+                       for block in ({"x": 8, "y": 8}, {"x": 4, "y": 4}))
+        assert eight == four == 4
+
+    def test_overlapping_writes_run_block_by_block(self, monkeypatch,
+                                                   dispatched):
+        # Declared shared, the block-local temporary would be written at
+        # the same points by every block of a batch, so its band runs
+        # block by block: 9 blocks of 4 statements per time step.
+        from stencilc.iet import walk
+        op = _rotated_op({"x": 8, "y": 8})
+        want, _ = _rotated_apply(_rotated_op())
+        for node in walk(op.iet):
+            for d in getattr(node, "declarations", ()):
+                monkeypatch.setattr(d, "scope", "shared")
+        assert _per_step(dispatched, op, _rotated_fixture) == 9 * 4
+        got, _ = _rotated_apply(op)
+        assert got["w"].data.tobytes() == want["w"].data.tobytes()
+
+    def test_slabs_split_later_block_loops(self, monkeypatch):
+        # At 200 points per slab the 3x3 full blocks of 96 points each
+        # run as y runs of two blocks then one, and the output and counts
+        # do not change.
+        from stencilc.backend import interpreter
+        op = _rotated_so4_op({"x": 8, "y": 8}, (27, 29))
+        want, want_report = _rotated_apply(op)
+        monkeypatch.setattr(interpreter, "SLAB_POINTS", 200)
+        for workers in (1, 2):
+            got, report = _rotated_apply(op, workers=workers)
+            assert got["w"].data.tobytes() == want["w"].data.tobytes()
+            assert _counts(report) == _counts(want_report)
+
+    def test_noncontiguous_buffers(self):
+        # Arrays that are strided views into larger ones are read and
+        # written through the same batched views as contiguous ones.
+        op = _rotated_so4_op({"x": 8, "y": 8}, (27, 29))
+        want, _ = _rotated_apply(op)
+        bufs = _rotated_fixture(op, 3)
+        for name, buf in bufs.items():
+            wide = np.zeros(buf.extents[:-1] + (2 * buf.extents[-1],))
+            wide[..., ::2] = buf.data
+            bufs[name] = DataBuffer(name, buf.dtype, buf.extents,
+                                    wide[..., ::2])
+        op.apply(steps=3, buffers=bufs, dt=DT)
+        assert not bufs["w"].data.flags.contiguous
+        assert bufs["w"].data.tobytes() == want["w"].data.tobytes()
+
+    def test_write_windows(self):
+        # Along each block loop, the points one block writes in an array
+        # must fit in the block step, or a batch could write one point
+        # from two blocks.
+        from stencilc.backend.interpreter import _Axes, _Nest, _window
+        from stencilc.symbolic import (Access, FunctionDecl, Grid, Symbol,
+                                       add, mul, num)
+        g = Grid((16, 16))
+        u, v = (FunctionDecl(n, "function", g, space_order=4) for n in "uv")
+        x, y, xb = Symbol("x"), Symbol("y"), Symbol("xb")
+        axes = _Axes(("x", "y"), (("xb", 8), ("yb", 8)), (0, 1))
+
+        def nest(e=0):
+            # x from xb to min(xb + 7, X) + e; y from yb to min(yb + 7, Y)
+            return _Nest(2, [], [(0, 0, 0, e), (1, 1, 0, 0)], [])
+
+        windows = {}
+        assert _window(Access(u, (x, y)), axes, nest(), windows)
+        assert windows[("u", 0)][:2] == (0, 7)
+        # Another write of u one point further along x: 9 > 8 points.
+        assert not _window(Access(u, (add(x, num(1)), y)), axes, nest(),
+                           windows)
+        assert _window(Access(v, (add(x, num(2)), y)), axes, nest(), {})
+        assert not _window(Access(v, (x, y)), axes, nest(1), {})
+        # Rebased by the block origin: every block writes the same points.
+        rebased = add(x, mul(num(-1), xb))
+        assert not _window(Access(v, (rebased, y)), axes, nest(), {})
+        # No index moves with the y blocks.
+        assert not _window(Access(v, (x, num(3))), axes, nest(), {})
+
+    @pytest.mark.parametrize("block", [None, {"x": 8, "y": 8}],
+                             ids=["unblocked", "blocked"])
+    def test_temporaries_stay_out_of_buffers(self, block):
+        # Array temporaries are sized from each apply's own bounds. Kept
+        # in the caller's buffers, the ones a narrower apply made were too
+        # small for the next apply on the same buffers.
+        op = _rotated_so4_op(block)
+        bufs = _rotated_fixture(op, 3)
+        names = set(bufs)
+        op.apply(steps=3, buffers=bufs, dt=DT, x_M=9)
+        assert set(bufs) == names
+        op.apply(steps=3, buffers=bufs, dt=DT)
+        assert set(bufs) == names
+        fresh, _ = _rotated_apply(op)
+        assert bufs["w"].data.tobytes() == fresh["w"].data.tobytes()
 
 
 @pytest.mark.parametrize("build", [
@@ -580,11 +797,6 @@ def _acoustic_c_fixture(op, steps):
     return bufs
 
 
-def _rotated_so4_op(block=None):
-    funcs, eqs = rotated_equations(4, shape=(24, 24))
-    return Operator(eqs, mode="aggressive", block=block)
-
-
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="needs gcc")
 @pytest.mark.parametrize("build,fixture", [
     (lambda: _acoustic_c_op((64, 64), 4), _acoustic_c_fixture),
@@ -593,13 +805,18 @@ def _rotated_so4_op(block=None):
     (lambda: _acoustic_c_op((24, 24, 24), 8), _acoustic_c_fixture),
     (_rotated_so4_op, _rotated_fixture),
     (lambda: _rotated_so4_op({"x": 8, "y": 8}), _rotated_fixture),
+    (lambda: _rotated_so4_op({"x": 8, "y": 8}, (27, 29)), _rotated_fixture),
+    (_tti_so8_op, _random_fixture),
+    (lambda: _tti_so8_op({"x": 8, "y": 8, "z": 8}), _random_fixture),
 ], ids=["2d-so4", "2d-so4-blocked", "3d-so8", "rotated-so4",
-        "rotated-so4-blocked"])
+        "rotated-so4-blocked", "rotated-so4-ragged-blocked", "tti-so8",
+        "tti-so8-blocked"])
 def test_emitted_c_matches_interpreter(tmp_path, build, fixture):
     # The time index wraps with (((t + k)%3 + 3)%3): C's % is negative
     # for a negative dividend, so (t - 1)%3 alone reads slot -1 at t=0.
     # The rotated operator sizes whole-grid and block-local array
-    # temporaries from the runtime bounds and the block shape.
+    # temporaries from the runtime bounds and the block shape. The C runs
+    # block by block, the interpreter all blocks of a band at once.
     op = build()
     steps = 10
     got, want = fixture(op, steps), fixture(op, steps)
