@@ -217,9 +217,10 @@ def _scalar_params(iet) -> List[str]:
     return sorted(names)
 
 
-def emit_c(iet, functions: Optional[Sequence] = None, name: str = "kernel",
+def emit_c(iet, functions: Optional[Sequence] = None,
            dtype: str = "f64") -> str:
-    """Render the tree as deterministic C text with one entry function."""
+    """Render the tree as deterministic C text with one entry function,
+    ``kernel``."""
     if functions is None:
         functions = list(collect_functions(
             s.eq for s in statements(iet)).values())
@@ -234,7 +235,7 @@ def emit_c(iet, functions: Optional[Sequence] = None, name: str = "kernel",
     # Loop variables bound outside any emitted loop (shared time loops
     # never are; keep the signature total regardless)
     em.lines.append(_HEADER)
-    em.put("int %s(%s)" % (name, ", ".join(args)))
+    em.put("int kernel(%s)" % ", ".join(args))
     em.put("{")
     em.depth += 1
     for f in functions:

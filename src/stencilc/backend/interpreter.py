@@ -20,7 +20,7 @@ only sliceable nests runs all its blocks at once: each statement gets one
 leading batch axis per block loop. Shared arrays are read and written
 through strided views whose batch stride is the block step times the
 array's stride; private (block-local) temporaries get a copy per block,
-allocated per call (per chunk under workers). The blocks along each block
+allocated per batch (per worker under a pool). The blocks along each block
 loop split into the full ones and the ragged last one, so a band of k
 block loops runs as at most 2^k regular batches. A band runs block by
 block through the generic loop executor instead when a nest in it does
@@ -28,8 +28,8 @@ not slice, a loop under a block loop carries no ``tile`` (the ``xb + c``
 / ``min(xb + B - 1, X) + e`` bounds blocking records), or the points
 distinct blocks write in an array other than a private one could
 overlap. The block loops are parallel, so batching reorders statements
-only across independent blocks, as worker chunks do. An unblocked nest
-runs through the same executor with no batch axes.
+only across independent blocks. An unblocked nest runs through the same
+executor with no batch axes.
 
 A sliced nest runs all its statements over one slab of its outermost
 loop at a time, a batch over one slab of whole blocks (``_slabs``), each
@@ -42,10 +42,13 @@ The report gives per section the elapsed ``time``, the statement
 executions (``points``, one per statement and grid point) and how many of
 them ran ``sliced`` and ``per_point``, so that a silent fallback shows.
 
-A parallel loop may be split into contiguous chunks across a worker pool;
-each chunk gets its own copies of the array temporaries declared private
-at or below that loop. Chunking never changes the arithmetic of a point,
-so results are independent of the pool size.
+Under a worker pool, each batch with more than one slab gives every
+worker one contiguous run of its slabs, on its own frame and with its own
+private copies. numpy releases the GIL inside its calls, so only sliced
+work gains from the pool. Everything else, and a sliced executor with an
+atomic loop (two slabs could update a point they share), runs on the
+calling thread. The workers run the slabs the calling thread would, so
+results are independent of the pool size.
 
 The per-point path, ``_point``, is shared with the reference oracle
 (``reference.py``), which never uses the plan.
@@ -66,7 +69,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from ..iet import (ATOMIC, BLOCKED, PARALLEL, Block, Conditional,
-                   ExpressionStmt, Iteration, Section, statements, walk)
+                   ExpressionStmt, Iteration, Section, iterations,
+                   statements, walk)
 from ..lowering import BACKWARD, LoweredEq, linear_form
 from ..symbolic.expr import (Access, Add, Call, Constant, Expr, ExprError,
                              Mul, Pow, Symbol, children_of, evaluate,
@@ -120,17 +124,16 @@ def allocate(decl, nt: Optional[int] = None, dtype: str = "f64") -> DataBuffer:
 
 @dataclass(slots=True)
 class _Frame:
-    """Per-worker execution state: bindings, scalar temporaries, the arrays
-    statements touch (in a chunk, its own private temporaries), statement
-    executions per path, and of the sliced nest running now: the first
-    index and the length of each of its loops for the first block of the
-    slab, the blocks per batch axis (``counts``) and its scalar
-    temporaries."""
+    """Execution state of one thread: bindings, scalar temporaries, the
+    arrays statements touch (in a batched band, the slab's private
+    copies), statement executions per path, and of the sliced nest running
+    now: the first index and the length of each of its loops for the first
+    block of the slab, the blocks per batch axis (``counts``) and its
+    scalar temporaries. A worker running a run of slabs gets its own."""
 
     env: dict
     arrays: Dict[str, np.ndarray]
     scalars: dict = field(default_factory=dict)
-    chunked: bool = False
     sliced: int = 0
     per_point: int = 0
     lo: list = field(default_factory=list)
@@ -290,18 +293,13 @@ class _Axes:
 
 _NO_AXES = _Axes()
 
-#: the one batch of an executor with no block loops
-_UNBATCHED = ((),)
-
 
 @dataclass
 class _Nest:
     """A perfect nest of a sliced executor: its loops' rank, the ``free``
     loops ``(axis, lower, upper)`` that no block loop bounds, the
     ``bound`` ones ``(axis, q, c, e)``: the loop's ``tile``, with ``q``
-    the position of its block loop in the band, and its statements. An
-    unbatched nest's outermost loop is in neither list: it runs over the
-    indices the executor is called with."""
+    the position of its block loop in the band, and its statements."""
 
     ndim: int
     free: list
@@ -309,12 +307,12 @@ class _Nest:
     stmts: list
 
 
-def _runs(first: int, last: int, step: int, limit: int) -> list:
-    """The blocks with origins ``first, first + step, ... <= last`` as
+def _runs(first: int, limit: int, step: int) -> list:
+    """The blocks with origins ``first, first + step, ... <= limit`` as
     regular runs ``(origin, count, length)``: the full blocks, whose
     ``step`` points all lie at or below ``limit``, then each ragged block
     alone."""
-    count = len(range(first, last + 1, step))
+    count = len(range(first, limit + 1, step))
     full = min(count, max(0, (limit - first + 1) // step))
     out = [(first, full, step)] if full else []
     for k in range(full, count):
@@ -364,7 +362,8 @@ def _strided(arr: np.ndarray, idx: list, vector, counts, ndim: int):
 
 class _Planner:
     """Turns tree nodes into closures over a ``_Frame``, once per ``run``;
-    owns the worker pool and the report the sections fill."""
+    owns the worker pool, which only sliced executors use, and the report
+    the sections fill."""
 
     def __init__(self, extents: Dict[str, Tuple[int, ...]], dtype: str,
                  report: dict, workers: int):
@@ -428,65 +427,31 @@ class _Planner:
         return compiled[0]
 
     def iteration(self, n: Iteration):
+        sliced = self.sliced(n)
+        if sliced is not None:
+            return sliced
         lower, upper = self.scalar(n.lower), self.scalar(n.upper)
         step, name = n.step, n.dim.name
         backward = n.direction == BACKWARD
-        body = self.sliced(n)
-        if body is None:
-            kids = [self.node(c) for c in n.children]
-
-            def body(fr: _Frame, indices):
-                for v in indices:
-                    fr.env[name] = v
-                    for k in kids:
-                        k(fr)
-        chunkable = (self.pool is not None and PARALLEL in n.properties and
-                     ATOMIC not in n.properties and not n.dim.is_time and
-                     not backward)
-        private = [name for name in self.private(n)
-                   if name not in self.batched] if chunkable else []
+        kids = [self.node(c) for c in n.children]
 
         def iteration(fr: _Frame):
             indices = range(int(round(lower(fr))), int(round(upper(fr))) + 1,
                             step)
-            if backward:
-                indices = indices[::-1]
-            if chunkable and not fr.chunked and len(indices) > 1:
-                self.chunks(body, indices, fr, private)
-            elif indices:
-                body(fr, indices)
+            for v in indices[::-1] if backward else indices:
+                fr.env[name] = v
+                for k in kids:
+                    k(fr)
         return iteration
 
-    def private(self, n) -> list:
-        """The array temporaries declared private at or below ``n``."""
-        return [d.decl.name for nd in walk(n)
-                for d in getattr(nd, "declarations", ())
-                if d.scope == "private" and d.decl.name in self.extents]
-
-    def chunks(self, body, indices, fr: _Frame, private):
-        """Run ``body`` over contiguous chunks of ``indices`` on the pool,
-        each chunk with its own zeroed copy of the ``private`` arrays."""
-        size = -(-len(indices) // min(self.workers, len(indices)))
-        frames, futs = [], []
-        for i in range(0, len(indices), size):
-            arrays = dict(fr.arrays)
-            for name in private:
-                arrays[name] = np.zeros_like(arrays[name])
-            frames.append(_Frame(dict(fr.env), arrays, chunked=True))
-            futs.append(self.pool.submit(body, frames[-1],
-                                         indices[i:i + size]))
-        for f in futs:
-            f.result()
-        fr.sliced += sum(sub.sliced for sub in frames)
-        fr.per_point += sum(sub.per_point for sub in frames)
-
     def sliced(self, n: Iteration):
-        """The sliced executor ``(frame, indices)`` of the loops headed by
-        ``n``, or None when they must run loop by loop. ``n`` heads either
-        a perfect nest of parallel, unit-stride, forward space loops
-        around statements, or a band of block loops around such nests,
-        which runs all its blocks at once: each statement then sees one
-        leading batch axis per block loop."""
+        """The sliced executor ``(frame)`` of the loops headed by ``n``, or
+        None when they must run loop by loop. ``n`` heads either a perfect
+        nest of parallel, unit-stride, forward space loops around
+        statements, or a band of block loops around such nests, which runs
+        all its blocks at once: each statement then sees one leading batch
+        axis per block loop. The executor reads all its loop bounds
+        itself."""
         band, cur = [], n
         while BLOCKED in cur.properties and PARALLEL in cur.properties and \
                 cur.direction != BACKWARD:
@@ -501,15 +466,19 @@ class _Planner:
                 any(free_symbols(b) & {name for name, _ in blocks}
                     for it in band for b in (it.lower, it.upper)):
             return None
-        private = frozenset(self.private(n) if band else ())
+        private = frozenset(
+            d.decl.name for nd in walk(n)
+            for d in getattr(nd, "declarations", ())
+            if band and d.scope == "private" and d.decl.name in self.extents)
         windows: dict = {}
         nests = [self.nest(h, blocks, private, windows) for h in heads]
         if None in nests:
             return None
         self.batched |= private
+        atomic = any(ATOMIC in it.properties for it in iterations(n))
         return self.batches(nests, blocks, private,
                             [(self.scalar(it.lower), self.scalar(it.upper))
-                             for it in band])
+                             for it in band], atomic)
 
     def nest(self, head: Iteration, blocks, private, windows):
         """The ``_Nest`` headed by ``head`` under the block loops
@@ -542,7 +511,7 @@ class _Planner:
                 if it.tile is None or it.tile[0] != names[q]:
                     return None
                 nest.bound.append((axis, q) + it.tile[1:])
-            elif blocks or axis:
+            else:
                 nest.free.append((axis, self.scalar(it.lower),
                                   self.scalar(it.upper)))
         if sorted(q for q in binds if q is not None) != \
@@ -566,38 +535,55 @@ class _Planner:
             nest.stmts.append(_statement(eq, target[0], value[0]))
         return nest
 
-    def batches(self, nests, blocks, private, bounds):
-        """The executor ``(frame, indices)`` running ``nests`` over all
-        blocks of the band ``blocks``, whose loops have the ``bounds``
-        ``(lower, upper)`` and whose origins along the first block loop
-        are ``indices``; with no block loops, the one nest over the
-        ``indices`` of its outermost loop. The blocks of each regular run
-        (``_runs``) along every block loop form one batch, which runs in
-        slabs (``_slabs``) of at most ``SLAB_POINTS`` points per
-        statement; an unbatched nest runs in slabs of its outermost
-        loop."""
+    def batches(self, nests, blocks, private, bounds, atomic):
+        """The executor ``(frame)`` running ``nests`` over all blocks of the
+        band ``blocks``, whose loops have the ``bounds`` ``(lower,
+        upper)``; with no block loops, the one nest over its own loops. The
+        blocks of each regular run (``_runs``) along every block loop form
+        one batch, which runs in slabs (``_slabs``) of at most
+        ``SLAB_POINTS`` points per statement; an unbatched nest runs in
+        slabs of its outermost loop. The slabs of a batch go to the worker
+        pool, one contiguous run of slabs per worker, each run on its own
+        frame with its own private copies; they run on the caller's frame
+        when there is no pool, one slab, or an ``atomic`` loop, whose
+        increments two slabs could race on."""
         dtype = self.dtype
         extents = {name: self.extents[name] for name in private}
         names = [name for name, _ in blocks]
+        pool = None if atomic else self.pool
 
-        def batches(fr: _Frame, indices):
-            env = fr.env
-            first, last = indices[0], indices[-1]
-            groups = _UNBATCHED
-            if blocks:
-                runs = []
-                for q, ((lower, upper), (_, step)) in enumerate(zip(bounds,
-                                                                    blocks)):
-                    limit = int(round(upper(fr)))
-                    runs.append(_runs(first, last, step, limit) if q == 0
-                                else _runs(int(round(lower(fr))), limit,
-                                           step, limit))
-                groups = product(*runs)
+        def run_slabs(fr: _Frame, batch, active, slabs, largest):
+            copies = [(name, np.zeros(largest + extents[name], dtype))
+                      for name in private]
+            nblocks = 1
+            for origin, shape in slabs:
+                if blocks:
+                    for name, k, (start, _, _), (_, step) in zip(
+                            names, origin, batch, blocks):
+                        fr.env[name] = start + k * step
+                    for name, copy in copies:
+                        fr.arrays[name] = copy[tuple(map(slice, shape))]
+                    fr.counts, nblocks = shape, prod(shape)
+                for nest, lo, size in active:
+                    lo, size = list(lo), list(size)
+                    if not blocks:
+                        lo[0], size[0] = lo[0] + origin[0], shape[0]
+                    for axis, q, c, _ in nest.bound:
+                        lo[axis] = fr.env[names[q]] + c
+                    fr.lo, fr.size, fr.defined = lo, size, {}
+                    for s in nest.stmts:
+                        s(fr)
+                    fr.sliced += nblocks * prod(size) * len(nest.stmts)
+
+        def batches(fr: _Frame):
+            groups = product(*[_runs(int(round(lower(fr))),
+                                     int(round(upper(fr))), step)
+                               for (lower, upper), (_, step) in zip(bounds,
+                                                                    blocks)])
             for batch in groups:
                 active, most = [], 0
                 for nest in nests:
-                    lo = [first] * nest.ndim
-                    size = [last - first + 1] * nest.ndim
+                    lo, size = [0] * nest.ndim, [0] * nest.ndim
                     for axis, lower, upper in nest.free:
                         lo[axis] = int(round(lower(fr)))
                         size[axis] = int(round(upper(fr))) - lo[axis] + 1
@@ -610,28 +596,22 @@ class _Planner:
                     continue
                 if blocks:
                     slabs = _slabs([count for _, count, _ in batch], most)
-                    copies = [(name, np.zeros(slabs[0][1] + extents[name],
-                                              dtype)) for name in private]
                 else:
-                    # one nest: slab its outermost loop, ``lo`` and ``size``
-                    slabs, nblocks = _slabs(size[:1], most // size[0]), 1
-                for origin, shape in slabs:
-                    if blocks:
-                        for name, k, (start, _, _), (_, step) in zip(
-                                names, origin, batch, blocks):
-                            env[name] = start + k * step
-                        for name, copy in copies:
-                            fr.arrays[name] = copy[tuple(map(slice, shape))]
-                        fr.counts, nblocks = shape, prod(shape)
-                    else:
-                        lo[0], size[0] = first + origin[0], shape[0]
-                    for nest, lo, size in active:
-                        for axis, q, c, _ in nest.bound:
-                            lo[axis] = env[names[q]] + c
-                        fr.lo, fr.size, fr.defined = lo, size, {}
-                        for s in nest.stmts:
-                            s(fr)
-                        fr.sliced += nblocks * prod(size) * len(nest.stmts)
+                    # one nest: slab its outermost loop
+                    slabs = _slabs(size[:1], most // size[0])
+                if pool is None or len(slabs) == 1:
+                    run_slabs(fr, batch, active, slabs, slabs[0][1])
+                    continue
+                each = -(-len(slabs) // self.workers)
+                runs = [slabs[i:i + each] for i in range(0, len(slabs), each)]
+                frames = [_Frame(dict(fr.env), dict(fr.arrays), fr.scalars)
+                          for _ in runs]
+                futures = [pool.submit(run_slabs, sub, batch, active, part,
+                                       slabs[0][1])
+                           for sub, part in zip(frames, runs)]
+                for f in futures:
+                    f.result()
+                fr.sliced += sum(sub.sliced for sub in frames)
         return batches
 
     def access(self, acc: Access, axes: _Axes, defined):

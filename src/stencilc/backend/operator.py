@@ -62,7 +62,7 @@ def _decl_signature(f: FunctionDecl) -> tuple:
     g = f.grid
     tdim = f.time_dim
     return (f.name, f.kind, g.shape, g.extent, g.origin, f.space_order,
-            f.time_order, f.save, f.npoint, f.padding,
+            f.time_order, f.save, f.npoint,
             (tdim.kind, tdim.factor, tdim.modulo) if tdim else None,
             tuple(f.coordinate_values or ()))
 
@@ -89,7 +89,7 @@ def _content_key(eqs, mode, block, dtype) -> str:
     return h.hexdigest()
 
 
-def _compile(key, eqs, mode, block, dtype, name) -> OperatorArtifact:
+def _compile(key, eqs, mode, block, dtype) -> OperatorArtifact:
     times: Dict[str, float] = {}
 
     def timed(label, fn):
@@ -116,7 +116,7 @@ def _compile(key, eqs, mode, block, dtype, name) -> OperatorArtifact:
     functions = collect_functions(lowered)
     ordered = [functions[k] for k in sorted(functions)]
     source = timed("emission",
-                   lambda: emit_c(iet, ordered, name=name, dtype=dtype))
+                   lambda: emit_c(iet, ordered, dtype=dtype))
     grid = next(iter(functions.values())).grid
     return OperatorArtifact(key, lowered, clusters, iet, functions, grid,
                             source, [s.name for s in iet.children],
@@ -127,20 +127,18 @@ class Operator:
     """A compiled, cached stencil operator."""
 
     def __init__(self, eqs: Sequence[Equation], mode: str = "advanced",
-                 block: Optional[Dict[str, int]] = None, dtype: str = "f64",
-                 name: str = "kernel"):
+                 block: Optional[Dict[str, int]] = None, dtype: str = "f64"):
         if not eqs:
             raise BackendError("operator needs at least one equation")
         self.eqs = list(eqs)
         self.mode = mode
         self.block = dict(block) if block else None
         self.dtype = dtype
-        self.name = name
         key = _content_key(self.eqs, mode, self.block, dtype)
         art = _CACHE.get(key)
         self.cache_hit = art is not None
         if art is None:
-            art = _compile(key, self.eqs, mode, self.block, dtype, name)
+            art = _compile(key, self.eqs, mode, self.block, dtype)
             _CACHE[key] = art
         self.artifact = art
 

@@ -3,7 +3,7 @@ plus the per-equation local analysis producing iteration and data spaces.
 
 One walk per equation converts each access: it indexifies every index
 and aligns it to the domain, shifting it by the accessed function's
-halo+padding so that index 0 addresses the first allocated point. Index
+halo so that index 0 addresses the first allocated point. Index
 conventions after lowering:
   - affine indices are ``dim_symbol + k`` with integer k (spacing and time
     step symbols divided out, the shift added in);
@@ -66,10 +66,6 @@ class IterationSpace:
     @property
     def dims(self) -> Tuple[Dimension, ...]:
         return tuple(iv.dim for iv, _ in self.entries)
-
-    @property
-    def intervals(self) -> Tuple[Interval, ...]:
-        return tuple(iv for iv, _ in self.entries)
 
     def direction_of(self, dim: Dimension) -> str:
         for iv, d in self.entries:
@@ -270,7 +266,7 @@ def _map_accesses(e: Expr, convert: Callable[[Access], Access],
 
 def _shift_for(decl: FunctionDecl, dim: Dimension) -> int:
     if dim.kind == "space" and decl.kind in ("function", "timefunction"):
-        return decl.halo + decl.padding
+        return decl.halo
     return 0
 
 
@@ -317,7 +313,7 @@ def _lower_access(acc: Access, guards: List[Guard], indices: dict,
 
 def indexify(eq: Equation) -> LoweredEq:
     """Convert function accesses into array accesses with integer offsets,
-    shifted by each function's halo+padding, in one walk of the equation."""
+    shifted by each function's halo, in one walk of the equation."""
     guards: List[Guard] = []
     convert = partial(_lower_access, guards=guards, indices={}, nested={})
     lhs = convert(eq.lhs)

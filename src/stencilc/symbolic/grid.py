@@ -2,7 +2,7 @@
 
 A Grid owns the space dimensions (x, y, z), their spacing symbols, and a
 single time dimension with step symbol ``dt``. Function declarations carry
-discretization metadata (space/time order, halo, padding) plus, for sparse
+discretization metadata (space/time order, halo) plus, for sparse
 functions, the point count and a companion coordinates table.
 """
 
@@ -130,7 +130,7 @@ class FunctionDecl:
                  time_order: int = 2, save: Optional[int] = None,
                  npoint: int = 0, coordinates=None,
                  time_dim: Optional[Dimension] = None,
-                 padding: int = 0, dims: Optional[tuple] = None):
+                 dims: Optional[tuple] = None):
         if kind not in self.KINDS:
             raise DeclarationError("bad function kind %r" % kind)
         if kind in ("function", "timefunction"):
@@ -144,7 +144,6 @@ class FunctionDecl:
         self.time_order = time_order
         self.save = save
         self.npoint = npoint
-        self.padding = padding
         self.halo = space_order // 2 if kind in ("function", "timefunction") else 0
         self._dims = tuple(dims) if dims is not None else None
         if kind == "temp" and self._dims is None:
@@ -241,8 +240,7 @@ class FunctionDecl:
     def storage_extents(self, nt: Optional[int] = None) -> tuple:
         """Allocated extent per storage dimension. ``nt`` bounds the time
         axis of sparse functions (number of timesteps)."""
-        space = tuple(s + 2 * self.halo + 2 * self.padding
-                      for s in self.grid.shape)
+        space = tuple(s + 2 * self.halo for s in self.grid.shape)
         if self.kind == "function":
             return space
         if self.kind == "timefunction":

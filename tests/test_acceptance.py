@@ -256,7 +256,8 @@ def test_criterion_6_dependence_soundness():
              "%d missed" % missing)
 
 
-def test_criterion_7_parallelism_and_workers():
+def test_criterion_7_parallelism_and_workers(monkeypatch):
+    from stencilc.backend import interpreter
     funcs, eqs = acoustic_example((12, 12, 12), so=2)
     op = Operator(eqs, mode="advanced")
     props = {}
@@ -264,6 +265,8 @@ def test_criterion_7_parallelism_and_workers():
         props.setdefault(it.dim.name, set()).update(it.properties)
     class_ok = (SEQUENTIAL in props["t"] and
                 all(PARALLEL in props[d] for d in ("x", "y", "z")))
+    # Two x planes per slab: six slabs, so the four workers share them.
+    monkeypatch.setattr(interpreter, "SLAB_POINTS", 2 * 12 * 12)
     one = _prepared(op, 10)
     op.apply(steps=10, buffers=one, dt=DT, workers=1)
     four = _prepared(op, 10)

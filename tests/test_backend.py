@@ -258,13 +258,17 @@ class TestInterpreter:
         bufs["q"].data[0, 0] = 1.0
         op.apply(steps=100, buffers=bufs, dt=DT)  # silent bounds checker
 
-    def test_workers_bitwise_identical(self):
+    def test_workers_bitwise_identical(self, monkeypatch):
+        from stencilc.backend import interpreter
+        # Four rows or one 8x8 block per slab, so the workers share them.
+        monkeypatch.setattr(interpreter, "SLAB_POINTS", 100)
         op = _acoustic_op((24, 24), so=4)
         one, _ = _fixture_apply(op, 10, workers=1)
         four, _ = _fixture_apply(op, 10, workers=4)
         assert np.array_equal(one["u"].data, four["u"].data)
         assert np.array_equal(one["rec"].data, four["rec"].data)
-        # Blocked: each chunk of block loops owns its block-local temporary.
+        # Blocked: each worker's run of slabs owns its block-local
+        # temporaries.
         op = _rotated_op({"x": 8, "y": 8})
         one, _ = _rotated_apply(op)
         for workers in (2, 4):
@@ -481,6 +485,77 @@ class TestSlabs:
         monkeypatch.setattr(interpreter, "SLAB_POINTS", 1)
         for a, b in zip(got, run_f32()):
             assert a.tobytes() == b.tobytes()
+
+
+def _edge_increments_op(n):
+    """``u[x] += a[x]; u[x+1] += 3*a[x]`` on a 1-D grid of ``n`` points:
+    a parallel, atomic loop whose slabs write one common point at each
+    edge, in an order that changes its bits."""
+    from stencilc.symbolic import Eq, FunctionDecl, Grid, add, mul, num
+    g = Grid((n,))
+    u, a = (FunctionDecl(name, "function", g) for name in "ua")
+    right = u(add(g.dimensions[0].symbol, g.spacing_symbols[0]))
+    return Operator([Eq(u.at, a.at, is_increment=True),
+                     Eq(right, mul(num(3), a.at), is_increment=True)])
+
+
+@pytest.fixture
+def submitted(monkeypatch):
+    """A list that gets one entry per task handed to a worker pool."""
+    from concurrent.futures import ThreadPoolExecutor
+    calls = []
+    original = ThreadPoolExecutor.submit
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", counted)
+    return calls
+
+
+class TestWorkerPool:
+    """The worker pool runs only the slabs of a sliced executor, one
+    contiguous run of slabs per worker."""
+
+    def test_atomic_loop_slabs_run_in_order(self, monkeypatch):
+        from stencilc.backend import interpreter
+        from stencilc.iet import ATOMIC, iterations
+        op = _edge_increments_op(8192)
+        assert [ATOMIC in it.properties for it in iterations(op.iet)] == \
+            [True]
+        # 4,096 slabs: enough work per worker that two workers run their
+        # edge slabs out of order, were they to share the loop.
+        monkeypatch.setattr(interpreter, "SLAB_POINTS", 2)
+        got = set()
+        for workers in (1, 2, 4):
+            bufs = _random_fixture(op, 1)
+            op.apply(steps=1, buffers=bufs, workers=workers)
+            got.add(bufs["u"].data.tobytes())
+        assert len(got) == 1
+        refs = _random_fixture(op, 1)
+        op.reference(steps=1, buffers=refs)
+        _assert_close(bufs["u"].data, refs["u"].data)
+
+    def test_pool_runs_only_split_slabs(self, monkeypatch, submitted):
+        from stencilc.backend import interpreter
+        from stencilc.symbolic import FunctionDecl, interpolate
+        coupled = Operator(coupled_equations(8, shape=(16, 16, 16), so=8))
+        coupled.apply(steps=3, buffers=_random_fixture(coupled, 3), dt=DT,
+                      workers=2)
+        # Acoustic with four more receivers: its stencil fits in one slab
+        # and its sparse loops run per point.
+        funcs, eqs = acoustic_example((24, 24), so=4)
+        g = funcs["grid"]
+        recs = FunctionDecl("recs", "sparsetimefunction", g, npoint=4,
+                            coordinates=[(e * k / 5 for e in g.extent)
+                                         for k in range(1, 5)])
+        acoustic = Operator(eqs + interpolate(recs, funcs["u"].at))
+        report = _fixture_apply(acoustic, 3, workers=2)[1]
+        assert sum(slot["per_point"] for slot in report.values()) > 0
+        assert submitted == []
+        monkeypatch.setattr(interpreter, "SLAB_POINTS", 5 * 24)
+        _fixture_apply(acoustic, 3, workers=2)
+        assert len(submitted) >= 1
 
 
 @pytest.fixture
