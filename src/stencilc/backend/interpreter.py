@@ -36,7 +36,11 @@ loop at a time, a batch over one slab of whole blocks (``_slabs``), each
 slab at most ``SLAB_POINTS`` grid points per statement (at least one
 outer index or block), so that the temporaries of a whole-grid nest stay
 in cache. Every loop of such a nest is parallel, so slabs never change
-the arithmetic of a point; a nest that fits in one slab runs once.
+the arithmetic of a point; a nest that fits in one slab runs once, and
+so does a nest with an atomic loop, whose neighbouring slabs would
+update a point they share in the opposite order. A scalar temporary of a
+nest is dropped after its last reader, so a slab holds only the ones
+still to be read.
 
 The report gives per section the elapsed ``time``, the statement
 executions (``points``, one per statement and grid point) and how many of
@@ -45,10 +49,9 @@ them ran ``sliced`` and ``per_point``, so that a silent fallback shows.
 Under a worker pool, each batch with more than one slab gives every
 worker one contiguous run of its slabs, on its own frame and with its own
 private copies. numpy releases the GIL inside its calls, so only sliced
-work gains from the pool. Everything else, and a sliced executor with an
-atomic loop (two slabs could update a point they share), runs on the
-calling thread. The workers run the slabs the calling thread would, so
-results are independent of the pool size.
+work gains from the pool. Everything else, a one-slab batch among it,
+runs on the calling thread. The workers run the slabs the calling
+thread would, so results are independent of the pool size.
 
 The per-point path, ``_point``, is shared with the reference oracle
 (``reference.py``), which never uses the plan.
@@ -258,13 +261,16 @@ def _fold(op, fns):
     return fold
 
 
-def _statement(eq: LoweredEq, view, value):
+def _statement(eq: LoweredEq, view, value, drop: tuple):
     """The closure running one sliced statement; ``view`` is None for a
-    scalar temporary, which the nest keeps in ``defined``."""
+    scalar temporary, which the nest keeps in ``defined`` until the
+    statement it is last read by drops it (``drop``)."""
     name = eq.lhs.func.name
 
     def bind(fr: _Frame):
         fr.defined[name] = value(fr)
+        for d in drop:
+            del fr.defined[d]
 
     def store(fr: _Frame):
         val = value(fr)
@@ -273,6 +279,8 @@ def _statement(eq: LoweredEq, view, value):
             target += val
         else:
             view(fr)[...] = val
+        for d in drop:
+            del fr.defined[d]
     return bind if view is None else store
 
 
@@ -519,20 +527,32 @@ class _Planner:
             return None
         axes = _Axes(dims, blocks, tuple(binds), private)
         defined: Dict[str, bool] = {}
-        for eq in (k.eq for k in cur.children):
+        #: per scalar temporary, the statement that reads it last
+        last: Dict[str, int] = {}
+        parts = []
+        for i, eq in enumerate(k.eq for k in cur.children):
             value = self.value(eq.rhs, axes, defined)
             if value is None:
                 return None
+            for acc in eq.accesses[1:]:
+                if acc.func.name in defined:
+                    last[acc.func.name] = i
             if eq.lhs.func.kind == "temp" and not eq.lhs.indices:
                 defined[eq.lhs.func.name] = value[1]
-                nest.stmts.append(_statement(eq, None, value[0]))
+                last[eq.lhs.func.name] = i
+                parts.append((eq, None, value[0]))
                 continue
             target = self.access(eq.lhs, axes, defined)
             if target is None or target[1] != tuple(range(len(dims))) or \
                     (blocks and eq.lhs.func.name not in private and
                      not _window(eq.lhs, axes, nest, windows)):
                 return None
-            nest.stmts.append(_statement(eq, target[0], value[0]))
+            parts.append((eq, target[0], value[0]))
+        drops = [[] for _ in parts]
+        for name, i in last.items():
+            drops[i].append(name)
+        nest.stmts = [_statement(*part, tuple(drop))
+                      for part, drop in zip(parts, drops)]
         return nest
 
     def batches(self, nests, blocks, private, bounds, atomic):
@@ -542,15 +562,15 @@ class _Planner:
         blocks of each regular run (``_runs``) along every block loop form
         one batch, which runs in slabs (``_slabs``) of at most
         ``SLAB_POINTS`` points per statement; an unbatched nest runs in
-        slabs of its outermost loop. The slabs of a batch go to the worker
-        pool, one contiguous run of slabs per worker, each run on its own
-        frame with its own private copies; they run on the caller's frame
-        when there is no pool, one slab, or an ``atomic`` loop, whose
-        increments two slabs could race on."""
+        slabs of its outermost loop. A batch with an ``atomic`` loop runs
+        as one slab: a slab edge would reorder the increments of a point
+        two slabs share. The slabs of a batch go to the worker pool, one
+        contiguous run of slabs per worker, each run on its own frame with
+        its own private copies; they run on the caller's frame when there
+        is no pool or one slab."""
         dtype = self.dtype
         extents = {name: self.extents[name] for name in private}
         names = [name for name, _ in blocks]
-        pool = None if atomic else self.pool
 
         def run_slabs(fr: _Frame, batch, active, slabs, largest):
             copies = [(name, np.zeros(largest + extents[name], dtype))
@@ -595,19 +615,21 @@ class _Planner:
                 if not active:
                     continue
                 if blocks:
-                    slabs = _slabs([count for _, count, _ in batch], most)
+                    counts, points = [count for _, count, _ in batch], most
                 else:
                     # one nest: slab its outermost loop
-                    slabs = _slabs(size[:1], most // size[0])
-                if pool is None or len(slabs) == 1:
+                    counts, points = size[:1], most // size[0]
+                slabs = [((0,) * len(counts), tuple(counts))] if atomic \
+                    else _slabs(counts, points)
+                if self.pool is None or len(slabs) == 1:
                     run_slabs(fr, batch, active, slabs, slabs[0][1])
                     continue
                 each = -(-len(slabs) // self.workers)
                 runs = [slabs[i:i + each] for i in range(0, len(slabs), each)]
                 frames = [_Frame(dict(fr.env), dict(fr.arrays), fr.scalars)
                           for _ in runs]
-                futures = [pool.submit(run_slabs, sub, batch, active, part,
-                                       slabs[0][1])
+                futures = [self.pool.submit(run_slabs, sub, batch, active,
+                                            part, slabs[0][1])
                            for sub, part in zip(frames, runs)]
                 for f in futures:
                     f.result()

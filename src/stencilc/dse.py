@@ -138,10 +138,36 @@ def _cse_counts(e: Expr) -> Counter:
     return counts
 
 
+def _tied_picks(ties: List[Expr], cost: int) -> List[Expr]:
+    """The ``ties`` (all costing ``cost``, in sort-key order) that neither
+    hold nor sit inside an earlier pick. A sub-expression costs less than
+    its parent except under a wrapper that ``op_count`` charges nothing
+    for, such as ``idiv``, so only such a wrapper can nest one tie in
+    another; the inner or outer one waits for the next round."""
+    picks: List[Expr] = []
+    chosen: set = set()
+    inside: set = set()
+    for tie in ties:
+        parts = set()
+        stack = [c for c in children_of(tie) if op_count(c) == cost]
+        while stack:
+            node = stack.pop()
+            parts.add(node)
+            stack.extend(c for c in children_of(node) if op_count(c) == cost)
+        if tie in inside or not parts.isdisjoint(chosen):
+            continue
+        picks.append(tie)
+        chosen.add(tie)
+        inside |= parts
+    return picks
+
+
 def cse(cluster: Cluster, namer: Optional[Namer] = None) -> Cluster:
-    """Hoist repeated compound sub-expressions into scalar temps, smallest
-    first so nested redundancies chain naturally. Index arithmetic is
-    invisible to the search."""
+    """Hoist repeated compound sub-expressions into scalar temps, cheapest
+    first so nested redundancies chain naturally. Each round hoists every
+    repeated candidate at the lowest operation count (``_tied_picks``),
+    named in sort-key order, and rewrites each expression that holds any
+    of them once. Index arithmetic is invisible to the search."""
     namer = namer or Namer()
     defs, mains = _split_defs(cluster)
     exprs = [eq.rhs for eq in defs + mains]
@@ -157,22 +183,25 @@ def cse(cluster: Cluster, namer: Optional[Namer] = None) -> Cluster:
         repeated = [n for n, c in counts.items() if c >= 2]
         if not repeated:
             break
-        pick = min(repeated, key=lambda n: (op_count(n), _sort_key(n)))
-        decl = _make_temp(namer(), grid, (), pick)
-        rule = {pick: Access(decl, ())}
+        cost = min(map(op_count, repeated))
+        picks = _tied_picks(sorted((n for n in repeated
+                                    if op_count(n) == cost), key=_sort_key),
+                            cost)
+        rules = {p: Access(_make_temp(namer(), grid, (), p), ())
+                 for p in picks}
         rhss = exprs + [d.rhs for d in new_defs]
         # A counter lists every compound node of its expression, so an
-        # expression without ``pick`` in it is left as it is.
-        new_rhss = [replace_subtrees(e, rule) if pick in c else e
-                    for c, e in zip(counters, rhss)]
+        # expression without a pick in it is left as it is.
+        new_rhss = [replace_subtrees(e, rules) if any(p in c for p in picks)
+                    else e for c, e in zip(counters, rhss)]
         counters = [c if new is old else _cse_counts(new)
                     for c, old, new in zip(counters, rhss, new_rhss)]
         exprs = new_rhss[:len(exprs)]
         new_defs = [d if e is d.rhs else replace(d, rhs=e)
                     for d, e in zip(new_defs, new_rhss[len(exprs):])]
-        new_defs.append(LoweredEq(Access(decl, ()), pick,
-                                  ispace=cluster.ispace))
-        counters.append(_cse_counts(pick))
+        for p, temp in rules.items():
+            new_defs.append(LoweredEq(temp, p, ispace=cluster.ispace))
+            counters.append(_cse_counts(p))
     rewritten = []
     for eq, e in zip(defs + mains, exprs):
         rewritten.append(eq if e is eq.rhs else replace(eq, rhs=e))

@@ -137,8 +137,9 @@ def _linear_split(e: Expr, target: Access) -> Tuple[Expr, Expr]:
             rests.append(b)
         return add(*coeffs), add(*rests)
     if isinstance(e, Mul):
-        hot = [c for c in e.children if _contains(c, target)]
-        cold = [c for c in e.children if not _contains(c, target)]
+        hot, cold = [], []
+        for c in e.children:
+            (hot if _contains(c, target) else cold).append(c)
         if not hot:
             return Constant(Fraction(0)), e
         if len(hot) > 1:

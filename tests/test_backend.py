@@ -110,6 +110,12 @@ DIFFERENTIAL_CASES = {
     "two-field": (lambda: two_field_equations(8), {"x": 8, "y": 8}),
 }
 
+#: space order, mode and cache block of each TTI case on 12³
+TTI_CASES = {"so%d-%s" % (so, mode): (so, mode, None)
+             for so in (4, 8, 12) for mode in MODES}
+TTI_CASES["so8-aggressive-blocked"] = (8, "aggressive",
+                                       {"x": 8, "y": 8, "z": 8})
+
 
 def _rotated_op(block=None):
     funcs, eqs = rotated_equations(12, shape=(24, 24))
@@ -192,13 +198,13 @@ class TestInterpreter:
         op = Operator(build(), mode=mode, block=block if blocked else None)
         _assert_matches_oracle(op, steps=4)
 
-    @pytest.mark.parametrize("block", [None, {"x": 8, "y": 8, "z": 8}],
-                             ids=["unblocked", "blocked"])
-    def test_tti_aggressive_matches_oracle(self, block):
-        # Each alias producer covers its own group's span: given the hull
-        # of all groups' spans, the narrower ones read p and r past their
-        # halo at space order 8.
-        op = Operator(tti_equations((12, 12, 12), so=8), mode="aggressive",
+    @pytest.mark.parametrize("case", sorted(TTI_CASES))
+    def test_tti_matches_oracle(self, case):
+        # At space order 8 in aggressive mode, each alias producer covers
+        # its own group's span: given the hull of all groups' spans, the
+        # narrower ones read p and r past their halo.
+        so, mode, block = TTI_CASES[case]
+        op = Operator(tti_equations((12, 12, 12), so=so), mode=mode,
                       block=block)
         _assert_matches_oracle(op, steps=3)
 
@@ -523,11 +529,13 @@ class TestWorkerPool:
         op = _edge_increments_op(8192)
         assert [ATOMIC in it.properties for it in iterations(op.iet)] == \
             [True]
-        # 4,096 slabs: enough work per worker that two workers run their
-        # edge slabs out of order, were they to share the loop.
-        monkeypatch.setattr(interpreter, "SLAB_POINTS", 2)
+        # Cut into 4,096 slabs of 2 points, each slab edge would add the
+        # increments of its shared point in the opposite order, and two
+        # workers would race on it: the nest runs as one slab instead.
         got = set()
-        for workers in (1, 2, 4):
+        for slab, workers in ((interpreter.SLAB_POINTS, 1), (2, 1), (2, 2),
+                              (2, 4)):
+            monkeypatch.setattr(interpreter, "SLAB_POINTS", slab)
             bufs = _random_fixture(op, 1)
             op.apply(steps=1, buffers=bufs, workers=workers)
             got.add(bufs["u"].data.tobytes())
@@ -667,6 +675,32 @@ class TestBatchedBlocks:
             assert got["w"].data.tobytes() == want["w"].data.tobytes()
             assert _counts(report) == _counts(want_report)
 
+    def test_scalar_temporaries_dropped_after_last_read(self, monkeypatch):
+        # A batched slab holds each array-valued scalar temporary for every
+        # block of the slab, so each is dropped after the statement that
+        # reads it last: none is left when its nest's last statement ends.
+        from stencilc.backend import interpreter
+        from stencilc.iet import ExpressionStmt, iterations
+        op = _tti_so8_op({"x": 8, "y": 8, "z": 8})
+        ends = {id(it.children[-1].eq) for it in iterations(op.iet)
+                if it.children and all(isinstance(k, ExpressionStmt)
+                                       for k in it.children)}
+        live = {}
+        original = interpreter._statement
+
+        def counted(eq, *args):
+            run_statement = original(eq, *args)
+
+            def statement(fr):
+                run_statement(fr)
+                live[id(eq)] = max(live.get(id(eq), 0), len(fr.defined))
+            return statement
+        monkeypatch.setattr(interpreter, "_statement", counted)
+        op.apply(steps=1, buffers=_random_fixture(op, 1), dt=DT)
+        assert max(live.values()) > 0
+        closing = [live[k] for k in ends if k in live]
+        assert closing and not any(closing)
+
     def test_noncontiguous_buffers(self):
         # Arrays that are strided views into larger ones are read and
         # written through the same batched views as contiguous ones.
@@ -754,11 +788,12 @@ def test_compile_leaves_no_cyclic_garbage(build):
 #: SHA-256 of the emitted C (through ``Operator`` and through ``emit_c``
 #: with no function list) and of the tree dump, for four small operators:
 #: "acoustic" has accesses inside left-hand-side indices and opaque
-#: offsets (source and receiver), "wave" a sub-sampled snapshot.
+#: offsets (source and receiver), "wave" a sub-sampled snapshot, "tti"
+#: hundreds of CSE temporaries.
 GOLDEN_SHA256 = {
-    "acoustic": ("c080b17019dd59109efba7751fe05b5fed153d70de6ee22ebd8fd49ea3763a06",
-                 "34b062cf78d542085be919f08ccbda04e0c667e877c3e6df7cd1f3b6668c909b",
-                 "f5b27066ec917a3970823c05b89ef4fd8fa79ef6721aa432760c708a978de97f"),
+    "acoustic": ("7751c1464ff609765c704864580a1a48de68956c194606ed0e2d510386e85590",
+                 "6426da5139b132d5956ca80dc44c4aa3fe04486b66343cc9ada152d2478d6eec",
+                 "7ecb08dedda6db40c7dec4af74caa30a61b47377db4aa446d5290fc6aa7647f3"),
     "wave": ("b95b18a49c6649ef759687c6a00b18d6a86e9432aee6120c4eb9b0797518bab8",
              "0d841f2765afe7266e5a52ff350f312bcf777bbce72ae929bb7a4cb4bd10aaf3",
              "69e436e760e6855f320952b59f93f50a775ae32696fc834f297ec90450bb106f"),
@@ -768,6 +803,9 @@ GOLDEN_SHA256 = {
     "coupled": ("405fb5f597ccfc73d3e0e541b2b5dde609fe67f2df38db2867c1b135784e758b",
                 "a1600c5dbd7f188f538e5a15b7a82beb08e49b2d5a3fc61aa525e8defcb6c0de",
                 "e2101404de0c3cff619b672617b2cd498267ed4adf248879023b2b09acedcc84"),
+    "tti": ("24d71e1ad69021395e39f5ec9f3bf8b58fe9ef73008a13c0e50a9c33daf82ad0",
+            "c5922b71b7db2b537df36daa7fe5092d98b97768401bfbebb439961b9df046c3",
+            "f52c2e3c8d21151d6abdf404b8ca953ef04e192073a289c45f7199b8c914d079"),
 }
 
 
@@ -782,6 +820,8 @@ class TestCodegen:
             op = Operator(coupled_equations(3), mode="advanced")
         elif name == "acoustic":
             op = _acoustic_op((8, 8, 8))
+        elif name == "tti":
+            op = Operator(tti_equations((12, 12, 12), so=8), mode="advanced")
         else:
             op = Operator(wave_example()[1])
         texts = (op.source, emit_c(op.iet), op.dump_iet())

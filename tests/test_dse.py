@@ -115,6 +115,55 @@ def test_cse_never_rewrites_index_arithmetic():
         assert new.lhs == old.lhs
 
 
+def test_cse_rewrites_once_per_round(monkeypatch):
+    # Each round hoists every tie at its lowest operation count, so the
+    # rewrites no longer grow with the temporaries: one per rewritten
+    # expression and round, not per temporary.
+    import stencilc.dse as dse
+    from helpers import tti_equations
+    calls = []
+    original = dse.replace_subtrees
+
+    def counted(e, rules):
+        calls.append(e)
+        return original(e, rules)
+    monkeypatch.setattr(dse, "replace_subtrees", counted)
+    clusters = clusterize([lower(eq) for eq in tti_equations((12,) * 3, 4)])
+    out = run_dse(clusters, "basic")
+    temps = [eq for c in out for eq in c.eqs if eq.lhs.func.kind == "temp"]
+    assert len(temps) == 237
+    assert len(calls) <= 40
+
+
+@pytest.mark.parametrize("inner_first", [False, True],
+                         ids=["tie-inside-pick", "tie-holds-pick"])
+def test_cse_nested_ties_wait_a_round(inner_first):
+    # ``idiv`` costs nothing itself, so an idiv call ties with the a*b
+    # inside it. The tie that sorts first is hoisted; the other one holds
+    # it or sits inside it, so it waits for the next round rather than
+    # being hoisted beside it.
+    g, u, w, m = _1d()
+    host = lower(Eq(w.forward, u.at))
+    a, b, c, d = (Symbol(n) for n in "abcd")
+    ab = mul(a, b)
+    # A call sorts before a product, and a constant first argument sorts
+    # the inner call before the outer one.
+    inner = call("idiv", 2, ab) if inner_first else ab
+    outer = call("idiv", inner, 3)
+    rhs = add(mul(c, outer), mul(d, outer), inner)
+    out = cse(Cluster([replace(host, rhs=rhs)], host.ispace))
+    temps = {eq.lhs.func.name: eq.lhs for eq in out.eqs}
+    if inner_first:
+        # idiv(temp0, 3) costs nothing: nothing is left to hoist.
+        want = [("temp0", inner)]
+    else:
+        # a*b occurs bare too, so it repeats in the next round.
+        want = [("temp1", ab), ("temp0", call("idiv", temps["temp1"], 3))]
+    assert [(eq.lhs.func.name, eq.rhs) for eq in out.eqs
+            if eq.lhs.func.kind == "temp"] == want
+    assert [eq.rhs for eq in _inline_temps(out)] == [rhs]
+
+
 # -- Factorization -----------------------------------------------------------
 
 
