@@ -35,12 +35,13 @@ class Cluster:
         return "<Cluster %s %r%s>" % ("+".join(names), self.ispace, g)
 
 
-def enforce_directions(eqs: List[LoweredEq]) -> List[LoweredEq]:
-    """Specialize per-equation Any directions using the directions required
-    by inter-equation value flow. A genuine clash (both directions
-    demanded) leaves each equation's local choice untouched; the clashing
-    equations then end up in distinct loop nests."""
-    deps = get_dependences(eqs)
+def enforce_directions(eqs: List[LoweredEq],
+                       deps: List[Dependence]) -> List[LoweredEq]:
+    """Specialize per-equation Any directions using the directions that
+    ``deps``, the dependence graph of ``eqs``, requires. A genuine clash
+    (both directions demanded) leaves each equation's local choice
+    untouched; the clashing equations then end up in distinct loop nests.
+    Every equation keeps its position."""
     required = detect_flow_directions(deps)
     out = []
     for eq in eqs:
@@ -60,8 +61,9 @@ def enforce_directions(eqs: List[LoweredEq]) -> List[LoweredEq]:
 def _pair_index(eqs: List[LoweredEq], deps: List[Dependence]
                 ) -> Dict[Tuple[int, int], List[Dependence]]:
     """The dependences between two distinct equations, in graph order,
-    keyed by the equations' positions in ``eqs`` (earlier first).
-    Positions are found by identity: LoweredEq compares by value."""
+    keyed by the equations' positions in ``eqs`` (earlier first), the
+    equations ``deps`` was built on. Positions are found by identity:
+    LoweredEq compares by value."""
     position = {id(eq): i for i, eq in enumerate(eqs)}
     pairs: Dict[Tuple[int, int], List[Dependence]] = {}
     for d in deps:
@@ -80,10 +82,12 @@ def _cross_deps(pairs, cluster_positions: List[int],
     return [d for p in cluster_positions for d in pairs.get((p, pos), ())]
 
 
-def group(eqs: List[LoweredEq]) -> List[Cluster]:
+def group(eqs: List[LoweredEq],
+          pairs: Dict[Tuple[int, int], List[Dependence]]) -> List[Cluster]:
     """Stable grouping by reverse scan over the clusters built so far,
-    against one dependence graph of all the equations."""
-    pairs = _pair_index(eqs, get_dependences(eqs))
+    against ``pairs``, the ``_pair_index`` of one dependence graph of
+    equations at the same positions (enforcing directions changes no
+    dependence)."""
     clusters: List[Cluster] = []
     members: List[List[int]] = []  # positions in eqs, per cluster
     for pos, eq in enumerate(eqs):
@@ -118,5 +122,7 @@ def group(eqs: List[LoweredEq]) -> List[Cluster]:
 
 
 def clusterize(eqs: List[LoweredEq]) -> List[Cluster]:
-    """Full pipeline: direction enforcement, then grouping."""
-    return group(enforce_directions(eqs))
+    """Full pipeline: one dependence graph, direction enforcement, then
+    grouping."""
+    deps = get_dependences(eqs)
+    return group(enforce_directions(eqs, deps), _pair_index(eqs, deps))

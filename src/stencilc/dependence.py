@@ -8,8 +8,17 @@ yield an unknown (None) entry. Dependences are normalized to run forward
 in iteration order: a negative leading distance swaps source and sink and
 flips flow with anti.
 
-Mutual updates between increment equations on the same function are
-classified as reductions rather than ordering constraints.
+A pair of increment targets (the left-hand sides of two increment
+equations, or of one, with itself) is a reduction rather than an
+ordering constraint: one flow-direction record per pair. Every other
+pair, a right-hand-side read of an incremented function included, is an
+ordinary flow, anti or output dependence, so ``u[x] += u[x - 1]`` keeps
+its carried flow.
+
+This module is the only code that turns access offsets into distances
+and distances into loop directions: ``lowering.analyze`` votes each
+equation's directions with ``detect_flow_directions`` on that equation
+alone, and clustering enforces them across equations from one graph.
 """
 
 from __future__ import annotations
@@ -157,14 +166,15 @@ def get_dependences(eqs: List[LoweredEq]) -> List[Dependence]:
             by_func.setdefault(id(r[0].func), []).append(r)
         reads.append(by_func)
 
-    def emit(src, snk, src_eq, snk_eq, kind, dims):
+    def emit(src, snk, i, j, kind, dims):
         (src_acc, src_offsets), (_, snk_offsets) = src, snk
-        if src_eq.is_increment and snk_eq.is_increment and kind != FLOW:
-            return  # one reduction record per pair is enough
-        if src_eq.is_increment and snk_eq.is_increment:
+        if src is writes[i] and snk is writes[j] and \
+                eqs[i].is_increment and eqs[j].is_increment:
+            if kind != FLOW:
+                return  # one reduction record per pair of targets
             kind = REDUCTION
         dist = _distance(src_offsets, snk_offsets, dims)
-        dep = _normalize(Dependence(src_eq, snk_eq, src_acc.func,
+        dep = _normalize(Dependence(eqs[i], eqs[j], src_acc.func,
                                     kind, dims, dist))
         if dep is None:
             return
@@ -184,14 +194,13 @@ def get_dependences(eqs: List[LoweredEq]) -> List[Dependence]:
             output = i != j and wi == wj
             if not (flows or antis or output):
                 continue  # the pair shares no function
-            ei, ej = eqs[i], eqs[j]
-            dims = _union_dims(ei, ej)
+            dims = _union_dims(eqs[i], eqs[j])
             for r in flows:
-                emit(writes[i], r, ei, ej, FLOW, dims)
+                emit(writes[i], r, i, j, FLOW, dims)
             for r in antis:
-                emit(r, writes[j], ei, ej, ANTI, dims)
+                emit(r, writes[j], i, j, ANTI, dims)
             if output:
-                emit(writes[i], writes[j], ei, ej, OUTPUT, dims)
+                emit(writes[i], writes[j], i, j, OUTPUT, dims)
     return deps
 
 

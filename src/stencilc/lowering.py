@@ -121,7 +121,6 @@ class LoweredEq:
     guards: Tuple[Guard, ...] = ()
     ispace: Optional[IterationSpace] = None
     dspace: Optional[DataSpace] = None
-    direction_clash: bool = False
 
     # The access table: derived once per object, and not a field, so
     # ``replace`` starts a new one and equality and repr ignore it.
@@ -378,7 +377,9 @@ def _dimension_registry(eq: LoweredEq) -> Dict[str, Dimension]:
 
 def analyze(eq: LoweredEq) -> LoweredEq:
     """Inspect an equation in isolation: iteration space with per-dimension
-    directions, data space, inputs and outputs."""
+    directions, and data space. The directions are what
+    ``dependence.detect_flow_directions`` demands of the equation's own
+    dependences; a dimension with no demand, or with both, stays Any."""
     registry = _dimension_registry(eq)
     table = list(zip(eq.accesses, eq.offsets))
 
@@ -397,53 +398,16 @@ def analyze(eq: LoweredEq) -> LoweredEq:
                     if d.kind != "space" and d not in order:
                         order.append(d)
 
-    # Directions from self-dependences: the leading-nonzero dimension of
-    # each (write, read) distance vector votes for its direction. Write and
-    # read address the same function, so storage offsets give the distance.
-    votes: Dict[Dimension, set] = {d: set() for d in order}
-    inconsistent = False
-    write_offs = {ld: k for (_, ld, k) in eq.offsets[0]}
-    for acc, offsets in table[1:]:
-        if acc.func is not eq.lhs.func:
-            continue
-        read_offs = {ld: k for (_, ld, k) in offsets}
-        vector = []
-        for dim in order:
-            if dim in write_offs and dim in read_offs:
-                w, r = write_offs[dim], read_offs[dim]
-                if w is OPAQUE or r is OPAQUE:
-                    vector.append(None)
-                else:
-                    vector.append(w - r)
-            else:
-                vector.append(0)
-        for dim, dist in zip(order, vector):
-            if dist is None:
-                break
-            if dist > 0:
-                votes[dim].add(FORWARD)
-                break
-            if dist < 0:
-                votes[dim].add(BACKWARD)
-                break
-
-    entries = []
-    for dim in order:
-        if eq.region == "interior" and dim.kind == "space":
-            iv = Interval(dim, 1, -1)
-        else:
-            iv = Interval(dim, 0, 0)
-        vs = votes.get(dim, set())
-        if vs == {FORWARD}:
-            direction = FORWARD
-        elif vs == {BACKWARD}:
-            direction = BACKWARD
-        else:
-            direction = ANY
-            if len(vs) == 2:
-                inconsistent = True
-        entries.append((iv, direction))
-    ispace = IterationSpace(tuple(entries))
+    # Directions: dependence.py owns the distance and the voting rule.
+    from .dependence import detect_flow_directions, get_dependences
+    interior = eq.region == "interior"
+    ispace = IterationSpace(tuple(
+        (Interval(dim, 1, -1) if interior and dim.kind == "space"
+         else Interval(dim), ANY) for dim in order))
+    votes = detect_flow_directions(get_dependences(
+        [eq.reanalyzed(ispace=ispace)]))
+    ispace = ispace.with_directions(
+        {dim: next(iter(vs)) for dim, vs in votes.items() if len(vs) == 1})
 
     # Data space: per function, hull of domain-relative offsets with halo
     # credit on space dims; stepping time wraps, so only the forward reach
@@ -474,8 +438,7 @@ def analyze(eq: LoweredEq) -> LoweredEq:
                   for decl, slot in per_func.values())
     dspace = DataSpace(parts)
 
-    return eq.reanalyzed(ispace=ispace, dspace=dspace,
-                         direction_clash=inconsistent)
+    return eq.reanalyzed(ispace=ispace, dspace=dspace)
 
 
 def lower(eq: Equation) -> LoweredEq:

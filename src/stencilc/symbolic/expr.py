@@ -204,14 +204,6 @@ def _build_sort_key(e: Expr):
     raise ExprError("unknown node %r" % (e,))
 
 
-def _const_add(a, b):
-    return a + b
-
-
-def _const_mul(a, b):
-    return a * b
-
-
 def _as_coeff_term(e: Expr):
     """Split ``e`` into (numeric coefficient, residual term)."""
     if isinstance(e, Constant):
@@ -247,7 +239,7 @@ def add(*args) -> Expr:
         if isinstance(e, Add):
             stack.extend(reversed(e.children))
         elif isinstance(e, Constant):
-            const = _const_add(const, e.value)
+            const += e.value
         else:
             coeff, term = _as_coeff_term(e)
             if term in terms:
@@ -291,7 +283,7 @@ def mul(*args) -> Expr:
             stack.extend(reversed(e.children))
             continue
         if isinstance(e, Constant):
-            const = _const_mul(const, e.value)
+            const *= e.value
             continue
         base, exp = (e.base, e.exponent) if isinstance(e, Pow) else (e, 1)
         if base in powers:

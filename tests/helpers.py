@@ -89,6 +89,17 @@ def coupled_equations(nfields, shape=(8, 8, 8), so=4):
     return eqs
 
 
+def recurrence_equations(shape=(16,)):
+    """``u[x] += u[x - 1]``: an increment whose right-hand side reads the
+    function it increments one point back, a running sum along x that a
+    loop must run forward and in order."""
+    from stencilc.symbolic import add, mul, num
+    g = Grid(shape)
+    u = FunctionDecl("u", "function", g)
+    x, h = g.dimensions[0].symbol, g.spacing_symbols[0]
+    return [Eq(u.at, u(add(x, mul(num(-1), h))), is_increment=True)]
+
+
 def tti_equations(shape=(12, 12, 12), so=4):
     """The pseudo-acoustic TTI operator: two coupled fields ``p`` and ``r``
     with a rotated second derivative ``G(f) = D(D(f))``, where ``D`` sums

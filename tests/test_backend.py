@@ -13,8 +13,9 @@ from stencilc.backend import operator as op_mod
 from stencilc.dse import MODES
 from stencilc.iet import Block
 
-from helpers import (acoustic_example, coupled_equations, rotated_equations,
-                     tti_equations, two_field_equations, wave_example)
+from helpers import (acoustic_example, coupled_equations, recurrence_equations,
+                     rotated_equations, tti_equations, two_field_equations,
+                     wave_example)
 
 DT = 0.02
 
@@ -942,6 +943,25 @@ def test_emitted_c_matches_interpreter(tmp_path, build, fixture):
     assert all(buf.data.any() for buf in want.values())
     for name, buf in got.items():
         assert buf.data.tobytes() == want[name].data.tobytes(), name
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_increment_recurrence_runs_in_order(tmp_path, mode):
+    # u[x] += u[x - 1] reads what the previous iteration wrote: a carried
+    # flow, not a reduction, so x is sequential, with no simd or atomic.
+    from stencilc.iet import SEQUENTIAL, iterations
+    op = Operator(recurrence_equations(), mode=mode)
+    assert [sorted(it.properties) for it in iterations(op.iet)] == \
+        [[SEQUENTIAL]]
+    assert "omp simd" not in op.source and "omp atomic" not in op.source
+    got, want = _random_fixture(op, 1), _random_fixture(op, 1)
+    op.apply(steps=1, buffers=got)
+    op.reference(steps=1, buffers=want)
+    assert got["u"].data.tobytes() == want["u"].data.tobytes()
+    if shutil.which("gcc") is not None:
+        built = _random_fixture(op, 1)
+        _run_c(op, built, op.default_params(1), tmp_path)
+        assert built["u"].data.tobytes() == got["u"].data.tobytes()
 
 
 class TestCache:

@@ -2,13 +2,23 @@ from collections import Counter
 
 import pytest
 
-from stencilc.clustering import clusterize, enforce_directions, group
+from stencilc.clustering import (_pair_index, clusterize, enforce_directions,
+                                 group)
+from stencilc.dependence import get_dependences
 from stencilc.lowering import ANY, BACKWARD, FORWARD, Guard, lower
 from stencilc.symbolic import (Access, Eq, FunctionDecl, Grid, Symbol, add,
                                mul, num)
 
 from helpers import (acoustic_example, coupled_equations,
                      lowered_wave_example)
+
+
+def _enforce_and_group(eqs):
+    """``clusterize`` in its two steps on one dependence graph: the
+    equations with directions enforced, and their clusters."""
+    deps = get_dependences(eqs)
+    enforced = enforce_directions(eqs, deps)
+    return enforced, group(enforced, _pair_index(eqs, deps))
 
 
 def _shifted(f, t_off, x_off):
@@ -37,14 +47,14 @@ def test_direction_enforced_on_injection():
     t = funcs["grid"].time_dim
     for eq in eqs[2:]:
         assert eq.ispace.direction_of(t) == ANY
-    enforced = enforce_directions(eqs)
+    enforced = enforce_directions(eqs, get_dependences(eqs))
     for eq in enforced[2:]:
         assert eq.ispace.direction_of(t) == FORWARD
 
 
 def test_single_equation_directions_unchanged():
     funcs, eqs = lowered_wave_example()
-    enforced = enforce_directions([eqs[0]])
+    enforced = enforce_directions([eqs[0]], get_dependences([eqs[0]]))
     assert enforced[0].ispace == eqs[0].ispace
 
 
@@ -54,10 +64,9 @@ def test_direction_clash_keeps_local_choices():
     v = FunctionDecl("v", "timefunction", g, space_order=2)
     fwd = lower(Eq(_shifted(u, 1, 0), _shifted(u, 0, 0) + _shifted(v, 0, 0)))
     bwd = lower(Eq(_shifted(v, -1, 0), _shifted(v, 0, 0) + _shifted(u, 0, 0)))
-    enforced = enforce_directions([fwd, bwd])
+    enforced, clusters = _enforce_and_group([fwd, bwd])
     assert enforced[0].ispace.direction_of(g.time_dim) == FORWARD
     assert enforced[1].ispace.direction_of(g.time_dim) == BACKWARD
-    clusters = group(enforced)
     assert len(clusters) == 2
 
 
@@ -68,7 +77,7 @@ def test_carried_anti_blocks_merge_and_sets_atomics():
     x, h = Symbol("x"), Symbol("h_x")
     e1 = lower(Eq(a.at, num(0)))
     e2 = lower(Eq(b.at, Access(a, (add(x, h),))))
-    clusters = group(enforce_directions([e1, e2]))
+    clusters = _enforce_and_group([e1, e2])[1]
     assert len(clusters) == 2
     assert g.dimensions[0] in clusters[0].atomics
     assert not clusters[1].atomics
@@ -76,7 +85,7 @@ def test_carried_anti_blocks_merge_and_sets_atomics():
 
 def test_injection_pair_merges_as_reduction():
     funcs, eqs = lowered_wave_example()
-    clusters = group(enforce_directions(eqs[2:]))
+    clusters = _enforce_and_group(eqs[2:])[1]
     assert len(clusters) == 1
     assert len(clusters[0].eqs) == 2
 
@@ -113,30 +122,28 @@ def test_grouping_is_stable_and_idempotent():
     assert [(len(c.eqs), c.ispace, c.guards) for c in again] == \
         [(len(c.eqs), c.ispace, c.guards) for c in clusters]
     # Within-cluster order equals input order
-    enforced = enforce_directions(eqs)
+    enforced, grouped = _enforce_and_group(eqs)
     order = {id(eq): i for i, eq in enumerate(enforced)}
-    for c in group(enforced):
+    for c in grouped:
         positions = [order[id(eq)] for eq in c.eqs]
         assert positions == sorted(positions)
 
 
 def test_cross_cluster_program_order_preserved_for_independent_deps():
     funcs, eqs = lowered_wave_example()
-    enforced = enforce_directions(eqs)
-    clusters = group(enforced)
+    enforced, clusters = _enforce_and_group(eqs)
     where = {}
     for ci, c in enumerate(clusters):
         for eq in c.eqs:
             where[id(eq)] = ci
-    from stencilc.dependence import get_dependences
     for d in get_dependences(enforced):
         if d.is_independent and not d.flipped:
             assert where[id(d.source)] <= where[id(d.sink)]
 
 
 def test_dependences_computed_once_per_pass(monkeypatch):
-    """Clustering builds one graph for direction enforcement and one for
-    grouping; tree analysis one per outermost loop nest. None of the
+    """Clustering builds one graph, which both direction enforcement and
+    grouping read; tree analysis one per outermost loop nest. None of the
     counts grows with the number of equations."""
     import stencilc.clustering as clustering_mod
     import stencilc.iet as iet_mod
@@ -153,7 +160,7 @@ def test_dependences_computed_once_per_pass(monkeypatch):
         calls.clear()
         Operator(coupled_equations(n))
         per_size[n] = dict(calls)
-    assert per_size[3] == {"stencilc.clustering": 2, "stencilc.iet": 1}
+    assert per_size[3] == {"stencilc.clustering": 1, "stencilc.iet": 1}
     assert per_size[8] == per_size[3] and per_size[24] == per_size[3]
 
 
@@ -162,24 +169,43 @@ def _facts(deps):
             for d in deps}
 
 
+def _lowered(example):
+    if example == "coupled":
+        return [lower(e) for e in coupled_equations(6, shape=(6, 6, 6))]
+    if example == "wave":
+        return lowered_wave_example()[1]
+    return [lower(e) for e in acoustic_example((6, 6), so=2)[1]]
+
+
+@pytest.mark.parametrize("example", ["wave", "acoustic"])
+def test_enforcing_directions_changes_no_dependence(example):
+    """``clusterize`` groups the enforced equations against the graph of
+    the equations it was given: position for position, both graphs hold
+    the same dependences."""
+    def by_position(eqs):
+        position = {id(eq): i for i, eq in enumerate(eqs)}
+        return [(position[id(d.source)], position[id(d.sink)],
+                 d.function.name, d.kind, d.dims, d.distance, d.flipped)
+                for d in get_dependences(eqs)]
+    eqs = _lowered(example)
+    enforced = enforce_directions(eqs, get_dependences(eqs))
+    # The injection increments' time loop turns forward.
+    assert [e.ispace for e in enforced] != [e.ispace for e in eqs]
+    assert by_position(enforced) == by_position(eqs)
+
+
 @pytest.mark.parametrize("example", ["coupled", "wave", "acoustic"])
 def test_one_graph_answers_every_cross_dependence_query(example):
     """Filtering the single dependence graph gives, for every cluster (and
     every prefix of one, as the scan saw it) and every later candidate,
     what get_dependences on the cluster plus the candidate gives."""
-    from stencilc.clustering import _cross_deps, _pair_index
-    from stencilc.dependence import get_dependences
-    if example == "coupled":
-        eqs = [lower(e) for e in coupled_equations(6, shape=(6, 6, 6))]
-    elif example == "wave":
-        eqs = lowered_wave_example()[1]
-    else:
-        eqs = [lower(e) for e in acoustic_example((6, 6), so=2)[1]]
-    eqs = enforce_directions(eqs)
+    from stencilc.clustering import _cross_deps
+    eqs = _lowered(example)
+    eqs = enforce_directions(eqs, get_dependences(eqs))
     pairs = _pair_index(eqs, get_dependences(eqs))
     position = {id(eq): i for i, eq in enumerate(eqs)}
     queries = 0
-    for c in group(eqs):
+    for c in group(eqs, pairs):
         members = [position[id(eq)] for eq in c.eqs]
         for k in range(1, len(members) + 1):
             prefix = c.eqs[:k]

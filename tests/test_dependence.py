@@ -89,6 +89,19 @@ def test_injection_corners_form_reduction_with_unknown_distance():
                if None in d.distance)
 
 
+def test_increment_reading_its_target_carries_a_flow():
+    # Only the pair of increment targets is a reduction; the read of
+    # u[x - 1] is the flow a running sum carries along x.
+    from helpers import recurrence_equations
+    low = lower(recurrence_equations()[0])
+    x = low.ispace.dims[0]
+    deps = get_dependences([low])
+    assert sorted((d.kind, d.distance) for d in deps) == \
+        [(FLOW, (1,)), (REDUCTION, (0,))]
+    assert detect_flow_directions(deps) == {x: {FORWARD}}
+    assert low.ispace.direction_of(x) == FORWARD
+
+
 def test_detect_flow_directions():
     g, u, v = _1d()
     fwd = lower(Eq(_shifted(u, 1, 0), _shifted(u, 0, 0)))
@@ -130,18 +143,24 @@ def test_dependences_require_analysis():
 
 def _all_pairs_dependences(eqs):
     """``get_dependences`` by brute force: every (i, j) pair in program
-    order, every candidate access, other functions rejected one by one."""
+    order, every candidate access, other functions rejected one by one.
+    Only a pair of increment targets is a reduction."""
     from stencilc.dependence import Dependence, _normalize, _union_dims
     deps, seen = [], set()
 
+    def write(eq):
+        """(access, is an increment target) of the write of ``eq``."""
+        return eq.lhs, eq.is_increment
+
     def reads(eq):
-        found = list(eq.accesses[1:])
-        return found + [eq.lhs] if eq.is_increment else found
+        found = [(acc, False) for acc in eq.accesses[1:]]
+        return found + [write(eq)] if eq.is_increment else found
 
     def emit(src, snk, src_eq, snk_eq, kind, dims):
+        (src, src_target), (snk, snk_target) = src, snk
         if src.func is not snk.func:
             return
-        both = src_eq.is_increment and snk_eq.is_increment
+        both = src_target and snk_target
         if both and kind != FLOW:
             return
         dep = _normalize(Dependence(src_eq, snk_eq, src.func,
@@ -160,11 +179,11 @@ def _all_pairs_dependences(eqs):
             ej = eqs[j]
             dims = _union_dims(ei, ej)
             for r in reads(ej):
-                emit(ei.lhs, r, ei, ej, FLOW, dims)
+                emit(write(ei), r, ei, ej, FLOW, dims)
             if i != j:
                 for r in reads(ei):
-                    emit(r, ej.lhs, ei, ej, ANTI, dims)
-                emit(ei.lhs, ej.lhs, ei, ej, OUTPUT, dims)
+                    emit(r, write(ej), ei, ej, ANTI, dims)
+                emit(write(ei), write(ej), ei, ej, OUTPUT, dims)
     return deps
 
 
@@ -174,13 +193,15 @@ def _identities(deps):
 
 
 @pytest.mark.parametrize("example", ["wave", "acoustic", "coupled8",
-                                     "coupled24"])
+                                     "coupled24", "recurrence"])
 def test_dependences_by_function_match_all_pairs(example):
-    from helpers import acoustic_example, coupled_equations, wave_example
+    from helpers import (acoustic_example, coupled_equations,
+                         recurrence_equations, wave_example)
     eqs = {"wave": lambda: wave_example()[1],
            "acoustic": lambda: acoustic_example((8, 8), so=4)[1],
            "coupled8": lambda: coupled_equations(8),
-           "coupled24": lambda: coupled_equations(24)}[example]()
+           "coupled24": lambda: coupled_equations(24),
+           "recurrence": recurrence_equations}[example]()
     lowered = [lower(e) for e in eqs]
     # Reversed, every flow between equations becomes an anti dependence.
     for order in (lowered, lowered[::-1]):

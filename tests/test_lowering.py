@@ -73,13 +73,12 @@ def test_backward_time_update():
     assert low.ispace.direction_of(g.time_dim) == BACKWARD
 
 
-def test_direction_clash_flagged_and_kept_local():
+def test_direction_clash_left_any():
     g = Grid((11,))
     f = FunctionDecl("f", "function", g, space_order=2)
     x, h = Symbol("x"), Symbol("h_x")
     rhs = Access(f, (add(x, mul(num(-1), h)),)) + Access(f, (add(x, h),))
     low = lower(Eq(f.at, rhs))
-    assert low.direction_clash
     assert low.ispace.direction_of(g.dimensions[0]) == ANY
 
 
@@ -375,9 +374,11 @@ def test_access_table_follows_replace():
     assert read in low.accesses and len(low.accesses) > 2
     # A change that keeps lhs and rhs hands the table on; the table is
     # no field, so equality and repr ignore it.
-    clashed = low.reanalyzed(direction_clash=True)
-    assert clashed.accesses is low.accesses
-    assert clashed.offsets is low.offsets
+    forced = low.reanalyzed(ispace=low.ispace.with_directions(
+        {g.dimensions[0]: FORWARD}))
+    assert forced.ispace != low.ispace
+    assert forced.accesses is low.accesses
+    assert forced.offsets is low.offsets
     assert not {"accesses", "offsets"} & {f.name for f in fields(low)}
     assert replace(low) == low and repr(replace(low)) == repr(low)
 
