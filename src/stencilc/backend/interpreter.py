@@ -1,19 +1,20 @@
 """Execution of loop-nest trees over in-memory arrays.
 
 ``run`` first builds an execution plan, once per call: every tree node
-becomes a closure. Loop bounds and indices that use no vector loop (such
-as the modulo time index) become small closures over the bindings. Under
-a sliceable nest (a perfect nest of parallel, unit-stride, forward space
-loops around statements only) each array index becomes its affine form
-``(axis, const, ((symbol, coeff), ...))`` (block-local temporaries index
-with ``x - xb``), and each right-hand side a closure tree of numpy
-operations that folds sums and products left to right. The plan decides
-once per nest whether its statements run as whole-array slice operations
-or per point through ``evaluate`` (a non-affine or transposed index, a
-loop symbol used as a value, integer division of arrays); sparse
-scatter/gather and loops outside such nests run per point too. Running a
-nest is then only slice arithmetic, bounds checks and numpy calls. Every
-access is checked against the allocated extents (``BoundsError``).
+becomes a closure, and every statement a closure tree of numpy
+operations that folds sums and products left to right. Loop bounds and
+indices that use no vector loop (such as the modulo time index) become
+small closures over the bindings. Under a sliceable nest (a perfect nest
+of parallel, unit-stride, forward space loops around statements only)
+each array index becomes its affine form ``(axis, const, ((symbol,
+coeff), ...))`` (block-local temporaries index with ``x - xb``), and the
+statements run as whole-array slice operations. Every other statement
+(sparse scatter/gather; a nest with a non-affine or transposed index, a
+loop symbol used as a value or integer division of arrays) runs per
+point, planned with no vector loop: each index is a scalar and each
+access a 0-d view. Every access is checked against the allocated
+extents (``BoundsError``); a missing buffer fails while planning, before
+any statement runs.
 
 A band of parallel block loops (``xb``, ``yb``, ...) whose body holds
 only sliceable nests runs all its blocks at once: each statement gets one
@@ -53,8 +54,10 @@ work gains from the pool. Everything else, a one-slab batch among it,
 runs on the calling thread. The workers run the slabs the calling
 thread would, so results are independent of the pool size.
 
-The per-point path, ``_point``, is shared with the reference oracle
-(``reference.py``), which never uses the plan.
+The reference oracle (``reference.py``) never uses the plan: it walks
+each equation's expression tree itself, and shares with this module only
+``_point_index`` (index rounding, the time modulo, bounds),
+``_ARRAY_CALLS`` and the error types.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from __future__ import annotations
 import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import reduce
 from itertools import product
 from math import prod
 from time import perf_counter
@@ -75,9 +78,9 @@ from ..iet import (ATOMIC, BLOCKED, PARALLEL, Block, Conditional,
                    ExpressionStmt, Iteration, Section, iterations,
                    statements, walk)
 from ..lowering import BACKWARD, LoweredEq, linear_form
-from ..symbolic.expr import (Access, Add, Call, Constant, Expr, ExprError,
-                             Mul, Pow, Symbol, children_of, evaluate,
-                             free_symbols)
+# ``evaluate`` is bound, not called: a count of its calls here reads 0.
+from ..symbolic.expr import (Access, Add, Call, Constant, Expr, Mul, Pow,
+                             Symbol, children_of, evaluate, free_symbols)
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
 
@@ -127,12 +130,13 @@ def allocate(decl, nt: Optional[int] = None, dtype: str = "f64") -> DataBuffer:
 
 @dataclass(slots=True)
 class _Frame:
-    """Execution state of one thread: bindings, scalar temporaries, the
-    arrays statements touch (in a batched band, the slab's private
-    copies), statement executions per path, and of the sliced nest running
-    now: the first index and the length of each of its loops for the first
-    block of the slab, the blocks per batch axis (``counts``) and its
-    scalar temporaries. A worker running a run of slabs gets its own."""
+    """Execution state of one thread: bindings, scalar temporaries (those
+    of the sliced nest running now hold arrays), the arrays statements
+    touch (in a batched band, the slab's private copies), statement
+    executions per path, and of the sliced nest running now: the first
+    index and the length of each of its loops for the first block of the
+    slab and the blocks per batch axis (``counts``). A worker running a
+    run of slabs gets its own."""
 
     env: dict
     arrays: Dict[str, np.ndarray]
@@ -142,7 +146,6 @@ class _Frame:
     lo: list = field(default_factory=list)
     size: list = field(default_factory=list)
     counts: list = field(default_factory=list)
-    defined: dict = field(default_factory=dict)
 
 
 def temp_extents(decl, env) -> Tuple[int, ...]:
@@ -165,10 +168,6 @@ def _lookup(table: dict, name: str, what: str):
         raise BackendError("%s %r" % (what, name)) from None
 
 
-def _array(fr: _Frame, f) -> np.ndarray:
-    return _lookup(fr.arrays, f.name, "no buffer for")
-
-
 def _out_of_range(f, pos: int, start: int, stop: int, extent: int):
     return BoundsError("%s indices [%d, %d) out of range [0, %d) along axis "
                        "%d" % (f.name, start, stop, extent, pos))
@@ -181,41 +180,6 @@ def _point_index(f, pos: int, value: float, extent: int) -> int:
     if not 0 <= v < extent:
         raise _out_of_range(f, pos, v, v + 1, extent)
     return v
-
-
-def _point_indices(acc: Access, fr: _Frame) -> tuple:
-    shape = _array(fr, acc.func).shape
-    read = partial(_point_read, fr)
-    return tuple(_point_index(acc.func, pos,
-                              evaluate(i, fr.env, on_access=read),
-                              shape[pos])
-                 for pos, i in enumerate(acc.indices))
-
-
-def _point_read(fr: _Frame, acc: Access):
-    f = acc.func
-    if f.kind == "temp" and not acc.indices:
-        return _lookup(fr.scalars, f.name, "read of undefined scalar")
-    return _array(fr, f)[_point_indices(acc, fr)]
-
-
-def _point(eq: LoweredEq, fr: _Frame):
-    """Execute one statement at the point bound in ``fr.env``. The helpers
-    are module functions, not closures over the frame: closures that call
-    each other form a cycle that would keep every buffer alive until the
-    next cyclic collection."""
-    try:
-        val = evaluate(eq.rhs, fr.env, on_access=partial(_point_read, fr))
-    except ExprError as err:
-        raise BackendError(str(err))
-    fr.per_point += 1
-    f = eq.lhs.func
-    if f.kind == "temp" and not eq.lhs.indices:
-        fr.scalars[f.name] = val
-    elif eq.is_increment:
-        _array(fr, f)[_point_indices(eq.lhs, fr)] += val
-    else:
-        _array(fr, f)[_point_indices(eq.lhs, fr)] = val
 
 
 # -- Plan ----------------------------------------------------------------------
@@ -262,15 +226,15 @@ def _fold(op, fns):
 
 
 def _statement(eq: LoweredEq, view, value, drop: tuple):
-    """The closure running one sliced statement; ``view`` is None for a
-    scalar temporary, which the nest keeps in ``defined`` until the
-    statement it is last read by drops it (``drop``)."""
+    """The closure running one statement; ``view`` is None for a scalar
+    temporary, which the frame keeps in ``scalars``. A sliced nest drops
+    each of its own after the statement that reads it last (``drop``)."""
     name = eq.lhs.func.name
 
     def bind(fr: _Frame):
-        fr.defined[name] = value(fr)
+        fr.scalars[name] = value(fr)
         for d in drop:
-            del fr.defined[d]
+            del fr.scalars[d]
 
     def store(fr: _Frame):
         val = value(fr)
@@ -280,7 +244,7 @@ def _statement(eq: LoweredEq, view, value, drop: tuple):
         else:
             view(fr)[...] = val
         for d in drop:
-            del fr.defined[d]
+            del fr.scalars[d]
     return bind if view is None else store
 
 
@@ -392,8 +356,7 @@ class _Planner:
         if isinstance(n, Iteration):
             return self.iteration(n)
         if isinstance(n, ExpressionStmt):
-            eq = n.eq
-            return lambda fr: _point(eq, fr)
+            return self.statement(n.eq)
         if not isinstance(n, (Block, Section, Conditional)):
             raise BackendError("cannot execute node %r" % (n,))
         kids = [self.node(c) for c in n.children]
@@ -433,6 +396,23 @@ class _Planner:
         if compiled is None:
             raise BackendError("cannot evaluate %r" % (e,))
         return compiled[0]
+
+    def statement(self, eq: LoweredEq):
+        """The closure running one statement outside a sliced nest, at the
+        point bound in the frame: every index of every access is a scalar,
+        and each array access a 0-d view."""
+        view = None
+        if eq.lhs.func.kind != "temp" or eq.lhs.indices:
+            target = self.access(eq.lhs, _NO_AXES, {})
+            if target is None:
+                raise BackendError("cannot evaluate %r" % (eq.lhs,))
+            view = target[0]
+        run_statement = _statement(eq, view, self.scalar(eq.rhs), ())
+
+        def statement(fr: _Frame):
+            run_statement(fr)
+            fr.per_point += 1
+        return statement
 
     def iteration(self, n: Iteration):
         sliced = self.sliced(n)
@@ -590,7 +570,7 @@ class _Planner:
                         lo[0], size[0] = lo[0] + origin[0], shape[0]
                     for axis, q, c, _ in nest.bound:
                         lo[axis] = fr.env[names[q]] + c
-                    fr.lo, fr.size, fr.defined = lo, size, {}
+                    fr.lo, fr.size = lo, size
                     for s in nest.stmts:
                         s(fr)
                     fr.sliced += nblocks * prod(size) * len(nest.stmts)
@@ -626,8 +606,8 @@ class _Planner:
                     continue
                 each = -(-len(slabs) // self.workers)
                 runs = [slabs[i:i + each] for i in range(0, len(slabs), each)]
-                frames = [_Frame(dict(fr.env), dict(fr.arrays), fr.scalars)
-                          for _ in runs]
+                frames = [_Frame(dict(fr.env), dict(fr.arrays),
+                                 dict(fr.scalars)) for _ in runs]
                 futures = [self.pool.submit(run_slabs, sub, batch, active,
                                             part, slabs[0][1])
                            for sub, part in zip(frames, runs)]
@@ -695,7 +675,7 @@ class _Planner:
             if strided:
                 return _strided(arr, idx, vector, fr.counts, ndim)
             if not private:
-                out = arr[tuple(idx)]
+                out = arr[tuple(idx) + (Ellipsis,)]
                 if whole:
                     return out
                 shape = [1] * ndim
@@ -723,10 +703,9 @@ class _Planner:
             return None if name in axes.loops else (symbol, False)
         if isinstance(e, Access) and e.func.kind == "temp" and not e.indices:
             name = e.func.name
-            if name in defined:
-                return (lambda fr: fr.defined[name]), defined[name]
             return (lambda fr: _lookup(fr.scalars, name,
-                                       "read of undefined scalar")), False
+                                       "read of undefined scalar")), \
+                defined.get(name, False)
         if isinstance(e, Access):
             target = self.access(e, axes, defined)
             if target is None:

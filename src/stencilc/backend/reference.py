@@ -6,7 +6,12 @@ oracle for ``run``. Where an equation can be swept, it runs as whole-array
 slice operations whose offsets come from the equation's access table
 (``LoweredEq.offsets``, derived once by lowering), not from the
 interpreter's execution plan, so a fault in the plan's slicing shows as a
-difference; every other equation runs per point. Every access is checked
+difference. Every other equation runs per point (``_point``), walking its
+expression tree with ``evaluate``, which the interpreter never calls. It
+shares with the interpreter only ``_point_index`` (index rounding, the
+time modulo, bounds), ``_ARRAY_CALLS`` and the error types, so per-point
+statements such as source injection and receiver interpolation are
+checked against an independent executor too. Every access is checked
 against the allocated extents.
 """
 
@@ -14,16 +19,47 @@ from __future__ import annotations
 
 import itertools
 import operator
-from functools import reduce
+from functools import partial, reduce
 from typing import Dict, Sequence
 
 from ..lowering import BACKWARD, OPAQUE, LoweredEq
 from ..symbolic.expr import (Access, Add, Call, Constant, Expr, ExprError,
                              Mul, Pow, Symbol, children_of, evaluate,
                              free_symbols)
-from .interpreter import (_ARRAY_CALLS, BackendError, DataBuffer, _array,
-                          _Frame, _lookup, _out_of_range, _point,
-                          _point_index)
+from .interpreter import (_ARRAY_CALLS, BackendError, DataBuffer,
+                          _out_of_range, _point_index)
+
+
+def _array(arrays, f):
+    try:
+        return arrays[f.name]
+    except KeyError:
+        raise BackendError("no buffer for %r" % f.name) from None
+
+
+def _point_indices(acc: Access, env, arrays) -> tuple:
+    shape = _array(arrays, acc.func).shape
+    read = partial(_point_read, env, arrays)
+    return tuple(_point_index(acc.func, pos,
+                              evaluate(i, env, on_access=read), shape[pos])
+                 for pos, i in enumerate(acc.indices))
+
+
+def _point_read(env, arrays, acc: Access):
+    return _array(arrays, acc.func)[_point_indices(acc, env, arrays)]
+
+
+def _point(eq: LoweredEq, env, arrays):
+    """Execute one equation at the point bound in ``env``. The helpers are
+    module functions, not closures: closures that call each other form a
+    cycle that would keep every buffer alive until the next cyclic
+    collection."""
+    val = evaluate(eq.rhs, env, on_access=partial(_point_read, env, arrays))
+    target = _array(arrays, eq.lhs.func)
+    if eq.is_increment:
+        target[_point_indices(eq.lhs, env, arrays)] += val
+    else:
+        target[_point_indices(eq.lhs, env, arrays)] = val
 
 
 def _overlap(a, b) -> bool:
@@ -73,10 +109,8 @@ def _sweep_plan(eq: LoweredEq, names):
 
 
 def _sweep_value(e: Expr, views, env):
-    if isinstance(e, Constant):
-        return float(e.value)
-    if isinstance(e, Symbol):
-        return float(_lookup(env, e.name, "unbound symbol"))
+    if isinstance(e, (Constant, Symbol)):
+        return evaluate(e, env)
     if isinstance(e, Access):
         return views[e]
     args = [_sweep_value(c, views, env) for c in children_of(e)]
@@ -89,19 +123,19 @@ def _sweep_value(e: Expr, views, env):
     return _ARRAY_CALLS[e.name](*args)
 
 
-def _sweep(eq: LoweredEq, plan, ranges, fr: _Frame) -> bool:
+def _sweep(eq: LoweredEq, plan, ranges, env, arrays) -> bool:
     """Whole-array execution of one equation over the box ``ranges``;
     False when the per-point path must run it instead. Safe only when the
     written region is disjoint from every read region of the same array."""
     written, views = None, {}
     for acc, entries in plan:
         f = acc.func
-        shape = _array(fr, f).shape
+        shape = _array(arrays, f).shape
         parts, bshape = [], [1] * len(ranges)
         for pos, (axis, k, idx) in enumerate(entries):
             if axis is None:
                 try:
-                    value = evaluate(idx, fr.env)
+                    value = evaluate(idx, env)
                 except ExprError:
                     return False
                 parts.append(_point_index(f, pos, value, shape[pos]))
@@ -116,12 +150,12 @@ def _sweep(eq: LoweredEq, plan, ranges, fr: _Frame) -> bool:
         elif f is eq.lhs.func and all(map(_overlap, written, parts)):
             return False
         else:
-            views[acc] = fr.arrays[f.name][tuple(parts)].reshape(bshape)
-    val = _sweep_value(eq.rhs, views, fr.env)
+            views[acc] = arrays[f.name][tuple(parts)].reshape(bshape)
+    val = _sweep_value(eq.rhs, views, env)
     if eq.is_increment:
-        fr.arrays[eq.lhs.func.name][written] += val
+        arrays[eq.lhs.func.name][written] += val
     else:
-        fr.arrays[eq.lhs.func.name][written] = val
+        arrays[eq.lhs.func.name][written] = val
     return True
 
 
@@ -132,8 +166,8 @@ def reference_run(eqs: Sequence[LoweredEq], buffers: Dict[str, DataBuffer],
     time dimension share a single outer time loop."""
     if not eqs:
         return buffers
-    fr = _Frame(dict(params), {name: b.data for name, b in buffers.items()})
-    env = fr.env
+    env = dict(params)
+    arrays = {name: b.data for name, b in buffers.items()}
     plans: dict = {}
 
     def exec_eq(i: int, eq: LoweredEq, tval):
@@ -156,25 +190,28 @@ def reference_run(eqs: Sequence[LoweredEq], buffers: Dict[str, DataBuffer],
         if all(d.kind == "space" for d in dims):
             if i not in plans:
                 plans[i] = _sweep_plan(eq, [d.name for d in dims])
-            if plans[i] is not None and _sweep(eq, plans[i], ranges, fr):
+            if plans[i] is not None and \
+                    _sweep(eq, plans[i], ranges, env, arrays):
                 return
         for point in itertools.product(*[range(l, h + 1) for l, h in ranges]):
             for d, v in zip(dims, point):
                 env[d.name] = v
-            _point(eq, fr)
+            _point(eq, env, arrays)
 
     timed = [any(d.is_time for d in eq.ispace.dims) for eq in eqs]
-    for i, eq in enumerate(eqs):
-        if not timed[i]:
-            exec_eq(i, eq, None)
-    if any(timed):
-        steps = range(int(env["t_m"]), int(env["t_M"]) + 1)
-        if any(eq.ispace.direction_of(d) == BACKWARD
-               for eq, t in zip(eqs, timed) if t
-               for d in eq.ispace.dims if d.is_time):
-            steps = reversed(steps)
+    steps = range(int(env["t_m"]), int(env["t_M"]) + 1) if any(timed) else ()
+    if any(eq.ispace.direction_of(d) == BACKWARD
+           for eq, t in zip(eqs, timed) if t
+           for d in eq.ispace.dims if d.is_time):
+        steps = reversed(steps)
+    try:
+        for i, eq in enumerate(eqs):
+            if not timed[i]:
+                exec_eq(i, eq, None)
         for tval in steps:
             for i, eq in enumerate(eqs):
                 if timed[i]:
                     exec_eq(i, eq, tval)
+    except ExprError as err:
+        raise BackendError(str(err)) from None
     return buffers

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .lowering import OPAQUE, LoweredEq, _access_offsets
+from .lowering import OPAQUE, LoweredEq
 from .symbolic.expr import Access, free_symbols
 from .symbolic.grid import Dimension, FunctionDecl
 
@@ -93,16 +93,10 @@ def _offsets_by_loop_dim(acc: Access, offsets
     return affine, opaque_syms
 
 
-def lamport_distance(src: Access, snk: Access,
-                     dims: Tuple[Dimension, ...]) -> Tuple[Optional[int], ...]:
-    """Distance vector of a dependence from ``src`` to ``snk`` over the
-    given loop dimensions; None marks an unknown entry."""
-    return _distance(_offsets_by_loop_dim(src, _access_offsets(src)),
-                     _offsets_by_loop_dim(snk, _access_offsets(snk)), dims)
-
-
 def _distance(src_offsets, snk_offsets, dims) -> Tuple[Optional[int], ...]:
-    """``lamport_distance`` from the two accesses' ``_offsets_by_loop_dim``."""
+    """Distance vector of a dependence from a source to a sink access over
+    the loop dimensions ``dims``, from the two accesses'
+    ``_offsets_by_loop_dim``; None marks an unknown entry."""
     src_aff, src_opq = src_offsets
     snk_aff, snk_opq = snk_offsets
     out = []

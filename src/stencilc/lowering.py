@@ -147,19 +147,6 @@ class LoweredEq:
                 out.__dict__[name] = self.__dict__[name]
         return out
 
-    @property
-    def reads(self) -> Tuple[FunctionDecl, ...]:
-        seen, out = set(), []
-        for acc in self.accesses[1:]:
-            if id(acc.func) not in seen:
-                seen.add(id(acc.func))
-                out.append(acc.func)
-        return tuple(out)
-
-    @property
-    def writes(self) -> FunctionDecl:
-        return self.lhs.func
-
     def __repr__(self):
         op = "+=" if self.is_increment else "="
         return "%r %s %r" % (self.lhs, op, self.rhs)

@@ -133,6 +133,62 @@ def _tti_so8_op(block=None):
                     block=block)
 
 
+#: SHA-256 of every buffer, in name order, after four steps from
+#: ``_random_fixture``: acoustic 2D SO4 on 24x24 in f64 and f32,
+#: unblocked and in 8x8 blocks, and the wave operator, whose snapshot is
+#: sub-sampled.
+OUTPUT_SHA256 = {
+    "acoustic-f32": (
+        "311f8b31b6d392842159364f2acb6e37ac3c05bc52b663cba4ff40c1bf1a7a24",
+        "1f9e1a1c193affdd0c7fa409b4df37178774dd2f97626b87f0e5989529a56dc5",
+        "b307ab491a612fd28c1ddc329833192f9a1dece85e337ccab33b2626f2275622",
+        "de8800fc2280f6da3ef40e9708bebfe1b829894ca2672adb2d5b5dde9a581a84",
+        "0c399ca4576cd0aacebeafc3c9250855f43a415b613d3681aac097ce9d9830da",
+        "31a36d815e456975bc8f5f6af7aff71318d3f9d974a9dc14460edf8b1b9c3fde"),
+    "acoustic-f32-blocked": (
+        "311f8b31b6d392842159364f2acb6e37ac3c05bc52b663cba4ff40c1bf1a7a24",
+        "1f9e1a1c193affdd0c7fa409b4df37178774dd2f97626b87f0e5989529a56dc5",
+        "b307ab491a612fd28c1ddc329833192f9a1dece85e337ccab33b2626f2275622",
+        "de8800fc2280f6da3ef40e9708bebfe1b829894ca2672adb2d5b5dde9a581a84",
+        "0c399ca4576cd0aacebeafc3c9250855f43a415b613d3681aac097ce9d9830da",
+        "31a36d815e456975bc8f5f6af7aff71318d3f9d974a9dc14460edf8b1b9c3fde"),
+    "acoustic-f64": (
+        "37a8ae158ba556f38a56cb01705541aeaba58db315f4c281c2052bc1317cb1ea",
+        "b41a7d718ab4c991f77f1e93c3d39033b8b935211a229aa2cabd5e0a8e7ea15c",
+        "33a8dbc882552a91ffe64474b2cc2d374184a77571d207af32a27da319ba3cc7",
+        "d7dc2f8241ba4ab4415b5fb994c24f9890df4be729ae65a4d41c1ebe62fecad5",
+        "537c3a0d6b9cc48ca6642be4350a72dcbb6f154967e398df9761763806a733c9",
+        "58902bc7244715c11e11e35ee863c15bc8c2df38b7eb0f822eec1e3ade209ba2"),
+    "acoustic-f64-blocked": (
+        "37a8ae158ba556f38a56cb01705541aeaba58db315f4c281c2052bc1317cb1ea",
+        "b41a7d718ab4c991f77f1e93c3d39033b8b935211a229aa2cabd5e0a8e7ea15c",
+        "33a8dbc882552a91ffe64474b2cc2d374184a77571d207af32a27da319ba3cc7",
+        "d7dc2f8241ba4ab4415b5fb994c24f9890df4be729ae65a4d41c1ebe62fecad5",
+        "537c3a0d6b9cc48ca6642be4350a72dcbb6f154967e398df9761763806a733c9",
+        "58902bc7244715c11e11e35ee863c15bc8c2df38b7eb0f822eec1e3ade209ba2"),
+    "wave": (
+        "f50f0f90594a51505f2715e5cb1e03cfe147976b542a07385c924054191f8cd7",
+        "69bb5bad976d5565de2c48e71c68c1e35ba085f9544d6d71c87a88d036372b82",
+        "26c89b2e371fe262107103399d57b183eab4619a9e3186302bbf19f6148fb0f2",
+        "ac195d2a48e11f9f2b666c5728982d06979e66b904e73cb1c0e7e7789a3e8bdf",
+        "7068854146b22aa5b608f445dc1b31f71def2e1cc105c86c27a323e56d1ebba7"),
+}
+
+
+def _output_digests(name):
+    import hashlib
+    if name == "wave":
+        op = Operator(wave_example()[1])
+    else:
+        _, dtype, *blocked = name.split("-")
+        op = Operator(acoustic_example((24, 24), so=4)[1], dtype=dtype,
+                      block={"x": 8, "y": 8} if blocked else None)
+    bufs = _random_fixture(op, 4)
+    op.apply(steps=4, buffers=bufs, dt=DT)
+    return tuple(hashlib.sha256(bufs[n].data.tobytes()).hexdigest()
+                 for n in sorted(bufs))
+
+
 class TestDataBuffer:
     def test_zero_initialized(self):
         buf = DataBuffer("u", "f64", (3, 5))
@@ -284,6 +340,38 @@ class TestInterpreter:
 
     def test_reference_empty_program(self):
         assert reference_run([], {}, {}) == {}
+
+    @pytest.mark.parametrize("name", sorted(OUTPUT_SHA256))
+    def test_golden_output(self, name):
+        assert _output_digests(name) == OUTPUT_SHA256[name]
+
+    def test_missing_buffer_fails_before_any_write(self):
+        # The receiver runs after the stencil and the source have written
+        # u, so only a plan built before the run leaves u untouched.
+        op = _acoustic_op((24, 24), so=4)
+        bufs = _random_fixture(op, 3)
+        del bufs["rec"]
+        before = bufs["u"].data.tobytes()
+        with pytest.raises(BackendError, match="rec"):
+            op.apply(steps=3, buffers=bufs, dt=DT)
+        assert bufs["u"].data.tobytes() == before
+
+    def test_oracle_runs_apart_from_the_plan(self, monkeypatch):
+        # The interpreter runs source and receiver through its plan, never
+        # through ``evaluate``; the oracle's per-point path is its own.
+        from stencilc.backend import interpreter, reference
+
+        def unused(*args, **kwargs):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(interpreter, "evaluate", unused)
+        monkeypatch.setattr(reference, "_point", unused)
+        op = _acoustic_op((24, 24), so=4)
+        report = op.apply(steps=3, buffers=_random_fixture(op, 3), dt=DT)[1]
+        assert sum(slot["per_point"] for slot in report.values()) > 0
+        with pytest.raises(AssertionError, match="called"):
+            op.reference(steps=3, buffers=_random_fixture(op, 3), dt=DT)
+
 
 
 class TestPlan:
@@ -694,7 +782,7 @@ class TestBatchedBlocks:
 
             def statement(fr):
                 run_statement(fr)
-                live[id(eq)] = max(live.get(id(eq), 0), len(fr.defined))
+                live[id(eq)] = max(live.get(id(eq), 0), len(fr.scalars))
             return statement
         monkeypatch.setattr(interpreter, "_statement", counted)
         op.apply(steps=1, buffers=_random_fixture(op, 1), dt=DT)
@@ -943,6 +1031,24 @@ def test_emitted_c_matches_interpreter(tmp_path, build, fixture):
     assert all(buf.data.any() for buf in want.values())
     for name, buf in got.items():
         assert buf.data.tobytes() == want[name].data.tobytes(), name
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="needs gcc")
+def test_per_point_reciprocal_matches_c(tmp_path):
+    # The source injection divides by m per point. The C computes 1.0/m,
+    # as numpy's array power does; the scalar power m ** -1 calls libm's
+    # pow, which is one bit off at this m.
+    m = 1.502872
+    assert m ** -1 != 1.0 / m
+    op = _acoustic_c_op((24, 24), 4)
+    got, want = (_acoustic_c_fixture(op, 6) for _ in range(2))
+    for bufs in (got, want):
+        bufs["m"].data[:] = m
+    op.apply(steps=6, buffers=want, dt=DT)
+    env = op.default_params(6)
+    env["dt"] = DT
+    _run_c(op, got, env, tmp_path)
+    assert got["u"].data.tobytes() == want["u"].data.tobytes()
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -2,10 +2,10 @@ import itertools
 
 import pytest
 
-from stencilc.dependence import (ANTI, FLOW, OUTPUT, REDUCTION,
-                                 detect_flow_directions, get_dependences,
-                                 lamport_distance)
-from stencilc.lowering import BACKWARD, FORWARD, lower
+from stencilc.dependence import (ANTI, FLOW, OUTPUT, REDUCTION, _distance,
+                                 _offsets_by_loop_dim, detect_flow_directions,
+                                 get_dependences)
+from stencilc.lowering import BACKWARD, FORWARD, _access_offsets, lower
 from stencilc.symbolic import (Access, Eq, FunctionDecl, Grid, Symbol, add,
                                dt2, inject, laplace, mul, num, solve_for)
 
@@ -112,6 +112,13 @@ def test_detect_flow_directions():
     assert detect_flow_directions(dirs) == {g.time_dim: {BACKWARD}}
 
 
+def _access_distance(src, snk, dims):
+    """The distance from ``src`` to ``snk`` over ``dims``, as
+    ``get_dependences`` derives it from each access's offsets."""
+    return _distance(_offsets_by_loop_dim(src, _access_offsets(src)),
+                     _offsets_by_loop_dim(snk, _access_offsets(snk)), dims)
+
+
 @pytest.mark.parametrize("kw,kr", list(itertools.product([-2, -1, 0, 1, 2],
                                                          repeat=2)))
 def test_lamport_distance_matches_enumeration_oracle(kw, kr):
@@ -126,7 +133,7 @@ def test_lamport_distance_matches_enumeration_oracle(kw, kr):
     eq = lower(Eq(w, r + num(1)))
     from stencilc.lowering import collect_accesses
     read = collect_accesses(eq.rhs)[0]
-    dist = lamport_distance(eq.lhs, read, eq.ispace.dims)
+    dist = _access_distance(eq.lhs, read, eq.ispace.dims)
     # Enumerate: write at iteration i hits element i+kw; read at j hits j+kr
     # The sink (read) iteration minus the source (write) iteration
     observed = {j - i for i in range(8, 24) for j in range(8, 24)
@@ -165,7 +172,7 @@ def _all_pairs_dependences(eqs):
             return
         dep = _normalize(Dependence(src_eq, snk_eq, src.func,
                                     REDUCTION if both else kind, dims,
-                                    lamport_distance(src, snk, dims)))
+                                    _access_distance(src, snk, dims)))
         if dep is None:
             return
         key = (id(dep.source), id(dep.sink), dep.function.name, dep.kind,

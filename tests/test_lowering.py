@@ -53,8 +53,8 @@ def test_wave_iteration_and_data_space_golden():
     assert parts["u"] == (Interval(u.dims[0], 0, 1),
                           Interval(u.dims[1], 0, 0))
     assert parts["m"] == (Interval(m.dims[0], 0, 0),)
-    assert low.writes is u
-    assert set(low.reads) == {u, m}
+    assert low.lhs.func is u
+    assert {acc.func for acc in low.accesses[1:]} == {u, m}
 
 
 def test_wave_2d_space_dims_any_direction():
@@ -123,8 +123,8 @@ def test_interpolate_iterates_point_dim_not_space():
     eq, = interpolate(rec, u.at)
     low = lower(eq)
     assert [d.name for d in low.ispace.dims] == ["t", "p_rec"]
-    assert low.writes is rec
-    assert u in low.reads
+    assert low.lhs.func is rec
+    assert u in {acc.func for acc in low.accesses[1:]}
 
 
 def test_nonaffine_index_rejected():
