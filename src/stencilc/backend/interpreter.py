@@ -225,6 +225,22 @@ def _fold(op, fns):
     return fold
 
 
+def _power(base, n: int):
+    """``base ** n`` as the emitted C writes it: for 1 <= |n| <= 4 the
+    product of |n| factors, left to right, and ``1.0/`` that product when
+    n < 0; any other power calls ``**``. The base is evaluated once."""
+    if not 1 <= abs(n) <= 4:
+        return lambda fr: base(fr) ** n
+
+    def power(fr: _Frame):
+        b = base(fr)
+        out = b
+        for _ in range(abs(n) - 1):
+            out = out * b
+        return 1.0 / out if n < 0 else out
+    return power
+
+
 def _statement(eq: LoweredEq, view, value, drop: tuple):
     """The closure running one statement; ``view`` is None for a scalar
     temporary, which the frame keeps in ``scalars``. A sliced nest drops
@@ -719,8 +735,7 @@ class _Planner:
             op = operator.add if isinstance(e, Add) else operator.mul
             return _fold(op, fns), is_array
         if isinstance(e, Pow):
-            base, exponent = fns[0], e.exponent
-            return (lambda fr: base(fr) ** exponent), is_array
+            return _power(fns[0], e.exponent), is_array
         if isinstance(e, Call) and e.name == "idiv" and not is_array:
             a, b = fns
             return (lambda fr: float(int(a(fr)) // int(b(fr)))), False

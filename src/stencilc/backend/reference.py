@@ -1,9 +1,11 @@
 """The reference oracle: unoptimized lowered equations, executed directly.
 
 ``reference_run`` runs each equation in its own loop nest over its own
-iteration space, in program order, and serves as the differential-testing
-oracle for ``run``. Where an equation can be swept, it runs as whole-array
-slice operations whose offsets come from the equation's access table
+iteration space, in program order, each loop in its space's direction,
+and serves as the differential-testing oracle for ``run``. Equations with
+a time dimension share one outer time loop, wherever their space puts
+it. Where an equation can be swept, it runs as whole-array slice
+operations whose offsets come from the equation's access table
 (``LoweredEq.offsets``, derived once by lowering), not from the
 interpreter's execution plan, so a fault in the plan's slicing shows as a
 difference. Every other equation runs per point (``_point``), walking its
@@ -175,7 +177,8 @@ def reference_run(eqs: Sequence[LoweredEq], buffers: Dict[str, DataBuffer],
             for g in eq.guards:
                 if tval % g.factor != 0:
                     return
-            env[eq.ispace.dims[0].root.name] = tval
+            tdim = next(d for d in eq.ispace.dims if d.is_time)
+            env[tdim.root.name] = tval
         dims = [d for d in eq.ispace.dims if not d.is_time]
         ranges = []
         for d in dims:
@@ -193,7 +196,10 @@ def reference_run(eqs: Sequence[LoweredEq], buffers: Dict[str, DataBuffer],
             if plans[i] is not None and \
                     _sweep(eq, plans[i], ranges, env, arrays):
                 return
-        for point in itertools.product(*[range(l, h + 1) for l, h in ranges]):
+        for point in itertools.product(*[
+                range(h, l - 1, -1)
+                if eq.ispace.direction_of(d) == BACKWARD else range(l, h + 1)
+                for d, (l, h) in zip(dims, ranges)]):
             for d, v in zip(dims, point):
                 env[d.name] = v
             _point(eq, env, arrays)

@@ -3,11 +3,14 @@
 A cluster is an ordered run of equations that share an iteration space and
 guards and have no dimension-carried anti-dependence among them, so they
 can later be scheduled into one loop nest. Grouping scans existing
-clusters in reverse: a carried anti-dependence blocks the merge and marks
-its causing dimensions atomic on the blocking cluster; a flow dependence
-into an atomic dimension also stops the scan; otherwise the candidate may
-skip over an incompatible predecessor, provided no loop-independent
-dependence pins it behind that predecessor.
+clusters in reverse: a carried anti-dependence blocks the merge, and the
+candidate starts a new cluster whose ``atomics`` hold the dependences'
+causing dimensions (as Devito's ``groupby`` records them); ``build_iet``
+never fuses such a cluster into a loop over an atomic dimension, which is
+the one fusion fence. A flow dependence into a cluster's atomic
+dimension also stops the scan; otherwise the candidate may skip over an
+incompatible predecessor, provided no loop-independent dependence pins it
+behind that predecessor.
 """
 
 from __future__ import annotations
@@ -92,12 +95,15 @@ def group(eqs: List[LoweredEq],
     members: List[List[int]] = []  # positions in eqs, per cluster
     for pos, eq in enumerate(eqs):
         placed = False
+        atomics: Set[Dimension] = set()
         for c, positions in zip(reversed(clusters), reversed(members)):
             cross = _cross_deps(pairs, positions, pos)
             carried_anti = [d for d in cross
                             if d.kind == ANTI and d.is_carried]
             if carried_anti:
-                c.atomics.update(d.cause for d in carried_anti)
+                # The candidate's new cluster must not share these loops
+                # with the clusters before it.
+                atomics = {d.cause for d in carried_anti}
                 break
             flow_causes = {d.cause for d in cross
                            if d.kind == FLOW and d.is_carried}
@@ -116,7 +122,7 @@ def group(eqs: List[LoweredEq],
                    for d in cross):
                 break
         if not placed:
-            clusters.append(Cluster([eq], eq.ispace, set(), eq.guards))
+            clusters.append(Cluster([eq], eq.ispace, atomics, eq.guards))
             members.append([pos])
     return clusters
 

@@ -3,10 +3,13 @@
 Distances are computed with the classic test for affine single-index
 accesses: a pair of accesses ``A[d + k1]`` and ``A[d + k2]`` touches the
 same element at iterations d1, d2 with d1 + k1 == d2 + k2, so the
-dependence distance along ``d`` is k_source - k_sink. Non-affine indices
-yield an unknown (None) entry. Dependences are normalized to run forward
-in iteration order: a negative leading distance swaps source and sink and
-flips flow with anti.
+dependence distance along ``d`` is k_source - k_sink. Along any other
+loop the entry is unknown (None): a non-affine index, or a loop that an
+access does not index, whose storage every iteration of that loop reuses
+(an array temporary in the time loop, ``grad[x, y] += ...`` in it). The
+rule is the same for every function. Dependences are normalized to run
+forward in iteration order: a negative leading distance swaps source and
+sink and flips flow with anti.
 
 A pair of increment targets (the left-hand sides of two increment
 equations, or of one, with itself) is a reduction rather than an
@@ -18,7 +21,9 @@ its carried flow.
 This module is the only code that turns access offsets into distances
 and distances into loop directions: ``lowering.analyze`` votes each
 equation's directions with ``detect_flow_directions`` on that equation
-alone, and clustering enforces them across equations from one graph.
+alone, clustering enforces them across equations from one graph, and
+``iet.analyze_iet`` reads each loop nest's graph to mark loops sequential
+or atomic.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .lowering import OPAQUE, LoweredEq
-from .symbolic.expr import Access, free_symbols
+from .symbolic.expr import Access
 from .symbolic.grid import Dimension, FunctionDecl
 
 FLOW = "flow"
@@ -78,37 +83,22 @@ class Dependence:
         return "<%s on %s (%s)>" % (self.kind, self.function.name, bits)
 
 
-def _offsets_by_loop_dim(acc: Access, offsets
-                         ) -> Tuple[Dict[Dimension, int], set]:
+def _offsets_by_loop_dim(acc: Access, offsets) -> Dict[Dimension, int]:
     """Affine offsets of ``acc`` keyed by loop dimension, from its
-    ``_access_offsets``, plus the set of loop-dim names referenced from
-    non-affine indices."""
-    affine: Dict[Dimension, int] = {}
-    opaque_syms: set = set()
-    for (dim, loop, k), idx in zip(offsets, acc.indices):
-        if k is OPAQUE:
-            opaque_syms |= free_symbols(idx)
-        else:
-            affine[loop] = k
-    return affine, opaque_syms
+    ``_access_offsets``; non-affine indices are left out."""
+    return {loop: k for (_, loop, k) in offsets if k is not OPAQUE}
 
 
 def _distance(src_offsets, snk_offsets, dims) -> Tuple[Optional[int], ...]:
     """Distance vector of a dependence from a source to a sink access over
     the loop dimensions ``dims``, from the two accesses'
-    ``_offsets_by_loop_dim``; None marks an unknown entry."""
-    src_aff, src_opq = src_offsets
-    snk_aff, snk_opq = snk_offsets
-    out = []
-    for d in dims:
-        if d in src_aff and d in snk_aff:
-            out.append(src_aff[d] - snk_aff[d])
-        elif d.name in src_opq or d.name in snk_opq or \
-                (d in src_aff) != (d in snk_aff):
-            out.append(None)
-        else:
-            out.append(0)
-    return tuple(out)
+    ``_offsets_by_loop_dim``. An entry is known only along a loop that both
+    accesses index affinely; along any other loop it is None: an opaque
+    index, or storage that the loop does not index and so reuses at every
+    iteration."""
+    return tuple(src_offsets[d] - snk_offsets[d]
+                 if d in src_offsets and d in snk_offsets else None
+                 for d in dims)
 
 
 def _union_dims(a: LoweredEq, b: LoweredEq) -> Tuple[Dimension, ...]:

@@ -199,67 +199,43 @@ def _lex_positive(vec) -> bool:
     return False
 
 
-def _distance_entry(dep, dim: Dimension):
-    if dep.function.kind == "temp":
-        stored = {d.name for d in dep.function.dims}
-        if dim.name not in stored:
-            # The temporary carries no coordinate along this loop: its
-            # storage is reused across iterations, so the distance is
-            # unknowable from indices alone.
-            return None
-    return dep.distance_along(dim)
-
-
 def analyze_iet(iet) -> object:
     """Attach sequential/parallel/vectorizable properties. A loop at nest
     position i is parallel iff every dependence distance vector D among
     the statements it contains satisfies (d_1..d_{i-1}) > 0 lexicographic
     or (d_1..d_i) = 0; unknown entries disqualify. Reductions do not block
     parallelism but demand atomic updates. Scalar temporaries are ignored:
-    declaration placement privatizes them per iteration."""
-    paths = _stmt_paths(iet)
-    # One dependence graph per outermost loop nest; an inner loop keeps the
-    # dependences between its own statements, which are the ones
-    # get_dependences would find among them alone.
-    graphs: Dict[int, list] = {}
-    for it in iterations(iet):
-        located = [(s, p) for s, p in paths if it in p]
-        if not located:
-            it.properties.add(PARALLEL)
-            continue
-        nest = located[0][1]
-        nest = nest[:nest.index(it) + 1]
-        dims = [n.dim for n in nest]
-        pos = len(dims) - 1
-        eqs = [s.eq for s, _ in located]
-        outer = id(nest[0])
-        if outer not in graphs:
-            graphs[outer] = get_dependences(eqs)
-        deps = graphs[outer]
-        ids = {id(e) for e in eqs}
-        deps = [d for d in deps if id(d.source) in ids and id(d.sink) in ids]
-        parallel = True
-        atomic = False
-        for dep in deps:
+    declaration placement privatizes them per iteration.
+
+    Each outermost loop nest gets one dependence graph, and each dependence
+    marks the loops that enclose both its statements: the common prefix of
+    their loop paths."""
+    nests: Dict[int, list] = {}
+    for stmt, path in _stmt_paths(iet):
+        if path:
+            nests.setdefault(id(path[0]), []).append((stmt, path))
+    marks: Dict[int, set] = {}
+    for located in nests.values():
+        where = {id(s.eq): p for s, p in located}
+        for dep in get_dependences([s.eq for s, _ in located]):
             if dep.function.kind == "temp" and not dep.function.dims:
                 continue
-            vec = [_distance_entry(dep, d) for d in dims]
-            ok = _lex_positive(vec[:pos]) or all(v == 0 for v in vec)
-            if dep.kind == REDUCTION:
-                if not ok:
-                    atomic = True
-                continue
-            if not ok:
-                parallel = False
-                break
-        it.properties -= {SEQUENTIAL, PARALLEL, ATOMIC}
-        if parallel:
-            it.properties.add(PARALLEL)
-            if atomic:
-                it.properties.add(ATOMIC)
-        else:
-            it.properties.add(SEQUENTIAL)
+            mark = ATOMIC if dep.kind == REDUCTION else SEQUENTIAL
+            vec = []
+            for a, b in zip(where[id(dep.source)], where[id(dep.sink)]):
+                if a is not b:
+                    break
+                vec.append(dep.distance_along(a.dim))
+                if not (_lex_positive(vec[:-1]) or
+                        all(v == 0 for v in vec)):
+                    marks.setdefault(id(a), set()).add(mark)
     for it in iterations(iet):
+        marked = marks.get(id(it), set())
+        it.properties -= {SEQUENTIAL, PARALLEL, ATOMIC}
+        if SEQUENTIAL in marked:
+            it.properties.add(SEQUENTIAL)
+        else:
+            it.properties |= {PARALLEL} | marked
         inner = not any(isinstance(n, Iteration)
                         for n in walk(it) if n is not it)
         if inner and PARALLEL in it.properties and it.dim.kind == "space":

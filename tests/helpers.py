@@ -132,11 +132,12 @@ def tti_equations(shape=(12, 12, 12), so=4):
     return eqs
 
 
-def acoustic_example(shape, so=2, src_coord=None, rec_coord=None):
+def acoustic_example(shape, so=2, src_coord=None, rec_coord=None,
+                     spacing=1.0):
     """Acoustic wave operator: leapfrog stencil, one injecting source and
-    one interpolating receiver."""
+    one interpolating receiver, on a grid of the given spacing."""
     from stencilc.symbolic import Symbol, interpolate, mul, pow_
-    g = Grid(shape)
+    g = Grid(shape, extent=tuple(spacing * (s - 1) for s in shape))
     u = FunctionDecl("u", "timefunction", g, space_order=so, time_order=2)
     m = FunctionDecl("m", "function", g, space_order=so)
     if src_coord is None:

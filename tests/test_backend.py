@@ -983,13 +983,13 @@ def _run_c(op, buffers, env, tmp_path):
     assert kernel(*args) == 0
 
 
-def _acoustic_c_op(shape, so, block=None):
+def _acoustic_c_op(shape, so, block=None, spacing=1.0):
     """Acoustic operator with the source mid-grid and the receiver four
     points off it along x."""
-    mid = tuple((s - 1) / 2.0 for s in shape)
-    near = (mid[0] - 4.0,) + mid[1:]
+    mid = tuple(spacing * (s - 1) / 2.0 for s in shape)
+    near = (mid[0] - 4.0 * spacing,) + mid[1:]
     funcs, eqs = acoustic_example(shape, so=so, src_coord=mid,
-                                  rec_coord=near)
+                                  rec_coord=near, spacing=spacing)
     return Operator(eqs, block=block)
 
 
@@ -999,6 +999,40 @@ def _acoustic_c_fixture(op, steps):
     bufs["m"].data[:] = 1.5 + 0.1 * rng.uniform(size=bufs["m"].extents)
     bufs["src"].data[:, 0] = np.linspace(1.0, 0.1, steps)
     return bufs
+
+
+def _legality_equations(name):
+    """Small operators whose loops only the dependence rule makes legal:
+    - ``clash``: ``a = c; b = a[x+1] + a[x-1]``, whose x directions clash,
+      so ``b`` must not share the loop that writes ``a``
+    - ``anti``: ``b = a[x+1]; a = c``, a carried anti-dependence
+    - ``backward``: ``a[x] = a[x+1] + 1``, a recurrence run backward
+    - ``grad``: ``grad[x, y] += u*v``, a reduction over time
+    - ``acc``: ``acc = acc + u``, a running sum over time"""
+    from stencilc.symbolic import Eq, FunctionDecl, Grid, add, mul, num
+    g = Grid((8, 8) if name == "grad" else (11,))
+
+    def f(n, kind="function"):
+        return FunctionDecl(n, kind, g, space_order=2, time_order=2)
+
+    def shifted(fn, k):
+        x, h = g.dimensions[0].symbol, g.spacing_symbols[0]
+        return fn(add(x, mul(num(k), h)))
+
+    a, b, c = f("a"), f("b"), f("c")
+    if name == "clash":
+        return [Eq(a.at, c.at), Eq(b.at, shifted(a, 1) + shifted(a, -1))]
+    if name == "anti":
+        return [Eq(b.at, shifted(a, 1)), Eq(a.at, c.at)]
+    if name == "backward":
+        return [Eq(a.at, shifted(a, 1) + num(1))]
+    u, v = f("u", "timefunction"), f("v", "timefunction")
+    if name == "grad":
+        grad = f("grad")
+        return [Eq(grad.at, u.at * v.at, is_increment=True)]
+    assert name == "acc"
+    acc = f("acc")
+    return [Eq(acc.at, acc.at + u.at)]
 
 
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="needs gcc")
@@ -1012,15 +1046,22 @@ def _acoustic_c_fixture(op, steps):
     (lambda: _rotated_so4_op({"x": 8, "y": 8}, (27, 29)), _rotated_fixture),
     (_tti_so8_op, _random_fixture),
     (lambda: _tti_so8_op({"x": 8, "y": 8, "z": 8}), _random_fixture),
+    (lambda: _acoustic_c_op((24, 24), 4, spacing=0.7), _acoustic_c_fixture),
+    (lambda: _acoustic_c_op((24, 24), 4, {"x": 8, "y": 8}, spacing=0.7),
+     _acoustic_c_fixture),
+    (lambda: Operator(_legality_equations("backward")), _random_fixture),
 ], ids=["2d-so4", "2d-so4-blocked", "3d-so8", "rotated-so4",
         "rotated-so4-blocked", "rotated-so4-ragged-blocked", "tti-so8",
-        "tti-so8-blocked"])
+        "tti-so8-blocked", "2d-so4-h0.7", "2d-so4-h0.7-blocked",
+        "backward-recurrence"])
 def test_emitted_c_matches_interpreter(tmp_path, build, fixture):
     # The time index wraps with (((t + k)%3 + 3)%3): C's % is negative
     # for a negative dividend, so (t - 1)%3 alone reads slot -1 at t=0.
     # The rotated operator sizes whole-grid and block-local array
     # temporaries from the runtime bounds and the block shape. The C runs
-    # block by block, the interpreter all blocks of a band at once.
+    # block by block, the interpreter all blocks of a band at once. At
+    # spacing 0.7 the C writes h_x**-2 as 1.0F/(h_x*h_x), which the
+    # interpreter computes alike. The backward recurrence runs x down.
     op = build()
     steps = 10
     got, want = fixture(op, steps), fixture(op, steps)
@@ -1068,6 +1109,64 @@ def test_increment_recurrence_runs_in_order(tmp_path, mode):
         built = _random_fixture(op, 1)
         _run_c(op, built, op.default_params(1), tmp_path)
         assert built["u"].data.tobytes() == got["u"].data.tobytes()
+
+
+def _props_of(op):
+    from stencilc.iet import iterations
+    return [(it.dim.name, sorted(it.properties))
+            for it in iterations(op.iet)]
+
+
+def _per_point(report):
+    return sum(slot["per_point"] for slot in report.values())
+
+
+@pytest.mark.parametrize("block", [None, {"x": 4}], ids=["unblocked", "4"])
+def test_fused_clash_pair_runs_in_two_parallel_loops(block):
+    # b reads a[x+1] and a[x-1]: in one x loop either direction reads one
+    # of them before it is written. The carried anti-dependence puts x in
+    # the new cluster's atomics, so b gets its own x loop.
+    from stencilc.iet import BLOCKED, PARALLEL, VECTORIZABLE
+    op = Operator(_legality_equations("clash"), block=block)
+    inner = ("x", sorted([PARALLEL, VECTORIZABLE]))
+    outer = [("xb", sorted([BLOCKED, PARALLEL]))] if block else []
+    assert _props_of(op) == (outer + [inner]) * 2
+    _assert_matches_oracle(op, 1)
+    assert _per_point(op.apply(steps=1)[1]) == 0
+
+
+def test_carried_anti_pair_runs_sliced():
+    # b = a[x+1] must read a before a = c overwrites it: two parallel
+    # loops rather than one sequential loop run per point.
+    op = Operator(_legality_equations("anti"))
+    report = op.apply(steps=1)[1]
+    assert _per_point(report) == 0
+    assert sum(slot["sliced"] for slot in report.values()) == 22
+    _assert_matches_oracle(op, 1)
+
+
+def test_backward_recurrence_matches_oracle():
+    # a[x] = a[x+1] + 1 is voted backward: x runs down from the halo.
+    op = Operator(_legality_equations("backward"))
+    bufs = op.apply(steps=1)[0]
+    interior = bufs["a"].data[1:-1]
+    assert interior.tolist() == [float(11 - i) for i in range(11)]
+    ref = op.reference(steps=1)
+    assert ref["a"].data.tobytes() == bufs["a"].data.tobytes()
+    _assert_matches_oracle(op, 1)
+
+
+@pytest.mark.parametrize("name,t_props", [
+    ("grad", ["atomic-updates", "parallel"]),
+    ("acc", ["sequential"]),
+])
+def test_time_loop_over_storage_it_does_not_index(name, t_props):
+    # grad and acc have no time index, so every time iteration reuses
+    # their storage: the increment is a reduction over t, and the plain
+    # update a flow carried by t.
+    op = Operator(_legality_equations(name))
+    assert dict(_props_of(op))["t"] == t_props
+    _assert_matches_oracle(op, 5)
 
 
 class TestCache:

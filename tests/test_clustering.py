@@ -79,8 +79,8 @@ def test_carried_anti_blocks_merge_and_sets_atomics():
     e2 = lower(Eq(b.at, Access(a, (add(x, h),))))
     clusters = _enforce_and_group([e1, e2])[1]
     assert len(clusters) == 2
-    assert g.dimensions[0] in clusters[0].atomics
-    assert not clusters[1].atomics
+    assert not clusters[0].atomics
+    assert g.dimensions[0] in clusters[1].atomics
 
 
 def test_injection_pair_merges_as_reduction():

@@ -16,7 +16,10 @@ from stencilc.symbolic import (Access, Eq, FunctionDecl, Grid, Symbol, add,
                                mul, num)
 from stencilc.symbolic.expr import evaluate
 
-from helpers import lowered_wave_example, rotated_laplacian_example
+from helpers import (acoustic_example, coupled_equations, lowered_wave_example,
+                     recurrence_equations, rotated_equations,
+                     rotated_laplacian_example, tti_equations,
+                     two_field_equations, wave_example)
 
 LISTING_GOLDEN = """\
 for t = t_m to t_M:
@@ -172,6 +175,120 @@ def test_array_temp_reuse_makes_time_sequential():
     analyze_iet(iet)
     t_iter = next(it for it in iterations(iet) if it.dim.name == "t")
     assert SEQUENTIAL in t_iter.properties
+
+
+#: SHA-256 of ``(dim, sorted(properties))`` over every loop of the tree, in
+#: preorder, for each ``helpers`` operator in every mode, unblocked and in
+#: blocks of 4 along every grid dimension (the recurrence's sequential x
+#: cannot be blocked).
+LOOP_PROPERTIES_SHA256 = {
+    "acoustic-basic":
+        "1db0d056ba27c5066b83516e43b331558da0222fe7a1799d09f142c49223e75b",
+    "acoustic-basic-blocked":
+        "ba21fb3994baf76395d6a018a0128b5753dfbadc7dea01191196d7313bfbbb52",
+    "acoustic-advanced":
+        "e8e6449897ea9b73b888a72c05396c3da584efcf40e1c55c91fecc358fb75ee6",
+    "acoustic-advanced-blocked":
+        "1b53fa6e5f2ac93c5fffe5c8851a79f49107e461bc5a99b335ed23678effe003",
+    "acoustic-aggressive":
+        "e8e6449897ea9b73b888a72c05396c3da584efcf40e1c55c91fecc358fb75ee6",
+    "acoustic-aggressive-blocked":
+        "1b53fa6e5f2ac93c5fffe5c8851a79f49107e461bc5a99b335ed23678effe003",
+    "coupled-basic":
+        "dc46f016f95ed6ce7090705019bcce64583f6ad97fb9c4f771366ab2e391bb35",
+    "coupled-basic-blocked":
+        "47bc5bfa3146958483dbdd4ad1beade79ab039e7da0491efa191988e3d00077b",
+    "coupled-advanced":
+        "dc46f016f95ed6ce7090705019bcce64583f6ad97fb9c4f771366ab2e391bb35",
+    "coupled-advanced-blocked":
+        "47bc5bfa3146958483dbdd4ad1beade79ab039e7da0491efa191988e3d00077b",
+    "coupled-aggressive":
+        "dc46f016f95ed6ce7090705019bcce64583f6ad97fb9c4f771366ab2e391bb35",
+    "coupled-aggressive-blocked":
+        "47bc5bfa3146958483dbdd4ad1beade79ab039e7da0491efa191988e3d00077b",
+    "recurrence-basic":
+        "e493254a707086d3f3c4e60470c6777918f10d754eeadd2463e6c7c42076b717",
+    "recurrence-advanced":
+        "e493254a707086d3f3c4e60470c6777918f10d754eeadd2463e6c7c42076b717",
+    "recurrence-aggressive":
+        "e493254a707086d3f3c4e60470c6777918f10d754eeadd2463e6c7c42076b717",
+    "rotated-basic":
+        "57db289d6ff20d18c94f08270d2f68861f967973eb4fdf590c89854af71ceed6",
+    "rotated-basic-blocked":
+        "33353f8e557eca187323ba79ef8f2d570decd79be0a751655e6baada7a629e09",
+    "rotated-advanced":
+        "ff5bb7fafaa4e4b5a8378f40361384ad4f001e6a75de5a4d0e9a6e898fc00280",
+    "rotated-advanced-blocked":
+        "1fdd4e3c2345f165ce861426a2d564748bc06b56f7be92491bc92b4b212cd62c",
+    "rotated-aggressive":
+        "c059cb6614dbda809d80dbc060c86e4b22ab93aba6e9db4afef366a32dc9665f",
+    "rotated-aggressive-blocked":
+        "b41c4d23fedd9eb38bacd20e8ebcb197a42ea3461d3f6cdbed317234fd95b21c",
+    "tti-basic":
+        "dc46f016f95ed6ce7090705019bcce64583f6ad97fb9c4f771366ab2e391bb35",
+    "tti-basic-blocked":
+        "47bc5bfa3146958483dbdd4ad1beade79ab039e7da0491efa191988e3d00077b",
+    "tti-advanced":
+        "47bda0d146b9e9e2574ea855d7398ac3723a99e381cf4f41552fa71b91c62c0b",
+    "tti-advanced-blocked":
+        "8c294dd2dc13d9583ad183d027165c5dcdac2e2e593b8c36790e5c0d5a80d76b",
+    "tti-aggressive":
+        "47bda0d146b9e9e2574ea855d7398ac3723a99e381cf4f41552fa71b91c62c0b",
+    "tti-aggressive-blocked":
+        "8c294dd2dc13d9583ad183d027165c5dcdac2e2e593b8c36790e5c0d5a80d76b",
+    "two-field-basic":
+        "57db289d6ff20d18c94f08270d2f68861f967973eb4fdf590c89854af71ceed6",
+    "two-field-basic-blocked":
+        "33353f8e557eca187323ba79ef8f2d570decd79be0a751655e6baada7a629e09",
+    "two-field-advanced":
+        "ff5bb7fafaa4e4b5a8378f40361384ad4f001e6a75de5a4d0e9a6e898fc00280",
+    "two-field-advanced-blocked":
+        "1fdd4e3c2345f165ce861426a2d564748bc06b56f7be92491bc92b4b212cd62c",
+    "two-field-aggressive":
+        "ff5bb7fafaa4e4b5a8378f40361384ad4f001e6a75de5a4d0e9a6e898fc00280",
+    "two-field-aggressive-blocked":
+        "1fdd4e3c2345f165ce861426a2d564748bc06b56f7be92491bc92b4b212cd62c",
+    "wave-basic":
+        "883b464ad8678639021bf7c275c617e92e0eaa448c7c9228ddb53bf0da2416f0",
+    "wave-basic-blocked":
+        "e7ef03ea964b0de27948ecf0311fd024f7ad5159e928c578e01d410baeff4422",
+    "wave-advanced":
+        "5cbdb4b880f07af4e9c38371254c5e7a4f3d4519bdf15498c2cea00c51cb99fc",
+    "wave-advanced-blocked":
+        "51c5af17d987d41248e8c768f97f5e62992532edff2dfc4d9a2324b78c46ccd0",
+    "wave-aggressive":
+        "5cbdb4b880f07af4e9c38371254c5e7a4f3d4519bdf15498c2cea00c51cb99fc",
+    "wave-aggressive-blocked":
+        "51c5af17d987d41248e8c768f97f5e62992532edff2dfc4d9a2324b78c46ccd0",
+}
+
+LOOP_PROPERTY_OPERATORS = {
+    "acoustic": lambda: acoustic_example((8, 8), so=4)[1],
+    "coupled": lambda: coupled_equations(3),
+    "recurrence": recurrence_equations,
+    "rotated": lambda: rotated_equations(4)[1],
+    "tti": lambda: tti_equations((8, 8, 8), so=4),
+    "two-field": lambda: two_field_equations(4),
+    "wave": lambda: wave_example()[1],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOOP_PROPERTIES_SHA256))
+def test_loop_properties_golden(name):
+    import hashlib
+    from stencilc.backend import Operator
+    op_name, mode = next((k, name[len(k) + 1:]) for k in
+                         LOOP_PROPERTY_OPERATORS if name.startswith(k + "-"))
+    eqs = LOOP_PROPERTY_OPERATORS[op_name]()
+    block = None
+    if mode.endswith("-blocked"):
+        mode = mode[:-len("-blocked")]
+        block = {d.name: 4 for d in eqs[0].lhs.func.grid.dimensions}
+    op = Operator(eqs, mode=mode, block=block)
+    props = [(it.dim.name, sorted(it.properties))
+             for it in iterations(op.iet)]
+    digest = hashlib.sha256(repr(props).encode()).hexdigest()
+    assert digest == LOOP_PROPERTIES_SHA256[name]
 
 
 # -- Blocking ----------------------------------------------------------------
