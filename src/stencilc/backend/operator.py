@@ -254,4 +254,4 @@ def autotune(eqs: Sequence[Equation], mode: str = "advanced",
         op.apply(steps=steps, **params)
         return perf_counter() - t0
 
-    return autotune_blocks(probe.iet, runner, list(candidates))
+    return autotune_blocks(runner, list(candidates))

@@ -3,8 +3,8 @@
 Passes: structural common sub-expression elimination, recursive
 coefficient factorization, extraction of expensive sub-expressions into
 temporaries, detection of cross-iteration redundancies (aliases: the same
-computation repeated at translated iteration points), pivot construction,
-and array contraction. Composed into three modes:
+computation repeated at translated iteration points) and pivot
+construction. Composed into three modes:
 
   basic      -> CSE only
   advanced   -> basic + factorization + time-invariant extraction/aliases
@@ -490,22 +490,28 @@ def select_pivots(groups: List[AliasGroup], cluster: Cluster,
                   always: bool = False):
     """Turn alias groups into array temps plus rewrite rules for the
     consumer expressions. Single-member groups stay inline unless
-    ``always`` (used for time-invariant hoisting). Each producer covers
-    the consumer's iteration space extended by its own group's span, so
-    it computes only points some member reads; producers with equal
-    iteration spaces land in one loop nest."""
+    ``always`` (used for time-invariant hoisting) and hoisting takes the
+    member out of at least one loop. Each producer covers the consumer's
+    iteration space extended by its own group's span, so it computes only
+    points some member reads; producers with equal iteration spaces land
+    in one loop nest."""
     namer = namer or Namer()
     grid = _grid_of(cluster)
     # A temp holds one timestep: members translated in time stay inline
     times = [iv.dim.name for iv, _ in cluster.ispace.entries
              if iv.dim.is_time]
-    chosen = [g for g in groups if not any(g.span.get(t) for t in times) and
-              (len(g.members) >= 2 or
-               (always and _temp_dims(g.pivot, cluster)))]
+    chosen = []
+    for g in groups:
+        dims = _temp_dims(g.pivot, cluster)
+        # The producer loops over ``dims`` only: a lone candidate must
+        # leave at least one of the cluster's loops
+        leaves = 0 < len(dims) < len(cluster.ispace.entries)
+        if not any(g.span.get(t) for t in times) and (
+                len(g.members) >= 2 or (always and leaves)):
+            chosen.append((g, dims))
     defs: List[LoweredEq] = []
     rules: Dict[Expr, Expr] = {}
-    for g in chosen:
-        dims = _temp_dims(g.pivot, cluster)
+    for g, dims in chosen:
         keep_time = is_time_varying(g.pivot)
         decl = _make_temp(namer(), grid, dims, g.pivot, span=g.span)
         ispace = _producer_ispace(cluster, dims, g.span, keep_time)
@@ -566,64 +572,6 @@ def _cire(clusters: List[Cluster], klass: str, namer: Namer
     return merged_front + out
 
 
-# -- Array contraction -------------------------------------------------------
-
-
-def _demoted(acc: Access, rules: Dict[str, FunctionDecl]) -> Access:
-    """``acc`` on the scalar that replaces its array temporary, if any."""
-    if acc.func.kind == "temp" and acc.func.name in rules:
-        return Access(rules[acc.func.name], ())
-    return acc
-
-
-def contract_arrays(clusters: List[Cluster]) -> List[Cluster]:
-    """Demote array temps to scalars when producer and consumers can live
-    in the same loop nest at zero translation: the stored plane would
-    never be read outside the defining iteration."""
-    out = list(clusters)
-    i = 0
-    while i < len(out) - 1:
-        prod, cons = out[i], out[i + 1]
-        prod_temps = [eq.lhs.func for eq in prod.eqs
-                      if eq.lhs.func.kind == "temp" and eq.lhs.indices]
-        if not prod_temps:
-            i += 1
-            continue
-        names = {t.name for t in prod_temps}
-        # Consumers elsewhere, nonzero spans, or a different nest shape
-        # all force materialized storage.
-        consumers = []
-        for j, c in enumerate(out):
-            if j == i:
-                continue
-            for eq in c.eqs:
-                if any(a.func.name in names for a in eq.accesses[1:]):
-                    consumers.append(j)
-                    break
-        contractable = (
-            consumers == [i + 1] and
-            prod.ispace == cons.ispace and
-            prod.guards == cons.guards and
-            not any(any(t.span.values()) for t in prod_temps))
-        if contractable:
-            rules = {}
-            for eq in prod.eqs:
-                t = eq.lhs.func
-                if t in prod_temps:
-                    rules[t.name] = _make_temp(t.name, t.grid, (), eq.rhs)
-            demote = partial(_map_accesses,
-                             convert=partial(_demoted, rules=rules), memo={})
-            new_defs = [replace(eq, lhs=demote(eq.lhs), rhs=demote(eq.rhs),
-                                ispace=cons.ispace)
-                        for eq in prod.eqs]
-            new_mains = [replace(eq, rhs=demote(eq.rhs)) for eq in cons.eqs]
-            out[i:i + 2] = [Cluster(new_defs + new_mains, cons.ispace,
-                                    set(cons.atomics), cons.guards)]
-        else:
-            i += 1
-    return out
-
-
 # -- Driver ------------------------------------------------------------------
 
 
@@ -642,7 +590,6 @@ def run_dse(clusters: List[Cluster], mode: str = "advanced"
     out = [cse(c, namer) for c in out]
     if mode in ("advanced", "aggressive"):
         out = [factorize_cluster(c) for c in out]
-        out = contract_arrays(out)
     return out
 
 

@@ -202,8 +202,9 @@ def _lex_positive(vec) -> bool:
 def analyze_iet(iet) -> object:
     """Attach sequential/parallel/vectorizable properties. A loop at nest
     position i is parallel iff every dependence distance vector D among
-    the statements it contains satisfies (d_1..d_{i-1}) > 0 lexicographic
-    or (d_1..d_i) = 0; unknown entries disqualify. Reductions do not block
+    the statements it contains satisfies d_i = 0 (the dependence never
+    crosses its iterations) or (d_1..d_{i-1}) > 0 lexicographic (an outer
+    loop carries it); unknown entries disqualify. Reductions do not block
     parallelism but demand atomic updates. Scalar temporaries are ignored:
     declaration placement privatizes them per iteration.
 
@@ -226,8 +227,7 @@ def analyze_iet(iet) -> object:
                 if a is not b:
                     break
                 vec.append(dep.distance_along(a.dim))
-                if not (_lex_positive(vec[:-1]) or
-                        all(v == 0 for v in vec)):
+                if not (vec[-1] == 0 or _lex_positive(vec[:-1])):
                     marks.setdefault(id(a), set()).add(mark)
     for it in iterations(iet):
         marked = marks.get(id(it), set())
@@ -422,7 +422,7 @@ def _block_children(node, shape: Dict[str, int], read_pairs) -> None:
     node.children = out
 
 
-def autotune_blocks(iet, runner: Callable[[dict], float],
+def autotune_blocks(runner: Callable[[dict], float],
                     candidates: Sequence[dict]) -> dict:
     """Time each candidate block shape and return the fastest; ties go to
     the earliest candidate, so the result is deterministic for a fixed
@@ -447,45 +447,16 @@ def default_block_candidates(dims: Sequence[str]) -> List[dict]:
 
 def place_declarations(iet):
     """Declare every temporary at the innermost scope containing all its
-    definitions and uses; drop definitions of never-read temporaries.
-    Temporaries scoped inside a parallel loop body are per-context
-    (private); everything hoisted above is shared."""
+    definitions and uses. Temporaries scoped inside a parallel loop body
+    are per-context (private); everything hoisted above is shared."""
     touches: Dict[FunctionDecl, List[Tuple[object, ...]]] = {}
-    read_temps = set()
-    order: List[FunctionDecl] = []
     # Each statement with every node from the root down to its parent.
     for stmt, path in _stmt_paths(iet, keep=object):
-        funcs = set()
-        if stmt.eq.lhs.func.kind == "temp":
-            funcs.add(stmt.eq.lhs.func)
-        for a in stmt.eq.accesses[1:]:
-            if a.func.kind == "temp":
-                funcs.add(a.func)
-                read_temps.add(a.func)
-        for f in funcs:
-            if f not in touches:
-                touches[f] = []
-                order.append(f)
-            touches[f].append(path)
+        for f in dict.fromkeys(a.func for a in stmt.eq.accesses
+                               if a.func.kind == "temp"):
+            touches.setdefault(f, []).append(path)
 
-    # Elide never-read temporaries
-    dead = {f for f in touches if f not in read_temps}
-    if dead:
-        stack = [iet]
-        while stack:
-            node = stack.pop()
-            kids = getattr(node, "children", None)
-            if kids is None:
-                continue
-            node.children = [c for c in kids
-                             if not (isinstance(c, ExpressionStmt) and
-                                     c.eq.lhs.func in dead)]
-            stack.extend(node.children)
-
-    for f in order:
-        if f in dead:
-            continue
-        paths = touches[f]
+    for f, paths in touches.items():
         common = paths[0]
         for p in paths[1:]:
             n = 0

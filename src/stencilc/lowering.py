@@ -370,7 +370,8 @@ def analyze(eq: LoweredEq) -> LoweredEq:
     registry = _dimension_registry(eq)
     table = list(zip(eq.accesses, eq.offsets))
 
-    # Topological dimension order: order of appearance across index functions
+    # Dimension order: the time loop first, then order of appearance
+    # across index functions
     order: List[Dimension] = []
     for acc, offsets in table:
         if acc.func.kind == "coordinates":
@@ -384,6 +385,7 @@ def analyze(eq: LoweredEq) -> LoweredEq:
                 for d in _dims_in_expr(idx, registry):
                     if d.kind != "space" and d not in order:
                         order.append(d)
+    order.sort(key=lambda d: not d.is_time)
 
     # Directions: dependence.py owns the distance and the voting rule.
     from .dependence import detect_flow_directions, get_dependences

@@ -335,9 +335,8 @@ def test_criterion_10_no_hardware_performance_claims():
         recorded[tuple(sorted(shape.items()))] = time.perf_counter() - t0
         return recorded[tuple(sorted(shape.items()))]
 
-    probe = Operator(eqs, mode="advanced")
     candidates = [{"x": s, "y": s} for s in (8, 16, 32)]
-    best = autotune_blocks(probe.iet, runner, candidates)
+    best = autotune_blocks(runner, candidates)
     consistent = recorded[tuple(sorted(best.items()))] <= \
         1.05 * min(recorded.values())
     _verdict(10, "hardware-scale performance figures are out of scope; "

@@ -64,8 +64,9 @@ def _assert_close(a, b, rel=1e-12):
     assert _rel_err(a, b) <= rel
 
 
-def _assert_matches_oracle(op, steps):
-    """``op.apply`` and ``op.reference`` from one random fill agree."""
+def _assert_matches_oracle(op, steps, exact=False):
+    """``op.apply`` and ``op.reference`` from one random fill agree, bit
+    for bit if ``exact``."""
     runs = []
     for run in (op.apply, op.reference):
         bufs = op.allocate(steps)
@@ -76,7 +77,10 @@ def _assert_matches_oracle(op, steps):
         runs.append(bufs)
     got, refs = runs
     for name in refs:
-        _assert_close(got[name].data, refs[name].data)
+        if exact:
+            assert got[name].data.tobytes() == refs[name].data.tobytes()
+        else:
+            _assert_close(got[name].data, refs[name].data)
 
 
 def _rotated_fixture(op, steps):
@@ -1163,10 +1167,51 @@ def test_backward_recurrence_matches_oracle():
 def test_time_loop_over_storage_it_does_not_index(name, t_props):
     # grad and acc have no time index, so every time iteration reuses
     # their storage: the increment is a reduction over t, and the plain
-    # update a flow carried by t.
+    # update a flow carried by t. The time loop comes first, and the
+    # space loops inside it, whose distances are all 0, run sliced.
     op = Operator(_legality_equations(name))
     assert dict(_props_of(op))["t"] == t_props
-    _assert_matches_oracle(op, 5)
+    assert _props_of(op)[0][0] == "t"
+    assert _per_point(op.apply(steps=5)[1]) == 0
+    _assert_matches_oracle(op, 5, exact=True)
+
+
+def _invariant_equations(name):
+    """Time-less operators on an 8x8 grid whose candidate is time
+    invariant:
+    - ``inline``: ``h = sin(f)*cos(f)*f + f``, whose candidate depends on
+      every loop, so hoisting it would take it out of none
+    - ``row``: ``h = sin(c[x, 0])*f``, whose candidate depends on x only"""
+    from stencilc.symbolic import Eq, FunctionDecl, Grid, add, call, mul
+    g = Grid((8, 8))
+    f, h, c = (FunctionDecl(n, "function", g, space_order=2) for n in "fhc")
+    if name == "inline":
+        sin, cos = call("sin", f.at), call("cos", f.at)
+        return [Eq(h.at, add(mul(sin, cos, f.at), f.at))]
+    return [Eq(h.at, mul(call("sin", c(g.dimensions[0].symbol, 0)), f.at))]
+
+
+def _temp_writes(op):
+    from stencilc.iet import statements
+    return [s.eq.lhs for s in statements(op.iet)
+            if s.eq.lhs.func.kind == "temp"]
+
+
+@pytest.mark.parametrize("mode", ["advanced", "aggressive"])
+def test_invariant_that_leaves_no_loop_stays_inline(mode):
+    op = Operator(_invariant_equations("inline"), mode=mode)
+    assert _temp_writes(op) == []
+    _assert_matches_oracle(op, 1)
+
+
+@pytest.mark.parametrize("mode", ["advanced", "aggressive"])
+def test_partial_invariant_hoisted_out_of_y(mode):
+    op = Operator(_invariant_equations("row"), mode=mode)
+    (temp,) = _temp_writes(op)
+    assert [d.name for d in temp.func.dims] == ["x"]
+    text = op.dump_iet()
+    assert text.index("Eq(%r" % temp) < text.index("for y")
+    _assert_matches_oracle(op, 1)
 
 
 class TestCache:

@@ -7,11 +7,11 @@ from stencilc.clustering import Cluster, clusterize
 from stencilc.dse import (EXTRACT_THRESHOLD, Namer, TIME_INVARIANT,
                           TIME_VARYING, _alias_key, _displacements,
                           _find_candidates, _make_temp, _shape, _temp_dims,
-                          cluster_op_count, contract_arrays, cse,
+                          cluster_op_count, cse,
                           detect_aliases, factorize, factorize_cluster,
                           is_time_varying, replace_subtrees, run_dse,
                           select_pivots)
-from stencilc.lowering import Interval, LoweredEq, lower
+from stencilc.lowering import Interval, lower
 from stencilc.symbolic import (Access, Eq, FunctionDecl, Grid, Symbol, add,
                                call, mul, num, pow_)
 from stencilc.symbolic.expr import evaluate, op_count
@@ -423,39 +423,6 @@ def test_select_pivots_single_member_stays_inline():
     groups = detect_aliases([add(_u_at(u, 0), _u_at(u, 1))])
     defs, rules = select_pivots(groups, cluster, Namer())
     assert defs == [] and rules == {}
-
-
-# -- Array contraction -------------------------------------------------------
-
-
-def _contraction_setup(span):
-    g, u, w, m = _1d()
-    x = g.dimensions[0]
-    host = lower(Eq(w.forward, u.at))
-    tc = _make_temp("tc", g, (x,), Access(m, (Symbol("x"),)), span=span)
-    tread = Access(tc, (Symbol("x"),))
-    prod = Cluster([LoweredEq(tread, Access(m, (Symbol("x"),)),
-                              ispace=host.ispace)], host.ispace)
-    cons = Cluster([replace(host, rhs=mul(tread, num(2)))], host.ispace)
-    return prod, cons
-
-
-def test_contract_arrays_zero_span():
-    prod, cons = _contraction_setup(span={})
-    out = contract_arrays([prod, cons])
-    assert len(out) == 1
-    defs = [eq for eq in out[0].eqs if eq.lhs.func.kind == "temp"]
-    assert len(defs) == 1
-    assert defs[0].lhs.indices == ()
-    assert defs[0].lhs.func in {a.func for eq in out[0].eqs[1:]
-                                for a in [eq.rhs.children[1]]}
-
-
-def test_contract_arrays_keeps_spanned_temps():
-    prod, cons = _contraction_setup(span={"x": 2})
-    out = contract_arrays([prod, cons])
-    assert len(out) == 2
-    assert out[0].eqs[0].lhs.indices == (Symbol("x"),)
 
 
 # -- Full driver -------------------------------------------------------------

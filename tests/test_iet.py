@@ -1,4 +1,4 @@
-import textwrap
+import hashlib
 from collections import Counter
 from dataclasses import replace
 
@@ -12,8 +12,7 @@ from stencilc.iet import (ATOMIC, BLOCKED, PARALLEL, SEQUENTIAL, VECTORIZABLE,
                           build_iet, default_block_candidates, dump,
                           iterations, place_declarations, statements)
 from stencilc.lowering import lower
-from stencilc.symbolic import (Access, Eq, FunctionDecl, Grid, Symbol, add,
-                               mul, num)
+from stencilc.symbolic import Eq, FunctionDecl, Grid, Symbol
 from stencilc.symbolic.expr import evaluate
 
 from helpers import (acoustic_example, coupled_equations, lowered_wave_example,
@@ -273,9 +272,92 @@ LOOP_PROPERTY_OPERATORS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(LOOP_PROPERTIES_SHA256))
-def test_loop_properties_golden(name):
-    import hashlib
+#: SHA-256 of ``op.source + op.dump_iet()`` for the same configurations:
+#: the emitted C and the tree dump, byte for byte.
+SOURCE_SHA256 = {
+    "acoustic-advanced":
+        "4141cc4dd62161d12dcca20689e1ba53d6382b8aa35f2cf754ade043f246d1b7",
+    "acoustic-advanced-blocked":
+        "b6fc552e8bd9806db5719ebdcf6a1cb9c9e9f8ef5454703a252c4b12b61f1cee",
+    "acoustic-aggressive":
+        "4141cc4dd62161d12dcca20689e1ba53d6382b8aa35f2cf754ade043f246d1b7",
+    "acoustic-aggressive-blocked":
+        "b6fc552e8bd9806db5719ebdcf6a1cb9c9e9f8ef5454703a252c4b12b61f1cee",
+    "acoustic-basic":
+        "a6a0848a477def61a3ad3e29ffbd0b96d1c801c3ef220b2032113233dcc759c7",
+    "acoustic-basic-blocked":
+        "897ce7ae24ccb09355399e2ec486c490eaaa451fe37622c931668e535be201fb",
+    "coupled-advanced":
+        "d67fa7ae9933824a7b1154a225a44f85b0650165b8319ededa7ffb2f0246bc12",
+    "coupled-advanced-blocked":
+        "84eab126dc0ee53d3bf54999da83700419dd6706e457db2932ce0c4b29327f9f",
+    "coupled-aggressive":
+        "d67fa7ae9933824a7b1154a225a44f85b0650165b8319ededa7ffb2f0246bc12",
+    "coupled-aggressive-blocked":
+        "84eab126dc0ee53d3bf54999da83700419dd6706e457db2932ce0c4b29327f9f",
+    "coupled-basic":
+        "21630bae63057314a4ca640dc5086250f8f446daa83964219f541144412f3568",
+    "coupled-basic-blocked":
+        "cebbb5f95fdd25a7b0feba987d8930b4810fc77e96a4daa5caf72850638c073d",
+    "recurrence-advanced":
+        "c8a95980a628c085b1e34ab17367b1c1b4682f65c8e63f6dc2951856bbd46e72",
+    "recurrence-aggressive":
+        "c8a95980a628c085b1e34ab17367b1c1b4682f65c8e63f6dc2951856bbd46e72",
+    "recurrence-basic":
+        "c8a95980a628c085b1e34ab17367b1c1b4682f65c8e63f6dc2951856bbd46e72",
+    "rotated-advanced":
+        "49ee48af3789f31e3f36f690a099a3301e53fd00174534ff4e479fe29e8a67b9",
+    "rotated-advanced-blocked":
+        "d9340d3e65682921f613205a822c4e4fa1ff66ac5000e10676dd26554d45b215",
+    "rotated-aggressive":
+        "01a73ab369b2d5f8be94c91af0ae8be1542c1b560317f6e85ea567d4cc3fcc89",
+    "rotated-aggressive-blocked":
+        "c9c491d128e5f2499d48bf0067bab4fc21fab718565bc287b09e82b174937391",
+    "rotated-basic":
+        "627f0c197c51fa9b0c16f099abc7ebbb4919b2bf0ae6543384332276fb94edd5",
+    "rotated-basic-blocked":
+        "1e0d0e593c3edb8c47e7471168bfdb5da6c733edce3ea62d043119cff39e0d4d",
+    "tti-advanced":
+        "9a96f7a35f16840fd60b9c6c487c6fff2bd88d4db1de3d598d7f5f8bd217079f",
+    "tti-advanced-blocked":
+        "a05244eb2e2c24119c9a546a96d159820a157ca4a9376b82bfc188a014ede841",
+    "tti-aggressive":
+        "9a96f7a35f16840fd60b9c6c487c6fff2bd88d4db1de3d598d7f5f8bd217079f",
+    "tti-aggressive-blocked":
+        "a05244eb2e2c24119c9a546a96d159820a157ca4a9376b82bfc188a014ede841",
+    "tti-basic":
+        "32b247965a03be1cde94ec02ff15111ce4d6fe5cf73616a5f0756c031fb60d0c",
+    "tti-basic-blocked":
+        "041db27f9cde5907a4b7f845b178cf826cae07ae404f59e3a2181b299e8c3563",
+    "two-field-advanced":
+        "59e3ad61cc27e415050501ac1feff6a1e86aa2c74b95c087d77c443327294b84",
+    "two-field-advanced-blocked":
+        "7aa98572f14727c3acea09dd88a8b9d3e1329db1240d7f07032b3f5e59797d66",
+    "two-field-aggressive":
+        "59e3ad61cc27e415050501ac1feff6a1e86aa2c74b95c087d77c443327294b84",
+    "two-field-aggressive-blocked":
+        "7aa98572f14727c3acea09dd88a8b9d3e1329db1240d7f07032b3f5e59797d66",
+    "two-field-basic":
+        "13a56faeebb91d23233e1b17461680c037b126f6e447c761076baffc09199e13",
+    "two-field-basic-blocked":
+        "e74a5147e8d5f110e782784fb1eeb8b3a54075c2328b3d93b8ceb7185f9d97cf",
+    "wave-advanced":
+        "7c6296e3d2931700c1c47f782bde7188983d630037d99b1c9f6dad0a4723483a",
+    "wave-advanced-blocked":
+        "3a6361c3a2f8ed4ed83ed3d53236a4cac0f2838ccb2b9bbe52618c99e45a77a9",
+    "wave-aggressive":
+        "7c6296e3d2931700c1c47f782bde7188983d630037d99b1c9f6dad0a4723483a",
+    "wave-aggressive-blocked":
+        "3a6361c3a2f8ed4ed83ed3d53236a4cac0f2838ccb2b9bbe52618c99e45a77a9",
+    "wave-basic":
+        "cdce3c9176515a1f95b67606a1edff5e56e14ff69745a0d4a27d0f82181f2875",
+    "wave-basic-blocked":
+        "6775a1ef2f86b74e97348ec114eee5c48253001325dd5cd8ccb22aa57ff865fc",
+}
+
+
+def _property_operator(name):
+    """The ``Operator`` a ``LOOP_PROPERTIES_SHA256`` key names."""
     from stencilc.backend import Operator
     op_name, mode = next((k, name[len(k) + 1:]) for k in
                          LOOP_PROPERTY_OPERATORS if name.startswith(k + "-"))
@@ -284,11 +366,33 @@ def test_loop_properties_golden(name):
     if mode.endswith("-blocked"):
         mode = mode[:-len("-blocked")]
         block = {d.name: 4 for d in eqs[0].lhs.func.grid.dimensions}
-    op = Operator(eqs, mode=mode, block=block)
+    return Operator(eqs, mode=mode, block=block)
+
+
+@pytest.mark.parametrize("name", sorted(LOOP_PROPERTIES_SHA256))
+def test_loop_properties_golden(name):
+    op = _property_operator(name)
     props = [(it.dim.name, sorted(it.properties))
              for it in iterations(op.iet)]
     digest = hashlib.sha256(repr(props).encode()).hexdigest()
     assert digest == LOOP_PROPERTIES_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(SOURCE_SHA256))
+def test_source_golden(name):
+    op = _property_operator(name)
+    text = op.source + op.dump_iet()
+    assert hashlib.sha256(text.encode()).hexdigest() == SOURCE_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(SOURCE_SHA256))
+def test_every_temporary_is_read(name):
+    # DSE creates only temporaries some statement reads: placement never
+    # has a dead definition to drop.
+    stmts = statements(_property_operator(name).iet)
+    written = {s.eq.lhs.func for s in stmts if s.eq.lhs.func.kind == "temp"}
+    read = {a.func for s in stmts for a in s.eq.accesses[1:]}
+    assert written <= read
 
 
 # -- Blocking ----------------------------------------------------------------
@@ -380,19 +484,19 @@ def test_fused_blocking_preserves_visits():
 
 
 def test_autotune_single_candidate():
-    assert autotune_blocks(None, lambda c: 1.0, [{"x": 8}]) == {"x": 8}
+    assert autotune_blocks(lambda c: 1.0, [{"x": 8}]) == {"x": 8}
 
 
 def test_autotune_first_minimum_wins():
     times = {4: 2.0, 8: 1.0, 16: 1.0}
-    got = autotune_blocks(None, lambda c: times[c["x"]],
+    got = autotune_blocks(lambda c: times[c["x"]],
                           [{"x": s} for s in (4, 8, 16)])
     assert got == {"x": 8}
 
 
 def test_autotune_empty_candidates():
     with pytest.raises(IETError):
-        autotune_blocks(None, lambda c: 0.0, [])
+        autotune_blocks(lambda c: 0.0, [])
 
 
 def test_default_block_candidates_closed():
@@ -422,19 +526,6 @@ def test_scalar_temps_private_in_parallel_body():
     x_iter = iterations(iet)[1]
     scoped = {d.decl.name: d.scope for d in x_iter.declarations}
     assert scoped and all(s == "private" for s in scoped.values())
-
-
-def test_unused_temp_elided():
-    funcs, eqs = lowered_wave_example()
-    clusters = clusterize(run_dse(clusterize(eqs), "basic")[0].eqs)
-    iet = build_iet(clusters)
-    # Rewrite the main statement so no temp is ever read
-    main = statements(iet)[-1]
-    main.eq = replace(main.eq, rhs=num(0))
-    analyze_iet(iet)
-    place_declarations(iet)
-    assert all(s.eq.lhs.func.kind != "temp" for s in statements(iet))
-    assert not any(d for it in iterations(iet) for d in it.declarations)
 
 
 # -- Determinism -------------------------------------------------------------
