@@ -21,14 +21,20 @@ only sliceable nests runs all its blocks at once: each statement gets one
 leading batch axis per block loop. Shared arrays are read and written
 through strided views whose batch stride is the block step times the
 array's stride; private (block-local) temporaries get a copy per block,
-allocated per batch (per worker under a pool). The blocks along each block
-loop split into the full ones and the ragged last one, so a band of k
-block loops runs as at most 2^k regular batches. A band runs block by
-block through the generic loop executor instead when a nest in it does
-not slice, a loop under a block loop carries no ``tile`` (the ``xb + c``
-/ ``min(xb + B - 1, X) + e`` bounds blocking records), or the points
-distinct blocks write in an array other than a private one could
-overlap. The block loops are parallel, so batching reorders statements
+allocated per batch (per worker under a pool). A batch keeps one memory
+order, the grid's: each private copy holds every batch axis just outside
+the storage axis its block loop moves (a block loop that moves none
+outermost), so numpy merges the block axes of all operands alike, and
+statements see the copy through a transposed view in the batch-major
+order they index. The blocks along each block loop split into the full
+ones and the ragged last one, so a band of k block loops runs as at most
+2^k regular batches. A band runs block by block through the generic
+loop executor instead when a nest in it does not slice, a loop under a
+block loop carries no ``tile`` (the ``xb + c`` / ``min(xb + B - 1, X) +
+e`` bounds blocking records), the points distinct blocks write in an
+array other than a private one could overlap, or two accesses to one
+private temporary disagree on which block loop moves which of its axes.
+The block loops are parallel, so batching reorders statements
 only across independent blocks. An unblocked nest runs through the same
 executor with no batch axes.
 
@@ -72,7 +78,6 @@ from time import perf_counter
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from ..iet import (ATOMIC, BLOCKED, PARALLEL, Block, Conditional,
                    ExpressionStmt, Iteration, Section, iterations,
@@ -269,13 +274,16 @@ class _Axes:
     when it runs batched over a band of block loops, the band's
     ``blocks`` ``(name, step)``, per dim the position in ``blocks`` of the
     block loop that bounds it (``binds``, None where none does), and the
-    ``private`` array temporaries, which get one copy per block."""
+    ``private`` array temporaries, which get one copy per block. The
+    band's nests share ``private``, which maps each to the block loop
+    moving each of its storage axes (None along an axis none moves), as
+    its first access fixed it, or to None before any access."""
 
     __slots__ = ("dims", "blocks", "binds", "private", "loops")
 
-    def __init__(self, dims=(), blocks=(), binds=(), private=frozenset()):
+    def __init__(self, dims=(), blocks=(), binds=(), private=None):
         self.dims, self.blocks, self.binds = dims, blocks, binds
-        self.private = private
+        self.private = {} if private is None else private
         self.loops = set(dims) | {name for name, _ in blocks}
 
 
@@ -330,22 +338,60 @@ def _slabs(counts: list, points: int) -> list:
             for start in range(0, count, run)]
 
 
-def _strided(arr: np.ndarray, idx: list, vector, counts, ndim: int):
-    """The view of ``arr`` over every block of a slab: ``idx`` holds each
-    index's value or slice for the first block, and each vector index's
+def _grid_order(moves, nb: int) -> list:
+    """The axes of a private copy, ``nb`` batch axes then one per storage
+    axis, in memory order: each batch axis just outside the storage axis
+    its block loop moves (``moves``, per storage axis the block loop or
+    None), those of block loops that move none outermost."""
+    order = [q for q in range(nb) if q not in moves]
+    for pos, q in enumerate(moves):
+        if q is not None:
+            order.append(q)
+        order.append(nb + pos)
+    return order
+
+
+def _private_copy(shape, order, dtype) -> np.ndarray:
+    """Zeros of ``shape`` laid out with its axes in memory in ``order``,
+    seen in the order of ``shape``: a view of that memory, so writes
+    through it land."""
+    return np.zeros([shape[a] for a in order], dtype).transpose(
+        np.argsort(order))
+
+
+def _owner(arr: np.ndarray):
+    """``(owner, offset)``: the array owning the memory of ``arr``, the
+    last ndarray along its chain of bases (``arr`` itself when none is;
+    the chain passes objects such as the one ``as_strided`` wraps its
+    input in), and the byte offset of ``arr``'s first element in it."""
+    owner, base = arr, arr.base
+    while base is not None:
+        if isinstance(base, np.ndarray):
+            owner = base
+        base = getattr(base, "base", None)
+    return owner, (arr.__array_interface__["data"][0] -
+                   owner.__array_interface__["data"][0])
+
+
+def _strided(arr, owner, offset, idx, vector, counts, ndim):
+    """The view of ``arr`` over every block of a slab, built straight on
+    the memory of its ``owner`` (``_owner``): the same for a contiguous
+    ``arr`` and a strided view. ``idx`` holds each index's value or slice
+    for the first block, which the view starts at; each vector index's
     ``steps`` give its displacement from one block to the next along each
-    batch axis."""
+    batch axis, so a batch axis strides by those steps times the array's
+    strides."""
     nb = len(counts)
     shape, strides = list(counts) + [1] * ndim, [0] * (nb + ndim)
+    for pos, i in enumerate(idx):
+        offset += (i if isinstance(i, int) else i.start) * arr.strides[pos]
     for pos, axis, _, _, _, steps in vector:
         stride = arr.strides[pos]
         shape[nb + axis] = idx[pos].stop - idx[pos].start
         strides[nb + axis] = stride
         for q, k in enumerate(steps):
             strides[q] += k * stride
-    first = tuple(slice(i, i + 1) if isinstance(i, int) else
-                  slice(i.start, i.start + 1) for i in idx)
-    return as_strided(arr[first], shape, strides)
+    return np.ndarray(shape, arr.dtype, owner, offset, strides)
 
 
 class _Planner:
@@ -359,6 +405,8 @@ class _Planner:
         self.dtype = DTYPES[dtype]
         #: private temporaries that batched bands allocate per call
         self.batched: set = set()
+        #: per array of the call, its ``_owner``, set once arrays exist
+        self.owners: dict = {}
         self.report = report
         self.workers = max(1, int(workers))
         self.pool = ThreadPoolExecutor(self.workers) if self.workers > 1 \
@@ -470,15 +518,15 @@ class _Planner:
                 any(free_symbols(b) & {name for name, _ in blocks}
                     for it in band for b in (it.lower, it.upper)):
             return None
-        private = frozenset(
-            d.decl.name for nd in walk(n)
-            for d in getattr(nd, "declarations", ())
-            if band and d.scope == "private" and d.decl.name in self.extents)
+        private = {d.decl.name: None for nd in walk(n)
+                   for d in getattr(nd, "declarations", ())
+                   if band and d.scope == "private" and
+                   d.decl.name in self.extents}
         windows: dict = {}
         nests = [self.nest(h, blocks, private, windows) for h in heads]
         if None in nests:
             return None
-        self.batched |= private
+        self.batched.update(private)
         atomic = any(ATOMIC in it.properties for it in iterations(n))
         return self.batches(nests, blocks, private,
                             [(self.scalar(it.lower), self.scalar(it.upper))
@@ -565,12 +613,13 @@ class _Planner:
         its own private copies; they run on the caller's frame when there
         is no pool or one slab."""
         dtype = self.dtype
-        extents = {name: self.extents[name] for name in private}
+        layouts = [(name, self.extents[name], _grid_order(moves, len(blocks)))
+                   for name, moves in private.items()]
         names = [name for name, _ in blocks]
 
         def run_slabs(fr: _Frame, batch, active, slabs, largest):
-            copies = [(name, np.zeros(largest + extents[name], dtype))
-                      for name in private]
+            copies = [(name, _private_copy(largest + extents, order, dtype))
+                      for name, extents, order in layouts]
             nblocks = 1
             for origin, shape in slabs:
                 if blocks:
@@ -665,6 +714,12 @@ class _Planner:
                 if min(steps) < 0 or (private and any(steps)):
                     return None
             vector.append((pos, axis, const, terms, extents[pos], steps))
+        if private:
+            moves = tuple(None if axis is None else axes.binds[axis]
+                          for axis, _, _ in plan)
+            if axes.private[f.name] not in (None, moves):
+                return None  # its copy cannot follow both
+            axes.private[f.name] = moves
         strided = any(k for v in vector for k in v[5])
         along = tuple(v[1] for v in vector)
         ndim, name = len(axes.dims), f.name
@@ -689,7 +744,8 @@ class _Planner:
                 idx[pos] = slice(start, stop)
             arr = fr.arrays[name]
             if strided:
-                return _strided(arr, idx, vector, fr.counts, ndim)
+                return _strided(arr, *self.owners[name], idx, vector,
+                                fr.counts, ndim)
             if not private:
                 out = arr[tuple(idx) + (Ellipsis,)]
                 if whole:
@@ -800,6 +856,7 @@ def run(iet, buffers: Dict[str, DataBuffer], params: dict,
         for name in temps:
             if name not in planner.batched:
                 arrays[name] = np.zeros(extents[name], DTYPES[dtype])
+        planner.owners = {name: _owner(a) for name, a in arrays.items()}
         execute(_Frame(env, arrays))
     finally:
         planner.close()

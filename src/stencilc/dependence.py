@@ -168,16 +168,27 @@ def get_dependences(eqs: List[LoweredEq]) -> List[Dependence]:
             seen.add(key)
             deps.append(dep)
 
-    n = len(eqs)
-    for i in range(n):
+    # Per function, the equations that write it and those that read it,
+    # ascending, so each equation visits only the later ones it shares a
+    # function with.
+    writers: Dict[int, List[int]] = {}
+    readers: Dict[int, List[int]] = {}
+    for j, (write, by_func) in enumerate(zip(writes, reads)):
+        writers.setdefault(id(write[0].func), []).append(j)
+        for fid in by_func:
+            readers.setdefault(fid, []).append(j)
+    for i in range(len(eqs)):
         wi = id(writes[i][0].func)
-        for j in range(i, n):
+        partners = set(readers.get(wi, ())) | set(writers[wi])
+        for fid in reads[i]:
+            partners.update(writers.get(fid, ()))
+        for j in sorted(k for k in partners if k >= i):
             wj = id(writes[j][0].func)
             flows = reads[j].get(wi, ())
             antis = reads[i].get(wj, ()) if i != j else ()
             output = i != j and wi == wj
             if not (flows or antis or output):
-                continue  # the pair shares no function
+                continue  # only i == j, which reads no function it writes
             dims = _union_dims(eqs[i], eqs[j])
             for r in flows:
                 emit(writes[i], r, i, j, FLOW, dims)

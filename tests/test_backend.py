@@ -127,9 +127,9 @@ def _rotated_op(block=None):
     return Operator(eqs, mode="aggressive", block=block)
 
 
-def _rotated_so4_op(block=None, shape=(24, 24)):
+def _rotated_so4_op(block=None, shape=(24, 24), dtype="f64"):
     funcs, eqs = rotated_equations(4, shape=shape)
-    return Operator(eqs, mode="aggressive", block=block)
+    return Operator(eqs, mode="aggressive", block=block, dtype=dtype)
 
 
 def _tti_so8_op(block=None):
@@ -687,15 +687,31 @@ def _per_step(calls, op, fixture):
     return made[1] - made[0]
 
 
-#: (builder taking a block shape, block shape, fixture) of operators whose
-#: blocked bands run batched; the first is ragged along both block loops
+def _rotated_case(block, dtype="f64"):
+    """A ``BATCH_CASES`` entry: rotated SO4 on 27x29 in ``dtype``."""
+    return (lambda b: _rotated_so4_op(b, (27, 29), dtype), block,
+            _rotated_fixture, 1e-12 if dtype == "f64" else 1e-5)
+
+
+#: (block shape -> operator, block shape, fixture, oracle tolerance)
+#: of operators whose blocked bands run batched; the rotated ones are
+#: ragged along every block loop
 BATCH_CASES = {
-    "rotated-so4": (lambda block: _rotated_so4_op(block, (27, 29)),
-                    {"x": 8, "y": 8}, _rotated_fixture),
-    "tti-so8": (_tti_so8_op, {"x": 8, "y": 8, "z": 8}, _random_fixture),
+    "rotated-so4": _rotated_case({"x": 8, "y": 8}),
+    "rotated-so4-x": _rotated_case({"x": 8}),
+    "rotated-so4-y": _rotated_case({"y": 8}),
+    "rotated-so4-f32": _rotated_case({"x": 8, "y": 8}, "f32"),
+    "rotated-so4-f32-x": _rotated_case({"x": 8}, "f32"),
+    "rotated-so4-f32-y": _rotated_case({"y": 8}, "f32"),
+    "tti-so8": (_tti_so8_op, {"x": 8, "y": 8, "z": 8}, _random_fixture,
+                1e-12),
+    "tti-so8-xy": (_tti_so8_op, {"x": 8, "y": 8}, _random_fixture, 1e-12),
     "acoustic3d-so4": (lambda block: Operator(
         acoustic_example((13, 13, 13), so=4)[1], mode="aggressive",
-        block=block), {"x": 4, "y": 4}, _random_fixture),
+        block=block), {"x": 4, "y": 4}, _random_fixture, 1e-12),
+    "coupled3": (lambda block: Operator(coupled_equations(3),
+                                        mode="aggressive", block=block),
+                 {"x": 4, "y": 4, "z": 4}, _random_fixture, 1e-12),
 }
 
 
@@ -716,7 +732,9 @@ class TestBatchedBlocks:
     def test_batched_equals_unblocked(self, monkeypatch, case):
         from stencilc.backend import interpreter
         from stencilc.iet import BLOCKED
-        build, block, fixture = BATCH_CASES[case]
+        # Private copies laid out like the grid change no operand value
+        # and no operation order, so every output keeps its bits.
+        build, block, fixture, rel = BATCH_CASES[case]
         want, _ = self._apply(build(None), fixture)
         op = build(block)
         batched = [self._apply(op, fixture, workers)
@@ -731,6 +749,68 @@ class TestBatchedBlocks:
         assert by_block[0] == want
         for got in batched:
             assert got == by_block
+        refs = fixture(op, 3)
+        op.reference(steps=3, buffers=refs, dt=DT)
+        for name, buf in refs.items():
+            out = np.frombuffer(want[name], buf.data.dtype)
+            assert _rel_err(out.astype(np.float64),
+                            buf.data.ravel().astype(np.float64)) <= rel
+
+    def test_private_copies_in_grid_order(self, monkeypatch):
+        # 27x29 in 8x8 blocks: the batch of 3x3 full blocks holds a 12x8
+        # copy of the block-local temporary per block. In memory the
+        # copies run (xb, x, yb, y), as the grid does, so numpy walks
+        # them in one order with the grid's views; the executor sees
+        # them as (xb, yb, x, y).
+        from stencilc.backend import interpreter
+        copies = []
+        original = interpreter._private_copy
+
+        def recorded(*args):
+            copies.append(original(*args))
+            return copies[-1]
+        monkeypatch.setattr(interpreter, "_private_copy", recorded)
+        _rotated_apply(_rotated_so4_op({"x": 8, "y": 8}, (27, 29)), steps=1)
+        full = [c for c in copies if c.shape[:2] == (3, 3)]
+        assert full
+        for copy in full:
+            assert copy.shape == (3, 3, 12, 8)
+            item = copy.itemsize
+            assert copy.strides == (12 * 3 * 8 * item, 8 * item,
+                                    3 * 8 * item, item)
+
+    def test_private_write_lands_in_copy(self):
+        # p[x - xb] written over (x, y) in the band (xb, yb): yb moves no
+        # storage axis of p, so its batch axis goes outermost in the copy.
+        # The access's view, with a unit axis for y, is a view of the
+        # copy, so the write lands; a reshape that copied would lose it.
+        from stencilc.backend.interpreter import (_Axes, _Frame, _Planner,
+                                                  _grid_order,
+                                                  _private_copy)
+        from stencilc.symbolic import (Access, FunctionDecl, Grid, Symbol,
+                                       add, mul, num)
+        g = Grid((16, 16))
+        p = FunctionDecl("p", "temp", g, dims=g.dimensions[:1])
+        x, xb = Symbol("x"), Symbol("xb")
+        private = {"p": None}
+        axes = _Axes(("x", "y"), (("xb", 4), ("yb", 4)), (0, 1), private)
+        planner = _Planner({"p": (4,)}, "f64", {}, 1)
+        view = planner.access(Access(p, (add(x, mul(num(-1), xb)),)), axes,
+                              {})[0]
+        assert private == {"p": (0,)}
+        # Read along y, p could not follow both block loops.
+        y, yb = Symbol("y"), Symbol("yb")
+        assert planner.access(Access(p, (add(y, mul(num(-1), yb)),)), axes,
+                              {}) is None
+        order = _grid_order(private["p"], 2)
+        assert order == [1, 0, 2]
+        copy = _private_copy((2, 3, 4), order, np.float64)
+        assert copy.strides == (4 * 8, 2 * 4 * 8, 8)
+        fr = _Frame({"xb": 0, "yb": 0}, {"p": copy}, counts=[2, 3],
+                    lo=[0, 0], size=[4, 4])
+        values = np.arange(24.0).reshape(2, 3, 4, 1)
+        view(fr)[...] = values
+        assert copy.tobytes() == values.tobytes()
 
     def test_dispatch_does_not_grow_with_blocks(self, dispatched):
         # 24x24 in 8x8 blocks is 9 blocks, in 4x4 blocks 36; either way
@@ -794,19 +874,39 @@ class TestBatchedBlocks:
         closing = [live[k] for k in ends if k in live]
         assert closing and not any(closing)
 
+    @staticmethod
+    def _wide_buffers(op, view):
+        """The rotated fixture with each buffer ``view(wide)`` of an
+        array ``wide`` twice as long along its last axis."""
+        bufs = _rotated_fixture(op, 3)
+        for name, buf in bufs.items():
+            wide = np.zeros(buf.extents[:-1] + (2 * buf.extents[-1],))
+            data = view(wide)
+            data[...] = buf.data
+            bufs[name] = DataBuffer(name, buf.dtype, buf.extents, data)
+        return bufs
+
     def test_noncontiguous_buffers(self):
         # Arrays that are strided views into larger ones are read and
         # written through the same batched views as contiguous ones.
         op = _rotated_so4_op({"x": 8, "y": 8}, (27, 29))
         want, _ = _rotated_apply(op)
-        bufs = _rotated_fixture(op, 3)
-        for name, buf in bufs.items():
-            wide = np.zeros(buf.extents[:-1] + (2 * buf.extents[-1],))
-            wide[..., ::2] = buf.data
-            bufs[name] = DataBuffer(name, buf.dtype, buf.extents,
-                                    wide[..., ::2])
+        bufs = self._wide_buffers(op, lambda wide: wide[..., ::2])
         op.apply(steps=3, buffers=bufs, dt=DT)
         assert not bufs["w"].data.flags.contiguous
+        assert bufs["w"].data.tobytes() == want["w"].data.tobytes()
+
+    def test_as_strided_buffers(self):
+        # numpy's as_strided view has for its base an object that wraps
+        # the array owning the memory, not that array: batched views are
+        # built on the owner all the same.
+        from numpy.lib.stride_tricks import as_strided
+        op = _rotated_so4_op({"x": 8, "y": 8}, (27, 29))
+        want, _ = _rotated_apply(op)
+        bufs = self._wide_buffers(op, lambda wide: as_strided(
+            wide, wide[..., ::2].shape, wide[..., ::2].strides))
+        assert not isinstance(bufs["w"].data.base, np.ndarray)
+        op.apply(steps=3, buffers=bufs, dt=DT)
         assert bufs["w"].data.tobytes() == want["w"].data.tobytes()
 
     def test_write_windows(self):
@@ -1054,10 +1154,16 @@ def _legality_equations(name):
     (lambda: _acoustic_c_op((24, 24), 4, {"x": 8, "y": 8}, spacing=0.7),
      _acoustic_c_fixture),
     (lambda: Operator(_legality_equations("backward")), _random_fixture),
+    (lambda: Operator(coupled_equations(3), mode="aggressive",
+                      block={"x": 4, "y": 4, "z": 4}), _random_fixture),
+    (lambda: Operator(tti_equations((12, 12, 12), so=4), mode="advanced"),
+     _random_fixture),
+    (lambda: _rotated_so4_op({"x": 8}), _rotated_fixture),
 ], ids=["2d-so4", "2d-so4-blocked", "3d-so8", "rotated-so4",
         "rotated-so4-blocked", "rotated-so4-ragged-blocked", "tti-so8",
         "tti-so8-blocked", "2d-so4-h0.7", "2d-so4-h0.7-blocked",
-        "backward-recurrence"])
+        "backward-recurrence", "coupled3-aggressive-blocked",
+        "tti-so4-advanced", "rotated-so4-x-blocked"])
 def test_emitted_c_matches_interpreter(tmp_path, build, fixture):
     # The time index wraps with (((t + k)%3 + 3)%3): C's % is negative
     # for a negative dividend, so (t - 1)%3 alone reads slot -1 at t=0.
