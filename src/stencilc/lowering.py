@@ -30,6 +30,9 @@ ANY = "*"
 
 OPAQUE = object()
 
+#: An access's (storage dim, loop dim, offset-or-OPAQUE) per storage dim.
+Offsets = Tuple[Tuple[Dimension, Dimension, object], ...]
+
 
 class LoweringError(ValueError):
     """Raised when an equation cannot be lowered to array form."""
@@ -134,7 +137,7 @@ class LoweredEq:
                 *collect_accesses(self.lhs)[1:])
 
     @cached_property
-    def offsets(self) -> Tuple[List[Tuple[Dimension, Dimension, object]], ...]:
+    def offsets(self) -> Tuple[Offsets, ...]:
         """``_access_offsets`` of each entry of ``accesses``."""
         return tuple(_access_offsets(acc) for acc in self.accesses)
 
@@ -212,7 +215,13 @@ def affine_offset(index: Expr, dim_symbol: Symbol,
     """Integer offset k when ``index`` is ``dim + k`` or ``dim + k*unit``;
     OPAQUE when the dimension symbol does not occur; LoweringError for
     any other form."""
-    form = linear_form(index)
+    return _form_offset(linear_form(index), index, dim_symbol, unit)
+
+
+def _form_offset(form, index: Expr, dim_symbol: Symbol,
+                 unit: Optional[Symbol]) -> Union[int, object]:
+    """``affine_offset`` of ``index`` read from ``form``, its
+    ``linear_form``."""
     if form is None:
         if dim_symbol.name in free_symbols(index):
             raise LoweringError(
@@ -271,9 +280,12 @@ def _lower_access(acc: Access, guards: List[Guard], indices: dict,
     # Nested accesses first; their guards are not the equation's.
     lower_nested = partial(_lower_access, guards=[], indices=indices,
                            nested=nested)
-    new_indices = []
+    new_indices, offsets = [], []
     for dim, idx in zip(dims, acc.indices):
-        idx = _map_accesses(idx, lower_nested, nested)
+        # An index with a linear form holds no access to lower
+        form = linear_form(idx)
+        if form is None:
+            idx = _map_accesses(idx, lower_nested, nested)
         if dim.kind == "conditional":
             if idx != dim.symbol:
                 raise LoweringError(
@@ -283,18 +295,24 @@ def _lower_access(acc: Access, guards: List[Guard], indices: dict,
                 guards.append(g)
             new_indices.append(call("idiv", dim.parent.root.symbol,
                                     num(dim.factor)))
-            continue
-        shift = _shift_for(decl, dim)
-        k = affine_offset(idx, dim.symbol, _unit_for(decl, dim))
-        if k is OPAQUE:
-            new_indices.append(add(idx, num(shift)) if shift else idx)
-            continue
-        key = (dim.name, k + shift)
-        node = indices.get(key)
-        if node is None:
-            node = indices[key] = add(dim.symbol, num(k + shift))
-        new_indices.append(node)
-    return Access(decl, tuple(new_indices))
+            k = OPAQUE
+        else:
+            shift = _shift_for(decl, dim)
+            k = _form_offset(form, idx, dim.symbol, _unit_for(decl, dim))
+            if k is OPAQUE:
+                new_indices.append(add(idx, num(shift)) if shift else idx)
+            else:
+                k += shift
+                node = indices.get((dim.name, k))
+                if node is None:
+                    node = indices[dim.name, k] = add(dim.symbol, num(k))
+                new_indices.append(node)
+        offsets.append((dim, _loop_dim_of(decl, dim), k))
+    out = Access(decl, tuple(new_indices))
+    # The new access's offsets are the ones just read: each loop dimension
+    # has the name of its storage dimension, and ``dim + k`` is affine.
+    object.__setattr__(out, "_offsets", tuple(offsets))
+    return out
 
 
 def indexify(eq: Equation) -> LoweredEq:
@@ -318,10 +336,16 @@ def _loop_dim_of(decl: FunctionDecl, dim: Dimension) -> Dimension:
     return dim
 
 
-def _access_offsets(acc: Access) -> List[Tuple[Dimension, Dimension, object]]:
+def _access_offsets(acc: Access) -> Offsets:
     """(storage dim, loop dim, offset-or-OPAQUE) triples for an access.
     Offsets address storage, as aligned indices do; subtract ``_shift_for``
-    for an offset relative to the domain origin."""
+    for an offset relative to the domain origin. Derived once per access
+    node and kept on it, so an equation that a rewrite leaves the access
+    in reuses them."""
+    try:
+        return acc._offsets
+    except AttributeError:
+        pass
     out = []
     for dim, idx in zip(acc.func.dims, acc.indices):
         loop = _loop_dim_of(acc.func, dim)
@@ -332,6 +356,8 @@ def _access_offsets(acc: Access) -> List[Tuple[Dimension, Dimension, object]]:
             except LoweringError:
                 pass
         out.append((dim, loop, k))
+    out = tuple(out)
+    object.__setattr__(acc, "_offsets", out)
     return out
 
 

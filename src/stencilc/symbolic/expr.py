@@ -11,6 +11,7 @@ no Add directly under Add, no Mul under Mul, deterministic child order.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Union
@@ -34,8 +35,9 @@ class Expr:
     """Base class for all expression nodes. Instances are immutable.
 
     The slots cache a node's hash, its sort key and its operation count on
-    first use. They are not dataclass fields, so equality and pickled state
-    ignore them, and they die with the node."""
+    first use (a Mul also its coefficient split, an Access its offsets).
+    They are not dataclass fields, so equality and pickled state ignore
+    them, and they die with the node."""
 
     __slots__ = ("_hash", "_key", "_ops")
 
@@ -108,8 +110,16 @@ class Symbol(Expr):
         return self.name
 
 
+class _Indexed(Expr):
+    __slots__ = ("_offsets",)  # an Access's ``lowering._access_offsets``
+
+
+class _Product(Expr):
+    __slots__ = ("_split",)  # a Mul's ``_as_coeff_term``, if it has a constant
+
+
 @_node
-class Access(Expr):
+class Access(_Indexed):
     """Indexed access into a declared function. ``func`` is compared by
     identity; two accesses are equal iff they target the same declaration
     with structurally equal index expressions."""
@@ -132,7 +142,7 @@ class Add(Expr):
 
 
 @_node
-class Mul(Expr):
+class Mul(_Product):
     children: tuple
 
     def __repr__(self):
@@ -159,6 +169,8 @@ class Call(Expr):
 
 ZERO = Constant(Fraction(0))
 ONE = Constant(Fraction(1))
+# The accumulators ``add`` and ``mul`` start from; Fractions are immutable.
+_FZERO, _FONE = ZERO.value, ONE.value
 
 
 def num(value: Number) -> Constant:
@@ -205,29 +217,46 @@ def _build_sort_key(e: Expr):
 
 
 def _as_coeff_term(e: Expr):
-    """Split ``e`` into (numeric coefficient, residual term)."""
+    """Split ``e`` into (numeric coefficient, residual term). A Mul that
+    holds a constant keeps its split, so the residual is built once per
+    node; one without a constant splits into ``(1, e)``, which is not kept
+    because it would hold the node itself."""
+    if isinstance(e, Mul):
+        try:
+            return e._split
+        except AttributeError:
+            pass
+        consts = [c.value for c in e.children if isinstance(c, Constant)]
+        if not consts:
+            return _FONE, e
+        coeff = consts[0]
+        for c in consts[1:]:
+            coeff = coeff * c
+        rest = [c for c in e.children if not isinstance(c, Constant)]
+        term = Mul(tuple(rest)) if len(rest) > 1 else rest[0] if rest else ONE
+        split = coeff, term
+        object.__setattr__(e, "_split", split)
+        return split
     if isinstance(e, Constant):
         return e.value, ONE
-    if isinstance(e, Mul):
-        consts = [c.value for c in e.children if isinstance(c, Constant)]
-        rest = [c for c in e.children if not isinstance(c, Constant)]
-        if consts:
-            coeff = consts[0]
-            for c in consts[1:]:
-                coeff = coeff * c
-            if not rest:
-                return coeff, ONE
-            if len(rest) == 1:
-                return coeff, rest[0]
-            return coeff, Mul(tuple(rest))
-    return Fraction(1), e
+    return _FONE, e
+
+
+def _folded(value, consts: list) -> Constant:
+    """``Constant(value)``, or the lone constant of ``consts`` when
+    ``value`` is its value, of the same type: ``add`` and ``mul`` fold one
+    constant ``c`` into ``0 + c`` and ``1 * c``, which equal ``c`` for
+    every Fraction and every non-zero float."""
+    if len(consts) == 1 and type(consts[0].value) is type(value):
+        return consts[0]
+    return Constant(value)
 
 
 def add(*args) -> Expr:
-    """Flattened, like-term-collecting sum with deterministic ordering."""
-    const = Fraction(0)
-    terms: dict = {}
-    order: list = []
+    """Flattened, like-term-collecting sum with deterministic ordering.
+    A term that occurs once keeps the input node it came from."""
+    consts: list = []
+    terms: dict = {}  # term -> coefficient, in order of first occurrence
     # term -> the input node it came from, while the term occurs only once:
     # that node is already ``coeff * term`` in normal form.
     once: dict = {}
@@ -239,7 +268,7 @@ def add(*args) -> Expr:
         if isinstance(e, Add):
             stack.extend(reversed(e.children))
         elif isinstance(e, Constant):
-            const += e.value
+            consts.append(e)
         else:
             coeff, term = _as_coeff_term(e)
             if term in terms:
@@ -248,11 +277,9 @@ def add(*args) -> Expr:
             else:
                 terms[term] = coeff
                 once[term] = e
-                order.append(term)
 
     children = []
-    for term in order:
-        coeff = terms[term]
+    for term, coeff in terms.items():
         if coeff == 0 and not isinstance(coeff, float):
             continue
         if coeff == 1:
@@ -261,8 +288,11 @@ def add(*args) -> Expr:
             children.append(once[term])
         else:
             children.append(mul(Constant(coeff), term))
-    if const != 0 or isinstance(const, float) and const != 0.0:
-        children.append(Constant(const))
+    const = _FZERO
+    for c in consts:
+        const += c.value
+    if const != 0:
+        children.append(_folded(const, consts))
     children.sort(key=_sort_key)
     if not children:
         return ZERO
@@ -272,10 +302,13 @@ def add(*args) -> Expr:
 
 
 def mul(*args) -> Expr:
-    """Flattened product; repeated factors merge into powers."""
-    const = Fraction(1)
-    powers: dict = {}
-    order: list = []
+    """Flattened product; repeated factors merge into powers. A factor
+    whose base occurs once is kept as it came."""
+    consts: list = []
+    powers: dict = {}  # base -> exponent, in order of first occurrence
+    # base -> the input factor it came from while the base occurs only
+    # once, if that factor is what ``pow_`` would build from it; else None.
+    kept: dict = {}
     stack = list(reversed(args))  # preorder, as in ``add``
     while stack:
         e = _coerce(stack.pop())
@@ -283,28 +316,37 @@ def mul(*args) -> Expr:
             stack.extend(reversed(e.children))
             continue
         if isinstance(e, Constant):
-            const *= e.value
+            consts.append(e)
             continue
-        base, exp = (e.base, e.exponent) if isinstance(e, Pow) else (e, 1)
+        if isinstance(e, Pow):
+            base, exp = e.base, e.exponent
+            if exp == 1 or isinstance(base, (Constant, Pow, Mul)):
+                e = None  # built by hand: not what ``pow_`` builds
+        else:
+            base, exp = e, 1
         if base in powers:
             powers[base] += exp
+            kept[base] = None
         else:
             powers[base] = exp
-            order.append(base)
+            kept[base] = e
 
+    const = _FONE
+    for c in consts:
+        const *= c.value
     if const == 0 and not isinstance(const, float):
         return ZERO
     children = []
-    for base in order:
-        exp = powers[base]
+    for base, exp in powers.items():
         if exp == 0:
             continue
-        children.append(pow_(base, exp))
+        factor = kept[base]
+        children.append(pow_(base, exp) if factor is None else factor)
     children.sort(key=_sort_key)
     if const == 0 and isinstance(const, float):
         return Constant(0.0)
     if const != 1:
-        children.insert(0, Constant(const))
+        children.insert(0, _folded(const, consts))
     if not children:
         return ONE
     if len(children) == 1:
@@ -359,16 +401,19 @@ def access(func, indices: Iterable[Expr]) -> Access:
 # -- Traversal helpers -------------------------------------------------------
 
 
+_CHILDREN = {
+    Constant: lambda e: (),
+    Symbol: lambda e: (),
+    Access: operator.attrgetter("indices"),
+    Add: operator.attrgetter("children"),
+    Mul: operator.attrgetter("children"),
+    Pow: lambda e: (e.base,),
+    Call: operator.attrgetter("args"),
+}
+
+
 def children_of(e: Expr) -> tuple:
-    if isinstance(e, (Add, Mul)):
-        return e.children
-    if isinstance(e, Pow):
-        return (e.base,)
-    if isinstance(e, Call):
-        return e.args
-    if isinstance(e, Access):
-        return e.indices
-    return ()
+    return _CHILDREN[type(e)](e)
 
 
 def rebuild(e: Expr, new_children) -> Expr:
@@ -403,10 +448,8 @@ def rewrite(e: Expr, fn: Callable[[Expr], Optional[Expr]],
         if out is None:
             kids = children_of(e)
             new = [rewrite(c, fn, memo) for c in kids]
-            if all(a is b for a, b in zip(new, kids)):
-                out = e
-            else:
-                out = rebuild(e, new)
+            out = rebuild(e, new) if any(map(operator.is_not, new, kids)) \
+                else e
         memo[id(e)] = out
     return out
 

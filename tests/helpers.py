@@ -233,3 +233,126 @@ def run_clusters(clusters, nt, data, grid, env_extra=None, npoint=0):
         for c in timed:
             exec_cluster(c, tval)
     return data
+
+
+# -- Reference constructors ---------------------------------------------------
+#
+# ``add``, ``mul`` and ``_as_coeff_term`` as they were before the
+# constructors kept their normal-form inputs: every call splits each term
+# afresh, and every factor is rebuilt through ``pow_``. The property in
+# test_expr.py checks that the constructors build the same trees.
+
+
+def reference_coeff_term(e):
+    """Split ``e`` into (numeric coefficient, residual term)."""
+    from fractions import Fraction
+
+    from stencilc.symbolic.expr import ONE, Constant, Mul
+    if isinstance(e, Constant):
+        return e.value, ONE
+    if isinstance(e, Mul):
+        consts = [c.value for c in e.children if isinstance(c, Constant)]
+        rest = [c for c in e.children if not isinstance(c, Constant)]
+        if consts:
+            coeff = consts[0]
+            for c in consts[1:]:
+                coeff = coeff * c
+            if not rest:
+                return coeff, ONE
+            if len(rest) == 1:
+                return coeff, rest[0]
+            return coeff, Mul(tuple(rest))
+    return Fraction(1), e
+
+
+def reference_add(*args):
+    """Flattened, like-term-collecting sum with deterministic ordering."""
+    from fractions import Fraction
+
+    from stencilc.symbolic.expr import (ZERO, Add, Constant, _coerce,
+                                        _sort_key)
+    const = Fraction(0)
+    terms: dict = {}
+    order: list = []
+    once: dict = {}
+    stack = list(reversed(args))
+    while stack:
+        e = _coerce(stack.pop())
+        if isinstance(e, Add):
+            stack.extend(reversed(e.children))
+        elif isinstance(e, Constant):
+            const += e.value
+        else:
+            coeff, term = reference_coeff_term(e)
+            if term in terms:
+                terms[term] = terms[term] + coeff
+                once.pop(term, None)
+            else:
+                terms[term] = coeff
+                once[term] = e
+                order.append(term)
+
+    children = []
+    for term in order:
+        coeff = terms[term]
+        if coeff == 0 and not isinstance(coeff, float):
+            continue
+        if coeff == 1:
+            children.append(term)
+        elif term in once:
+            children.append(once[term])
+        else:
+            children.append(reference_mul(Constant(coeff), term))
+    if const != 0 or isinstance(const, float) and const != 0.0:
+        children.append(Constant(const))
+    children.sort(key=_sort_key)
+    if not children:
+        return ZERO
+    if len(children) == 1:
+        return children[0]
+    return Add(tuple(children))
+
+
+def reference_mul(*args):
+    """Flattened product; repeated factors merge into powers."""
+    from fractions import Fraction
+
+    from stencilc.symbolic.expr import (ONE, ZERO, Constant, Mul, Pow,
+                                        _coerce, _sort_key, pow_)
+    const = Fraction(1)
+    powers: dict = {}
+    order: list = []
+    stack = list(reversed(args))
+    while stack:
+        e = _coerce(stack.pop())
+        if isinstance(e, Mul):
+            stack.extend(reversed(e.children))
+            continue
+        if isinstance(e, Constant):
+            const *= e.value
+            continue
+        base, exp = (e.base, e.exponent) if isinstance(e, Pow) else (e, 1)
+        if base in powers:
+            powers[base] += exp
+        else:
+            powers[base] = exp
+            order.append(base)
+
+    if const == 0 and not isinstance(const, float):
+        return ZERO
+    children = []
+    for base in order:
+        exp = powers[base]
+        if exp == 0:
+            continue
+        children.append(pow_(base, exp))
+    children.sort(key=_sort_key)
+    if const == 0 and isinstance(const, float):
+        return Constant(0.0)
+    if const != 1:
+        children.insert(0, Constant(const))
+    if not children:
+        return ONE
+    if len(children) == 1:
+        return children[0]
+    return Mul(tuple(children))

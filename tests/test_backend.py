@@ -978,6 +978,25 @@ def test_compile_leaves_no_cyclic_garbage(build):
         clear_cache()
 
 
+def test_compile_builds_few_constants_and_powers(monkeypatch):
+    # The constructors keep their normal-form inputs: a factor whose base
+    # occurs once is not rebuilt as a fresh Pow, and a lone constant is
+    # not rebuilt. Before they did, this compile built 256 Pow and 1,068
+    # Constant nodes; now it builds 8 and 302.
+    from stencilc.symbolic import Constant, Pow
+    eqs = coupled_equations(8, so=8)
+    built = {Constant: 0, Pow: 0}
+    for cls in built:
+        def counted(self, *args, _init=cls.__init__, _cls=cls):
+            built[_cls] += 1
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    clear_cache()
+    Operator(eqs, mode="advanced")
+    clear_cache()
+    assert built[Pow] <= 10 and built[Constant] <= 380, built
+
+
 #: SHA-256 of the emitted C (through ``Operator`` and through ``emit_c``
 #: with no function list) and of the tree dump, for four small operators:
 #: "acoustic" has accesses inside left-hand-side indices and opaque
@@ -1112,7 +1131,11 @@ def _legality_equations(name):
     - ``anti``: ``b = a[x+1]; a = c``, a carried anti-dependence
     - ``backward``: ``a[x] = a[x+1] + 1``, a recurrence run backward
     - ``grad``: ``grad[x, y] += u*v``, a reduction over time
-    - ``acc``: ``acc = acc + u``, a running sum over time"""
+    - ``acc``: ``acc = acc + u``, a running sum over time
+    - ``flow-past-atomic``: ``b = a[x+1]; a = c`` on the interior, then
+      ``d = a[x-1]``, a carried flow from a cluster whose x is atomic
+    - ``pinned``: ``a = c; b = a`` on the interior, then ``d = b``, a
+      loop-independent flow from a cluster of another space"""
     from stencilc.symbolic import Eq, FunctionDecl, Grid, add, mul, num
     g = Grid((8, 8) if name == "grad" else (11,))
 
@@ -1130,6 +1153,12 @@ def _legality_equations(name):
         return [Eq(b.at, shifted(a, 1)), Eq(a.at, c.at)]
     if name == "backward":
         return [Eq(a.at, shifted(a, 1) + num(1))]
+    if name == "flow-past-atomic":
+        return [Eq(b.at, shifted(a, 1)), Eq(a.at, c.at, region="interior"),
+                Eq(f("d").at, shifted(a, -1))]
+    if name == "pinned":
+        return [Eq(a.at, c.at), Eq(b.at, a.at, region="interior"),
+                Eq(f("d").at, b.at)]
     u, v = f("u", "timefunction"), f("v", "timefunction")
     if name == "grad":
         grad = f("grad")
@@ -1252,6 +1281,22 @@ def test_carried_anti_pair_runs_sliced():
     report = op.apply(steps=1)[1]
     assert _per_point(report) == 0
     assert sum(slot["sliced"] for slot in report.values()) == 22
+    _assert_matches_oracle(op, 1)
+
+
+@pytest.mark.parametrize("name,order", [
+    ("flow-past-atomic", [["b"], ["a"], ["d"]]),
+    ("pinned", [["a"], ["b"], ["d"]]),
+])
+def test_grouping_stops_at_the_cluster_d_reads(name, order):
+    # d has the iteration space of the first cluster, not of the second,
+    # and reads what the second writes: one point back along the second's
+    # atomic x, or at the same point. Grouping d with the first cluster
+    # would run it before the second, so the scan stops at the second
+    # and d starts a third cluster.
+    op = Operator(_legality_equations(name))
+    assert [[eq.lhs.func.name for eq in c.eqs]
+            for c in op.artifact.clusters] == order
     _assert_matches_oracle(op, 1)
 
 

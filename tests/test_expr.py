@@ -1,13 +1,16 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from stencilc.symbolic import (Access, Add, Call, Constant, Grid,
+from stencilc.symbolic import (Access, Add, Call, Constant, ExprError, Grid,
                                FunctionDecl, Mul, Pow, Symbol, add, call,
                                evaluate, mul, num, op_count, pow_, substitute)
-from stencilc.symbolic.expr import rewrite
+from stencilc.symbolic.expr import _as_coeff_term, children_of, rewrite
+
+from helpers import reference_add, reference_coeff_term, reference_mul
 
 
 a, b, c = Symbol("a"), Symbol("b"), Symbol("c")
@@ -193,6 +196,11 @@ def test_add_keeps_a_term_that_occurs_once():
 
 def test_add_and_mul_leave_no_reference_cycles():
     import gc
+
+    from stencilc.lowering import _access_offsets
+    g = Grid((8,))
+    u = FunctionDecl("u", "function", g)
+    x = g.dimensions[0].symbol
     gc.collect()
     gc.disable()
     try:
@@ -201,6 +209,16 @@ def test_add_and_mul_leave_no_reference_cycles():
         assert gc.collect() == 0
         for _ in range(1000):
             mul(a, pow_(b, 2), num(3), c)
+        assert gc.collect() == 0
+        # A product without a constant splits into (1, itself): keeping
+        # that split on the node would make a cycle.
+        for _ in range(1000):
+            e = mul(a, b)
+            assert _as_coeff_term(e)[1] is e
+        assert gc.collect() == 0
+        for _ in range(1000):
+            acc = Access(u, (add(x, num(1)),))
+            assert _access_offsets(acc) is _access_offsets(acc)
         assert gc.collect() == 0
         e = mul(call("sin", add(a, b)), add(a, b), pow_(c, 2))
         for _ in range(1000):
@@ -233,3 +251,101 @@ def test_rewrite_keeps_equal_constants_of_different_types():
     out = rewrite(e, lambda n: b if n == a else None)
     assert out.args[2] == b
     assert [type(x.value) for x in out.args[:2]] == [float, Fraction]
+
+
+# -- The constructors keep their normal form ---------------------------------
+
+_u = FunctionDecl("u", "function", Grid((8,)))
+#: Constants of both types, equal across types (2 and 2.0), both zeros,
+#: one and a hand-built int.
+_CONSTANTS = [Constant(v) for v in (Fraction(2), 2.0, 2, -0.0, 0.0,
+                                    Fraction(0), Fraction(-1), 1.0,
+                                    Fraction(1, 3), -1.5)]
+_leaves = st.sampled_from([a, b, c, Access(_u, (add(Symbol("x"), num(1)),)),
+                           call("sin", a)] + _CONSTANTS)
+
+
+def _power(pair):
+    base, exponent = pair
+    try:
+        return pow_(base, exponent)
+    except ExprError:  # a zero to a negative power
+        return base
+
+
+def _compound(kids):
+    some = st.lists(kids, min_size=1, max_size=4)
+    return st.one_of(
+        some.map(lambda xs: add(*xs)),
+        some.map(lambda xs: mul(*xs)),
+        st.tuples(kids, st.sampled_from([-2, -1, 2, 3])).map(_power),
+        # Built by hand, out of normal form: several constants
+        st.tuples(st.lists(st.sampled_from(_CONSTANTS), min_size=2,
+                           max_size=3), some)
+        .map(lambda p: Mul(tuple(p[0] + p[1]))))
+
+
+#: Arguments drawn with repetition from a few trees, so that terms and
+#: factors repeat.
+_arguments = st.lists(st.recursive(_leaves, _compound, max_leaves=10),
+                      min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+
+
+def _same(x, y) -> bool:
+    """Equal trees with the same child order, whose constants have the
+    same value types, the sign of zero included."""
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, Constant):
+        v, w = x.value, y.value
+        return type(v) is type(w) and v == w and (
+            not isinstance(v, float) or
+            math.copysign(1.0, v) == math.copysign(1.0, w))
+    if isinstance(x, (Symbol, Call)) and x.name != y.name:
+        return False
+    if isinstance(x, Pow) and x.exponent != y.exponent:
+        return False
+    if isinstance(x, Access) and x.func is not y.func:
+        return False
+    kx, ky = children_of(x), children_of(y)
+    return len(kx) == len(ky) and all(map(_same, kx, ky))
+
+
+def _flat(args, cls):
+    """The operands of ``cls`` that the constructor of ``cls`` reads from
+    ``args``: nested ``cls`` nodes are expanded, constants left out."""
+    out, stack = [], list(reversed(args))
+    while stack:
+        e = stack.pop()
+        if isinstance(e, cls):
+            stack.extend(reversed(e.children))
+        elif not isinstance(e, Constant):
+            out.append(e)
+    return out
+
+
+def _outputs(e, cls):
+    return e.children if isinstance(e, cls) else (e,)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_arguments)
+def test_constructors_keep_the_reference_normal_form(args):
+    total, product = add(*args), mul(*args)
+    assert _same(total, reference_add(*args))
+    assert _same(product, reference_mul(*args))
+    # An input term in normal form that no other input shares comes back
+    # as the same object, and so does a factor whose base occurs once.
+    # ``reference_mul`` of one operand is its normal form.
+    terms = _flat(args, Add)
+    keys = [reference_coeff_term(t)[1] for t in terms]
+    for t, key in zip(terms, keys):
+        if keys.count(key) == 1 and _same(t, reference_mul(t)):
+            assert any(out is t for out in _outputs(total, Add))
+    factors = _flat(args, Mul)
+    bases = [f.base if isinstance(f, Pow) else f for f in factors]
+    for f, base in zip(factors, bases):
+        if bases.count(base) == 1 and _same(f, reference_mul(f)) and \
+                not isinstance(product, Constant):
+            assert any(out is f for out in _outputs(product, Mul))

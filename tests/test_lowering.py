@@ -383,6 +383,28 @@ def test_access_table_follows_replace():
     assert replace(low) == low and repr(replace(low)) == repr(low)
 
 
+@pytest.mark.parametrize("example", ["acoustic", "wave", "tti"])
+def test_lowering_keeps_the_offsets_of_the_new_indices(example):
+    # Lowering reads each index once, and the new access keeps the offsets
+    # read: those ``_access_offsets`` derives from its indices (a fresh
+    # node has no table yet). The cases hold sparse indices, accesses in
+    # indices, a sub-sampled time index and several functions.
+    from stencilc.lowering import _access_offsets
+    from helpers import acoustic_example, tti_equations, wave_example
+    eqs = {"acoustic": lambda: acoustic_example((8, 8), so=4)[1],
+           "wave": lambda: wave_example()[1],
+           "tti": lambda: tti_equations((8, 8, 8), so=4)}[example]()
+
+    def typed(offsets):
+        return [(dim, loop, k, type(k)) for dim, loop, k in offsets]
+
+    for eq in eqs:
+        low = lower(eq)
+        for acc, offsets in zip(low.accesses, low.offsets):
+            fresh = _access_offsets(Access(acc.func, acc.indices))
+            assert typed(offsets) == typed(fresh), acc
+
+
 def test_offsets_derived_once_per_access(monkeypatch):
     import sys
     import stencilc.lowering as lowering
