@@ -28,10 +28,10 @@ outermost), so numpy merges the block axes of all operands alike, and
 statements see the copy through a transposed view in the batch-major
 order they index. The blocks along each block loop split into the full
 ones and the ragged last one, so a band of k block loops runs as at most
-2^k regular batches. A band runs block by block through the generic
-loop executor instead when a nest in it does not slice, a loop under a
-block loop carries no ``tile`` (the ``xb + c`` / ``min(xb + B - 1, X) +
-e`` bounds blocking records), the points distinct blocks write in an
+2^k regular batches. Each loop under a block loop reads its bounds, ``xb
++ c`` / ``min(xb + B - 1, X) + e``, from the ``tile`` blocking records.
+A band runs block by block through the generic loop executor instead
+when a nest in it does not slice, the points distinct blocks write in an
 array other than a private one could overlap, or two accesses to one
 private temporary disagree on which block loop moves which of its axes.
 The block loops are parallel, so batching reorders statements
@@ -514,10 +514,6 @@ class _Planner:
             cur = cur.children[0]
         heads = band[-1].children if band else [n]
         blocks = tuple((it.dim.name, it.step) for it in band)
-        if not heads or not all(isinstance(h, Iteration) for h in heads) or \
-                any(free_symbols(b) & {name for name, _ in blocks}
-                    for it in band for b in (it.lower, it.upper)):
-            return None
         private = {d.decl.name: None for nd in walk(n)
                    for d in getattr(nd, "declarations", ())
                    if band and d.scope == "private" and
@@ -553,22 +549,15 @@ class _Planner:
         names = [name for name, _ in blocks]
         nest, binds = _Nest(len(dims), [], [], []), []
         for axis, it in enumerate(loops):
-            used = free_symbols(it.lower) | free_symbols(it.upper)
-            by = used & set(names)
-            if used & set(dims) or len(by) > 1:
-                return None
+            by = (free_symbols(it.lower) | free_symbols(it.upper)) & \
+                set(names)
             q = names.index(by.pop()) if by else None
             binds.append(q)
             if q is not None:
-                if it.tile is None or it.tile[0] != names[q]:
-                    return None
                 nest.bound.append((axis, q) + it.tile[1:])
             else:
                 nest.free.append((axis, self.scalar(it.lower),
                                   self.scalar(it.upper)))
-        if sorted(q for q in binds if q is not None) != \
-                list(range(len(blocks))):
-            return None
         axes = _Axes(dims, blocks, tuple(binds), private)
         defined: Dict[str, bool] = {}
         #: per scalar temporary, the statement that reads it last
@@ -700,10 +689,7 @@ class _Planner:
         for pos, (idx, (axis, const, terms)) in enumerate(zip(acc.indices,
                                                               plan)):
             if axis is None:
-                value = self.value(idx, axes, defined)
-                if value is None or value[1]:
-                    return None
-                fixed.append((pos, value[0]))
+                fixed.append((pos, self.value(idx, axes, defined)[0]))
                 continue
             steps = ()
             if axes.blocks:
@@ -711,8 +697,6 @@ class _Planner:
                 steps = tuple(step * ((axes.binds[axis] == q) +
                                       coeffs.get(name, 0))
                               for q, (name, step) in enumerate(axes.blocks))
-                if min(steps) < 0 or (private and any(steps)):
-                    return None
             vector.append((pos, axis, const, terms, extents[pos], steps))
         if private:
             moves = tuple(None if axis is None else axes.binds[axis]

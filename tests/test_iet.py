@@ -15,10 +15,7 @@ from stencilc.lowering import lower
 from stencilc.symbolic import Eq, FunctionDecl, Grid, Symbol
 from stencilc.symbolic.expr import evaluate
 
-from helpers import (acoustic_example, coupled_equations, lowered_wave_example,
-                     recurrence_equations, rotated_equations,
-                     rotated_laplacian_example, tti_equations,
-                     two_field_equations, wave_example)
+from helpers import CONFIGS, lowered_wave_example, rotated_laplacian_example
 
 LISTING_GOLDEN = """\
 for t = t_m to t_M:
@@ -177,9 +174,9 @@ def test_array_temp_reuse_makes_time_sequential():
 
 
 #: SHA-256 of ``(dim, sorted(properties))`` over every loop of the tree, in
-#: preorder, for each ``helpers`` operator in every mode, unblocked and in
-#: blocks of 4 along every grid dimension (the recurrence's sequential x
-#: cannot be blocked).
+#: preorder, for each of ``helpers.GOLDEN_OPERATORS`` in every mode,
+#: unblocked and in blocks of 4 along every grid dimension (the
+#: recurrence's sequential x cannot be blocked).
 LOOP_PROPERTIES_SHA256 = {
     "acoustic-basic":
         "1db0d056ba27c5066b83516e43b331558da0222fe7a1799d09f142c49223e75b",
@@ -260,17 +257,6 @@ LOOP_PROPERTIES_SHA256 = {
     "wave-aggressive-blocked":
         "51c5af17d987d41248e8c768f97f5e62992532edff2dfc4d9a2324b78c46ccd0",
 }
-
-LOOP_PROPERTY_OPERATORS = {
-    "acoustic": lambda: acoustic_example((8, 8), so=4)[1],
-    "coupled": lambda: coupled_equations(3),
-    "recurrence": recurrence_equations,
-    "rotated": lambda: rotated_equations(4)[1],
-    "tti": lambda: tti_equations((8, 8, 8), so=4),
-    "two-field": lambda: two_field_equations(4),
-    "wave": lambda: wave_example()[1],
-}
-
 
 #: SHA-256 of ``op.source + op.dump_iet()`` for the same configurations:
 #: the emitted C and the tree dump, byte for byte.
@@ -356,22 +342,14 @@ SOURCE_SHA256 = {
 }
 
 
-def _property_operator(name):
-    """The ``Operator`` a ``LOOP_PROPERTIES_SHA256`` key names."""
-    from stencilc.backend import Operator
-    op_name, mode = next((k, name[len(k) + 1:]) for k in
-                         LOOP_PROPERTY_OPERATORS if name.startswith(k + "-"))
-    eqs = LOOP_PROPERTY_OPERATORS[op_name]()
-    block = None
-    if mode.endswith("-blocked"):
-        mode = mode[:-len("-blocked")]
-        block = {d.name: 4 for d in eqs[0].lhs.func.grid.dimensions}
-    return Operator(eqs, mode=mode, block=block)
+def test_golden_configurations_run_on_every_executor():
+    # A golden pins only configurations that test_executors_agree runs.
+    assert set(LOOP_PROPERTIES_SHA256) | set(SOURCE_SHA256) <= set(CONFIGS)
 
 
 @pytest.mark.parametrize("name", sorted(LOOP_PROPERTIES_SHA256))
 def test_loop_properties_golden(name):
-    op = _property_operator(name)
+    op = CONFIGS[name].build()
     props = [(it.dim.name, sorted(it.properties))
              for it in iterations(op.iet)]
     digest = hashlib.sha256(repr(props).encode()).hexdigest()
@@ -380,7 +358,7 @@ def test_loop_properties_golden(name):
 
 @pytest.mark.parametrize("name", sorted(SOURCE_SHA256))
 def test_source_golden(name):
-    op = _property_operator(name)
+    op = CONFIGS[name].build()
     text = op.source + op.dump_iet()
     assert hashlib.sha256(text.encode()).hexdigest() == SOURCE_SHA256[name]
 
@@ -389,7 +367,7 @@ def test_source_golden(name):
 def test_every_temporary_is_read(name):
     # DSE creates only temporaries some statement reads: placement never
     # has a dead definition to drop.
-    stmts = statements(_property_operator(name).iet)
+    stmts = statements(CONFIGS[name].build().iet)
     written = {s.eq.lhs.func for s in stmts if s.eq.lhs.func.kind == "temp"}
     read = {a.func for s in stmts for a in s.eq.accesses[1:]}
     assert written <= read
