@@ -13,6 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from ..iet import (ATOMIC, PARALLEL, VECTORIZABLE, Block,
                    Conditional, Declaration, ExpressionStmt, Iteration,
                    Section, iterations, statements, walk)
@@ -54,6 +56,8 @@ class _Emitter:
         v = c.value
         if isinstance(v, Fraction) and v.denominator == 1:
             return str(v.numerator)
+        if self.ctype == "float":  # as numpy rounds a float to float32
+            return repr(float(np.float32(v))) + "F"
         return repr(float(v))
 
     def factor(self, e: Expr, in_index: bool) -> str:
@@ -84,8 +88,10 @@ class _Emitter:
             return "pow(%s, %d)" % (base, n)
         if isinstance(e, Call):
             args = [self.expr(a, in_index) for a in e.args]
-            if e.name == "idiv":
+            if e.name == "idiv" and in_index:
                 return "(%s) / (%s)" % tuple(args)
+            if e.name == "idiv":  # floor division of the truncated operands
+                return "floor((double)(long)(%s) / (long)(%s))" % tuple(args)
             if e.name == "floor" and in_index:
                 return "(int)floor(%s)" % args[0]
             if e.name in ("min", "max"):

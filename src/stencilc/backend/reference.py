@@ -2,13 +2,16 @@
 
 ``reference_run`` runs each equation in its own loop nest over its own
 iteration space, in program order, each loop in its space's direction,
-and serves as the differential-testing oracle for ``run``. Equations with
-a time dimension share one outer time loop, wherever their space puts
-it. Where an equation can be swept, it runs as whole-array slice
-operations whose offsets come from the equation's access table
-(``LoweredEq.offsets``, derived once by lowering), not from the
-interpreter's execution plan, so a fault in the plan's slicing shows as a
-difference. Every other equation runs per point (``_point``), walking its
+and serves as the differential-testing oracle for ``run``. Each maximal
+run of consecutive equations with a time dimension shares one outer time
+loop, wherever their spaces put it, reversed if one of them runs t
+backward; an equation without one runs where it stands, between the time
+loops. The compiler schedules its clusters in this order too, as
+Devito's cluster scheduling does. Where an equation can be swept, it
+runs as whole-array slice operations whose offsets come from the
+equation's access table (``LoweredEq.offsets``, derived once by
+lowering), not from the interpreter's execution plan, so a fault in the
+plan's slicing shows as a difference. Every other equation runs per point (``_point``), walking its
 expression tree with ``evaluate``, which the interpreter never calls. It
 shares with the interpreter only ``_point_index`` (index rounding, the
 time modulo, bounds), ``_ARRAY_CALLS`` and the error types, so per-point
@@ -164,8 +167,9 @@ def _sweep(eq: LoweredEq, plan, ranges, env, arrays) -> bool:
 def reference_run(eqs: Sequence[LoweredEq], buffers: Dict[str, DataBuffer],
                   params: dict) -> Dict[str, DataBuffer]:
     """Execute unoptimized lowered equations in program order, one loop
-    nest per equation following its own iteration space; equations with a
-    time dimension share a single outer time loop."""
+    nest per equation following its own iteration space; each run of
+    consecutive equations with a time dimension shares one outer time
+    loop."""
     if not eqs:
         return buffers
     env = dict(params)
@@ -204,19 +208,19 @@ def reference_run(eqs: Sequence[LoweredEq], buffers: Dict[str, DataBuffer],
                 env[d.name] = v
             _point(eq, env, arrays)
 
-    timed = [any(d.is_time for d in eq.ispace.dims) for eq in eqs]
-    steps = range(int(env["t_m"]), int(env["t_M"]) + 1) if any(timed) else ()
-    if any(eq.ispace.direction_of(d) == BACKWARD
-           for eq, t in zip(eqs, timed) if t
-           for d in eq.ispace.dims if d.is_time):
-        steps = reversed(steps)
+    def timed(item):
+        return any(d.is_time for d in item[1].ispace.dims)
+
     try:
-        for i, eq in enumerate(eqs):
-            if not timed[i]:
-                exec_eq(i, eq, None)
-        for tval in steps:
-            for i, eq in enumerate(eqs):
-                if timed[i]:
+        for is_timed, run in itertools.groupby(enumerate(eqs), timed):
+            run = list(run)
+            steps = range(int(env["t_m"]), int(env["t_M"]) + 1) \
+                if is_timed else [None]
+            if any(eq.ispace.direction_of(d) == BACKWARD
+                   for _, eq in run for d in eq.ispace.dims if d.is_time):
+                steps = reversed(steps)
+            for tval in steps:
+                for i, eq in run:
                     exec_eq(i, eq, tval)
     except ExprError as err:
         raise BackendError(str(err)) from None

@@ -11,27 +11,45 @@ parameters:
     src.inject(field=u.forward, expr=src * dt**2 / m)
     params steps=50 mode=advanced precision=f64
 
-Expressions support infix arithmetic (+ - * / ** and parentheses), the
-builtin calls sin/cos/sqrt, solve(expr, target), derivative suffixes
+Equations and sparse statements are Python syntax, read from the tree
+of ``ast.parse``: numbers, names, unary minus, ``+ - * /``, ``**`` with an
+integer exponent, sin/cos/sqrt, solve(expr, target), derivative suffixes
 (.dx, .dy, .dz, .dx2, ..., .dt, .dt2, .laplace) and time offsets
-(.forward, .backward). Errors carry line and column positions.
+(.forward, .backward). Declaration values are Python literals, read with
+``ast.literal_eval``; spec text is never executed. Errors carry the line
+and 1-based column of the offending token.
 """
 
 from __future__ import annotations
 
 import ast
+import keyword
+import operator
 import re
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from ..symbolic import (Eq, Equation, FunctionDecl, Grid, Symbol, call,
                         derivative, dt, dt2, inject, interpolate, laplace,
                         num, solve_for)
-from ..symbolic.expr import Access, Expr, mul, pow_
+from ..symbolic.expr import Access, Constant, ExprError, mul, pow_
 from ..symbolic.grid import DeclarationError, Dimension
 
 FUNC_KINDS = ("function", "timefunction", "sparsetimefunction")
 PARAM_KEYS = ("steps", "mode", "block", "precision", "workers")
+#: the options of each declaration: the grid's take numbers, ``coords`` a
+#: tuple of points, and the other ones non-negative integers
+_OPTIONS = {"grid": ("shape", "extent", "origin"),
+            "function": ("space_order", "time_order", "save", "factor",
+                         "npoint", "coords")}
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv}
+#: the calls an expression may make, and their parameters
+_CALLS = {"solve": ("expr", "target"), "sin": ("x",), "cos": ("x",),
+          "sqrt": ("x",)}
+_SUFFIXES = {"forward": lambda f: f.forward, "backward": lambda f: f.backward,
+             "laplace": laplace, "dt": dt, "dt2": dt2}
 
 
 class SpecError(ValueError):
@@ -61,476 +79,321 @@ class ProblemSpec:
                 tuple(sorted(self.params.items())))
 
 
-# -- Expression tokenizer ----------------------------------------------------
-
-_TOKEN_RE = re.compile(r"""
-    (?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+)
-  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<op>\*\*|[-+*/(),.=])
-  | (?P<ws>\s+)
-""", re.VERBOSE)
+# -- Statements --------------------------------------------------------------
 
 
-@dataclass
-class _Token:
-    kind: str  # num | name | op | end
-    text: str
-    col: int
+class _Reader:
+    """The tree of one statement, ``text``, which starts at 0-based column
+    ``off`` of line ``line``, read into spec expressions. Every node kind
+    outside the spec language is a ``SpecError`` at its column."""
 
+    def __init__(self, spec: ProblemSpec, line: int, off: int, text: str):
+        self.spec, self.line, self.off, self.text = spec, line, off, text
+        try:
+            body = ast.parse(text).body
+        except SyntaxError as err:
+            raise SpecError(err.msg, line, off + (err.offset or 1)) from None
+        if len(body) != 1:
+            raise SpecError("expected one statement", line, off + 1)
+        self.stmt = body[0]
 
-def _tokenize(text: str, line: int, col0: int) -> List[_Token]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise SpecError("unexpected character %r" % text[pos],
-                            line, col0 + pos + 1)
-        if m.lastgroup != "ws":
-            out.append(_Token(m.lastgroup, m.group(), col0 + pos + 1))
-        pos = m.end()
-    out.append(_Token("end", "", col0 + len(text) + 1))
-    return out
+    def fail(self, msg: str, node, col: Optional[int] = None):
+        """Raise at ``col`` of the statement, 0-based, or at ``node``."""
+        col = node.col_offset if col is None else col
+        raise SpecError(msg, self.line, self.off + col + 1)
 
+    def unsupported(self, node):
+        """Fail at the operator of an operation, or else at ``node``."""
+        left = node.values[0] if isinstance(node, ast.BoolOp) else \
+            getattr(node, "left", None)
+        rest = self.text[left.end_col_offset:node.end_col_offset].lstrip(
+            " \t)") if left else None
+        self.fail("unsupported syntax %r" % ast.unparse(node), node,
+                  None if rest is None else node.end_col_offset - len(rest))
 
-class _ExprParser:
-    """Recursive-descent expression parser over one statement."""
-
-    def __init__(self, tokens: List[_Token], line: int, spec: ProblemSpec):
-        self.toks = tokens
-        self.i = 0
-        self.line = line
-        self.spec = spec
-
-    def peek(self) -> _Token:
-        return self.toks[self.i]
-
-    def next(self) -> _Token:
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def expect(self, text: str) -> _Token:
-        t = self.next()
-        if t.text != text:
-            raise SpecError("expected %r, got %r" % (text, t.text or "end"),
-                            self.line, t.col)
-        return t
-
-    def fail(self, msg: str, tok: _Token):
-        raise SpecError(msg, self.line, tok.col)
-
-    # expr := prod (("+"|"-") prod)*
-    def expr(self) -> Expr:
-        out = self.prod()
-        while self.peek().text in ("+", "-"):
-            op = self.next().text
-            rhs = self.prod()
-            out = out + rhs if op == "+" else out - rhs
-        return out
-
-    def prod(self) -> Expr:
-        out = self.unary()
-        while self.peek().text in ("*", "/"):
-            op = self.next().text
-            rhs = self.unary()
-            out = out * rhs if op == "*" else out / rhs
-        return out
-
-    def unary(self) -> Expr:
-        if self.peek().text == "-":
-            self.next()
-            return mul(num(-1), self.unary())
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        if self.peek().text == "**":
-            self.next()
-            t = self.peek()
-            exp = self.unary()
-            from ..symbolic.expr import Constant
-            from fractions import Fraction
-            if not (isinstance(exp, Constant) and
-                    isinstance(exp.value, Fraction) and
-                    exp.value.denominator == 1):
-                self.fail("exponent must be an integer", t)
+    def expr(self, node):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return num(node.value)
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return mul(num(-1), self.expr(node.operand))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            base, exp = self.expr(node.left), self.expr(node.right)
+            if not (isinstance(exp, Constant) and isinstance(
+                    exp.value, Fraction) and exp.value.denominator == 1):
+                self.fail("exponent must be an integer", node.right)
             return pow_(base, int(exp.value))
-        return base
-
-    def atom(self) -> Expr:
-        t = self.next()
-        if t.kind == "num":
-            return num(ast.literal_eval(t.text))
-        if t.text == "(":
-            out = self.expr()
-            self.expect(")")
-            return out
-        if t.kind == "name":
-            if self.peek().text == "(":
-                return self.call(t)
-            return self.suffixed(self.resolve(t), t)
-        self.fail("expected an expression", t)
-
-    def call(self, t: _Token) -> Expr:
-        self.expect("(")
-        args = [self.expr()]
-        while self.peek().text == ",":
-            self.next()
-            args.append(self.expr())
-        self.expect(")")
-        if t.text == "solve":
-            if len(args) != 2:
-                self.fail("solve takes (expr, target)", t)
-            if not isinstance(args[1], Access):
-                self.fail("solve target must be a function reference", t)
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+            left, right = self.expr(node.left), self.expr(node.right)
             try:
-                return solve_for(args[0], args[1])
-            except ValueError as err:
-                self.fail(str(err), t)
-        if t.text in ("sin", "cos", "sqrt"):
-            if len(args) != 1:
-                self.fail("%s takes one argument" % t.text, t)
-            return call(t.text, args[0])
-        self.fail("unknown call %r" % t.text, t)
+                return _BINOPS[type(node.op)](left, right)
+            except ExprError as err:
+                self.fail(str(err), node.right)
+        if isinstance(node, ast.Call):
+            return self.call(node)
+        if not isinstance(node, (ast.Name, ast.Attribute)):
+            self.unsupported(node)
+        ref = self.ref(node)
+        return ref.at if isinstance(ref, FunctionDecl) else ref
 
-    def resolve(self, t: _Token):
-        name = t.text
-        if name in self.spec.functions:
-            return self.spec.functions[name]
-        if self.spec.grid is not None:
-            g = self.spec.grid
-            known = {"dt"} | {s.name for s in g.spacing_symbols} \
-                | {s.name for s in g.origin_symbols}
-            if name in known:
-                return Symbol(name)
-        self.fail("undeclared identifier %r" % name, t)
-
-    def suffixed(self, base, t: _Token) -> Expr:
-        cur = base
-        while self.peek().text == ".":
-            self.next()
-            s = self.next()
-            if s.kind != "name":
-                self.fail("expected a suffix name", s)
-            cur = self.apply_suffix(cur, s)
-        if isinstance(cur, FunctionDecl):
-            return cur.at
-        return cur
-
-    def apply_suffix(self, cur, s: _Token):
-        if not isinstance(cur, FunctionDecl):
-            self.fail("suffix .%s needs a declared function" % s.text, s)
-        name = s.text
+    def call(self, node: ast.Call):
+        name = getattr(node.func, "id", None)
+        if name not in _CALLS:
+            self.fail("unknown call %r" % ast.unparse(node.func), node)
+        if node.keywords or len(node.args) != len(_CALLS[name]):
+            self.fail("%s takes (%s)" % (name, ", ".join(_CALLS[name])), node)
+        args = [self.expr(a) for a in node.args]
+        if name != "solve":
+            return call(name, *args)
+        if not isinstance(args[1], Access):
+            self.fail("solve target must be a function reference",
+                      node.args[1])
         try:
-            if name == "forward":
-                return cur.forward
-            if name == "backward":
-                return cur.backward
-            if name == "laplace":
-                return laplace(cur)
-            if name == "dt":
-                return dt(cur)
-            if name == "dt2":
-                return dt2(cur)
-        except (DeclarationError, ValueError) as err:
-            self.fail(str(err), s)
-        m = re.fullmatch(r"d([a-z])(2?)", name)
-        if m is None:
-            self.fail("unknown suffix %r" % name, s)
-        letter, order = m.group(1), 2 if m.group(2) else 1
-        dim = next((d for d in cur.grid.dimensions if d.name == letter), None)
-        if dim is None:
-            self.fail("unknown dimension %s" % letter, s)
-        try:
-            return derivative(cur, dim, cur.space_order, order)
+            return solve_for(*args)
         except ValueError as err:
-            self.fail(str(err), s)
+            self.fail(str(err), node)
 
+    def resolve(self, node: ast.Name):
+        if node.id in self.spec.functions:
+            return self.spec.functions[node.id]
+        g = self.spec.grid
+        if node.id in ["dt"] + [s.name for s in g.spacing_symbols
+                                + g.origin_symbols]:
+            return Symbol(node.id)
+        self.fail("undeclared identifier %r" % node.id, node)
 
-# -- Line parsing ------------------------------------------------------------
-
-
-def _parse_kwargs(p: _ExprParser, ints: tuple) -> dict:
-    """Integer key=value pairs from a declaration tail."""
-    out = {}
-    while p.peek().kind == "name":
-        key = p.next()
-        p.expect("=")
-        if key.text not in ints:
-            p.fail("unknown option %r" % key.text, key)
-        v = p.next()
-        if v.kind != "num":
-            p.fail("expected an integer for %s" % key.text, v)
-        out[key.text] = int(v.text)
-    t = p.peek()
-    if t.kind != "end":
-        p.fail("unexpected %r" % t.text, t)
-    return out
-
-
-def _split_tuples(tail: str, line: int, col0: int):
-    """Extract key=(...) chunks with balanced parentheses; returns the
-    remaining tail and a {key: python value} dict."""
-    out = {}
-    pattern = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)\s*=\s*\(")
-    while True:
-        m = pattern.search(tail)
-        if m is None:
-            return tail, out
-        depth = 0
-        end = None
-        for i in range(m.end() - 1, len(tail)):
-            if tail[i] == "(":
-                depth += 1
-            elif tail[i] == ")":
-                depth -= 1
-                if depth == 0:
-                    end = i
-                    break
-        if end is None:
-            raise SpecError("unbalanced parentheses", line,
-                            col0 + m.start() + 1)
-        literal = tail[m.end() - 1:end + 1]
+    def ref(self, node):
+        """A name and its suffixes: a declaration, or what the last suffix
+        made of it."""
+        if isinstance(node, ast.Name):
+            return self.resolve(node)
+        if not isinstance(node, ast.Attribute):
+            self.fail("expected a name", node)
+        cur, name = self.ref(node.value), node.attr
+        col = node.end_col_offset - len(name)
+        if not isinstance(cur, FunctionDecl):
+            self.fail("suffix .%s needs a declared function" % name, node, col)
+        m = re.fullmatch(r"d([a-z])(2?)", name)
+        dim = next((d for d in cur.grid.dimensions
+                    if m and d.name == m.group(1)), None)
+        if name not in _SUFFIXES and dim is None:
+            self.fail("unknown dimension %s" % m.group(1) if m else
+                      "unknown suffix %r" % name, node, col)
         try:
-            out[m.group(1)] = ast.literal_eval(literal)
-        except (SyntaxError, ValueError):
-            raise SpecError("bad literal %s" % literal, line,
-                            col0 + m.end())
-        tail = tail[:m.start()] + tail[end + 1:]
+            if name in _SUFFIXES:
+                return _SUFFIXES[name](cur)
+            return derivative(cur, dim, cur.space_order,
+                              2 if m.group(2) else 1)
+        except (DeclarationError, ValueError) as err:
+            self.fail(str(err), node, col)
+
+    def equation(self, region: str) -> Equation:
+        """``f = expr``, ``f.forward = expr`` or ``f.backward = expr``."""
+        stmt = self.stmt
+        if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1):
+            self.fail("expected one assignment", stmt)
+        target = stmt.targets[0]
+        if isinstance(target, ast.Attribute) and \
+                target.attr not in ("forward", "backward"):
+            self.fail("only .forward/.backward allowed on the left", target,
+                      target.end_col_offset - len(target.attr))
+        lhs = self.ref(target)
+        if not isinstance(lhs, (FunctionDecl, Access)):
+            self.fail("left side must be a declared function", target)
+        rhs = self.expr(stmt.value)
+        try:
+            return Eq(lhs, rhs, region=region)
+        except DeclarationError as err:
+            self.fail(str(err), stmt)
+
+    def sparse(self) -> List[Equation]:
+        """``s.inject(field=f, expr=e)`` or ``s.interpolate(e)``."""
+        node = self.stmt.value if isinstance(self.stmt, ast.Expr) \
+            else self.stmt
+        op = getattr(node, "func", None)
+        if not isinstance(op, ast.Attribute):
+            self.fail("expected s.inject(...) or s.interpolate(...)", node)
+        col = op.end_col_offset - len(op.attr)
+        if op.attr not in ("inject", "interpolate"):
+            self.fail("unknown statement .%s" % op.attr, op, col)
+        decl = self.ref(op.value)
+        if not isinstance(decl, FunctionDecl):
+            self.fail("expected a sparse function", op.value)
+        try:
+            if op.attr == "interpolate":
+                if len(node.args) != 1 or node.keywords:
+                    self.fail("interpolate takes one expression", node)
+                return interpolate(decl, self.expr(node.args[0]))
+            kw = {k.arg: k.value for k in node.keywords}
+            if node.args or set(kw) != {"field", "expr"}:
+                self.fail("inject takes field=... and expr=...", node)
+            target = self.expr(kw["field"])
+            if not isinstance(target, Access):
+                self.fail("inject field must be a function reference",
+                          kw["field"])
+            return inject(decl, target, self.expr(kw["expr"]))
+        except DeclarationError as err:
+            self.fail(str(err), op, col)
 
 
-def _as_tuple(v):
-    if isinstance(v, (int, float)):
-        return (v,)
-    return tuple(v)
+# -- Declarations ------------------------------------------------------------
 
 
-def parse_spec(text: str) -> ProblemSpec:
-    spec = ProblemSpec()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        stripped = line.strip()
-        col0 = len(line) - len(stripped)
-        head = stripped.split(None, 1)[0]
-        tail = stripped[len(head):].strip()
-        tailcol = col0 + len(head) + 1
-        if head == "grid":
-            _parse_grid(spec, tail, lineno, tailcol)
-        elif head in FUNC_KINDS:
-            _parse_function(spec, head, tail, lineno, tailcol)
-        elif head == "eq":
-            _parse_eq(spec, tail, lineno, tailcol)
-            spec.statements.append(" ".join(stripped.split()))
-        elif head == "params":
-            _parse_params(spec, tail, lineno, tailcol)
-        elif "." in head and ("inject(" in stripped.replace(" ", "") or
-                              "interpolate(" in stripped.replace(" ", "")):
-            _parse_sparse_stmt(spec, stripped, lineno, col0)
-            spec.statements.append(" ".join(stripped.split()))
-        else:
-            raise SpecError("unknown statement %r" % head, lineno, col0 + 1)
-    return spec
+def _numbers(v) -> Optional[tuple]:
+    """``v`` as a tuple of numbers, from a number or a tuple of them."""
+    v = v if isinstance(v, tuple) else (v,)
+    return v if all(type(x) in (int, float) for x in v) else None
 
 
-def _require_grid(spec: ProblemSpec, lineno: int, col: int) -> Grid:
+def _value(key: str, v):
+    """The literal ``v`` of option ``key`` in the form its declaration
+    takes, or None when it is not a value of that option."""
+    if key == "coords":
+        points = tuple(map(_numbers, v)) if isinstance(v, tuple) else (None,)
+        return None if None in points else points
+    if key in _OPTIONS["grid"]:
+        return _numbers(v)
+    return v if type(v) is int and v >= 0 else None
+
+
+def _options(kind: str, text: str, line: int, off: int) -> Tuple[str, dict]:
+    """The text before the first ``key=`` of a declaration tail that starts
+    at 0-based column ``off``, and each key's value. An unknown key or a bad
+    value is a ``SpecError`` at its key."""
+    marks = list(re.finditer(r"([A-Za-z_]\w*)\s*=", text))
+    ends = [m.start() for m in marks[1:]] + [len(text)]
+    out = {}
+    for m, end in zip(marks, ends):
+        key, col, value = m.group(1), off + m.start() + 1, text[m.end():end]
+        if key not in _OPTIONS[kind]:
+            raise SpecError("unknown option %r" % key, line, col)
+        try:
+            out[key] = _value(key, ast.literal_eval(value.strip()))
+        except (SyntaxError, TypeError, ValueError):
+            out[key] = None
+        if out[key] is None:
+            raise SpecError("bad value for %s: %s" % (key, value.strip()),
+                            line, col)
+    return text[:marks[0].start()] if marks else text, out
+
+
+def _require_grid(spec: ProblemSpec, line: int, col: int) -> Grid:
     if spec.grid is None:
-        raise SpecError("no grid declared", lineno, col)
+        raise SpecError("no grid declared", line, col)
     return spec.grid
 
 
-def _parse_grid(spec, tail, lineno, col0):
+def _grid(spec, tail, line, off):
     if spec.grid is not None:
-        raise SpecError("grid already declared", lineno, col0)
-    rest, tuples = _split_tuples(tail, lineno, col0)
+        raise SpecError("grid already declared", line, off + 1)
+    rest, opts = _options("grid", tail, line, off)
     if rest.strip():
-        raise SpecError("unexpected %r" % rest.strip(), lineno, col0)
-    if "shape" not in tuples:
-        raise SpecError("grid needs shape=(...)", lineno, col0)
-    args = {"shape": _as_tuple(tuples.pop("shape"))}
-    for key in ("extent", "origin"):
-        if key in tuples:
-            args[key] = _as_tuple(tuples.pop(key))
-    if tuples:
-        raise SpecError("unknown grid option %r" % next(iter(tuples)),
-                        lineno, col0)
+        raise SpecError("unexpected %r" % rest.strip(), line, off + 1)
+    if "shape" not in opts:
+        raise SpecError("grid needs shape=(...)", line, off + 1)
     try:
-        spec.grid = Grid(**args)
+        spec.grid = Grid(**opts)
     except DeclarationError as err:
-        raise SpecError(str(err), lineno, col0)
-    spec.grid_args = args
+        raise SpecError(str(err), line, off + 1)
+    spec.grid_args = opts
 
 
-def _parse_function(spec, kind, tail, lineno, col0):
-    g = _require_grid(spec, lineno, col0)
-    rest, tuples = _split_tuples(tail, lineno, col0)
-    toks = _tokenize(rest, lineno, col0)
-    if not toks or toks[0].kind != "name":
-        raise SpecError("expected a function name", lineno, col0)
-    name = toks[0].text
+def _function(spec, kind, tail, line, off):
+    g = _require_grid(spec, line, off + 1)
+    name, kwargs = _options("function", tail, line, off)
+    name = name.strip()
+    if not (name.isascii() and name.isidentifier()) or \
+            keyword.iskeyword(name):
+        raise SpecError("expected a function name, got %r" % name,
+                        line, off + 1)
     if name in spec.functions:
-        raise SpecError("duplicate name %r" % name, lineno, toks[0].col)
-    p = _ExprParser(toks[1:], lineno, spec)
-    kwargs = _parse_kwargs(p, ("space_order", "time_order", "save",
-                               "npoint", "factor"))
-    coords = tuples.pop("coords", None)
-    if tuples:
-        raise SpecError("unknown option %r" % next(iter(tuples)),
-                        lineno, col0)
-    build = dict(kwargs)
-    factor = build.pop("factor", None)
+        raise SpecError("duplicate name %r" % name, line, off + 1)
+    build = {k: v for k, v in kwargs.items() if k not in ("factor", "coords")}
     try:
-        if kind == "timefunction" and factor is not None:
-            ts = Dimension("t" + name, "conditional", parent=g.time_dim,
-                           factor=factor)
-            decl = FunctionDecl(name, kind, g, time_dim=ts, **build)
-        elif kind == "sparsetimefunction":
-            if coords is not None:
-                build["coordinates"] = [tuple(float(c) for c in _as_tuple(pt))
-                                        for pt in coords]
-            decl = FunctionDecl(name, kind, g, **build)
-        else:
-            decl = FunctionDecl(name, kind, g, **build)
+        if kind == "timefunction" and "factor" in kwargs:
+            build["time_dim"] = Dimension("t" + name, "conditional",
+                                          parent=g.time_dim,
+                                          factor=kwargs["factor"])
+        if kind == "sparsetimefunction" and "coords" in kwargs:
+            build["coordinates"] = [tuple(map(float, pt))
+                                    for pt in kwargs["coords"]]
+        decl = FunctionDecl(name, kind, g, **build)
     except (DeclarationError, TypeError) as err:
-        raise SpecError(str(err), lineno, col0)
+        raise SpecError(str(err), line, off + 1)
     spec.functions[name] = decl
-    record = dict(kwargs)
-    if coords is not None:
-        record["coords"] = tuple(tuple(pt) if isinstance(pt, (list, tuple))
-                                 else (pt,) for pt in coords)
-    spec.func_args.append((kind, name, record))
+    spec.func_args.append((kind, name, kwargs))
 
 
-def _parse_eq(spec, tail, lineno, col0):
-    _require_grid(spec, lineno, col0)
-    region = "domain"
-    m = re.search(r"\bregion\s*=\s*(\w+)\s*$", tail)
-    if m:
-        region = m.group(1)
-        if region != "interior":
-            raise SpecError("bad region %r" % region, lineno,
-                            col0 + m.start(1))
-        tail = tail[:m.start()].rstrip()
-    toks = _tokenize(tail, lineno, col0)
-    p = _ExprParser(toks, lineno, spec)
-    t = p.next()
-    if t.kind != "name":
-        p.fail("expected a function name on the left", t)
-    lhs = p.resolve(t)
-    if not isinstance(lhs, FunctionDecl):
-        p.fail("left side must be a declared function", t)
-    while p.peek().text == ".":
-        p.next()
-        s = p.next()
-        if s.text == "forward":
-            lhs = lhs.forward
-        elif s.text == "backward":
-            lhs = lhs.backward
-        else:
-            p.fail("only .forward/.backward allowed on the left", s)
-    if isinstance(lhs, FunctionDecl):
-        lhs = lhs.at
-    p.expect("=")
-    rhs = p.expr()
-    end = p.peek()
-    if end.kind != "end":
-        p.fail("unexpected %r" % end.text, end)
-    try:
-        spec.equations.append(Eq(lhs, rhs, region=region))
-    except DeclarationError as err:
-        raise SpecError(str(err), lineno, col0)
-
-
-def _parse_sparse_stmt(spec, stripped, lineno, col0):
-    _require_grid(spec, lineno, col0)
-    toks = _tokenize(stripped, lineno, col0)
-    p = _ExprParser(toks, lineno, spec)
-    t = p.next()
-    decl = p.resolve(t)
-    if not isinstance(decl, FunctionDecl):
-        p.fail("expected a sparse function", t)
-    p.expect(".")
-    op = p.next()
-    p.expect("(")
-    try:
-        if op.text == "inject":
-            key = p.next()
-            if key.text != "field":
-                p.fail("inject needs field=...", key)
-            p.expect("=")
-            fld = p.next()
-            target = p.resolve(fld)
-            field_acc = p.suffixed(target, fld)
-            if not isinstance(field_acc, Access):
-                p.fail("inject field must be a function reference", fld)
-            p.expect(",")
-            key = p.next()
-            if key.text != "expr":
-                p.fail("inject needs expr=...", key)
-            p.expect("=")
-            expr = p.expr()
-            p.expect(")")
-            spec.equations.extend(inject(decl, field_acc, expr))
-        elif op.text == "interpolate":
-            expr = p.expr()
-            p.expect(")")
-            spec.equations.extend(interpolate(decl, expr))
-        else:
-            p.fail("unknown statement .%s" % op.text, op)
-    except DeclarationError as err:
-        raise SpecError(str(err), lineno, op.col)
-    end = p.peek()
-    if end.kind != "end":
-        p.fail("unexpected %r" % end.text, end)
-
-
-def _parse_params(spec, tail, lineno, col0):
-    for m in re.finditer(r"(\S+)", tail):
-        item = m.group(1)
-        col = col0 + m.start() + 1
-        if "=" not in item:
-            raise SpecError("expected key=value", lineno, col)
-        key, value = item.split("=", 1)
+def _params(spec, tail, line, off):
+    for m in re.finditer(r"\S+", tail):
+        key, eq, value = m.group().partition("=")
+        col = off + m.start() + 1
+        if not eq:
+            raise SpecError("expected key=value", line, col)
         if key not in PARAM_KEYS:
-            raise SpecError("unknown parameter %r" % key, lineno, col)
+            raise SpecError("unknown parameter %r" % key, line, col)
         if key in ("steps", "workers"):
             try:
                 spec.params[key] = int(value)
             except ValueError:
-                raise SpecError("bad integer %r" % value, lineno, col)
+                raise SpecError("bad integer %r" % value, line, col)
         else:
             spec.params[key] = value
+
+
+def _equation(spec, tail, line, off) -> Equation:
+    """The equation of an ``eq`` statement's ``tail``, which starts at
+    0-based column ``off``."""
+    region = "domain"
+    r = re.search(r"\bregion\s*=\s*(\w+)\s*$", tail)
+    if r:
+        region = r.group(1)
+        if region != "interior":
+            raise SpecError("bad region %r" % region, line,
+                            off + r.start(1) + 1)
+        tail = tail[:r.start()].rstrip()
+    return _Reader(spec, line, off, tail).equation(region)
+
+
+def parse_spec(text: str) -> ProblemSpec:
+    spec = ProblemSpec()
+    for line, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.split("#", 1)[0].rstrip()
+        m = re.match(r"\s*(\S+)\s*", stripped)
+        if m is None:
+            continue
+        head, off, tail = m.group(1), m.end(), stripped[m.end():]
+        if head == "grid":
+            _grid(spec, tail, line, off)
+        elif head in FUNC_KINDS:
+            _function(spec, head, tail, line, off)
+        elif head == "params":
+            _params(spec, tail, line, off)
+        elif head == "eq" or "." in head:
+            start = m.start(1)
+            _require_grid(spec, line, start + 1)
+            spec.equations.extend(
+                [_equation(spec, tail, line, off)] if head == "eq" else
+                _Reader(spec, line, start, stripped[start:]).sparse())
+            spec.statements.append(" ".join(stripped.split()))
+        else:
+            raise SpecError("unknown statement %r" % head, line,
+                            m.start(1) + 1)
+    return spec
 
 
 # -- Printing ----------------------------------------------------------------
 
 
-def _fmt_tuple(v) -> str:
-    return "(" + ", ".join(repr(x) for x in v) + ("," if len(v) == 1 else "") \
-        + ")"
-
-
 def pretty_print(spec: ProblemSpec) -> str:
     lines = []
     if spec.grid_args:
-        bits = ["grid"]
-        for key in ("shape", "extent", "origin"):
-            if key in spec.grid_args:
-                bits.append("%s=%s" % (key, _fmt_tuple(spec.grid_args[key])))
-        lines.append(" ".join(bits))
+        lines.append(" ".join(["grid"] + [
+            "%s=%r" % item for item in spec.grid_args.items()]))
     for kind, name, kw in spec.func_args:
-        bits = [kind, name]
-        for key in ("space_order", "time_order", "save", "factor", "npoint"):
-            if key in kw:
-                bits.append("%s=%d" % (key, kw[key]))
-        if "coords" in kw:
-            bits.append("coords=(%s,)" % ", ".join(
-                _fmt_tuple(pt) for pt in kw["coords"]))
-        lines.append(" ".join(bits))
+        lines.append(" ".join([kind, name] + [
+            "%s=%r" % (k, kw[k]) for k in _OPTIONS["function"] if k in kw]))
     lines.extend(spec.statements)
     if spec.params:
         lines.append("params " + " ".join(
-            "%s=%s" % (k, v) for k, v in sorted(spec.params.items())))
+            "%s=%s" % item for item in sorted(spec.params.items())))
     return "\n".join(lines) + "\n"

@@ -3,14 +3,17 @@
 A cluster is an ordered run of equations that share an iteration space and
 guards and have no dimension-carried anti-dependence among them, so they
 can later be scheduled into one loop nest. Grouping scans existing
-clusters in reverse: a carried anti-dependence blocks the merge, and the
-candidate starts a new cluster whose ``atomics`` hold the dependences'
-causing dimensions (as Devito's ``groupby`` records them); ``build_iet``
-never fuses such a cluster into a loop over an atomic dimension, which is
-the one fusion fence. A flow dependence into a cluster's atomic
-dimension also stops the scan; otherwise the candidate may skip over an
-incompatible predecessor, provided no loop-independent dependence pins it
-behind that predecessor.
+clusters in reverse. A fence blocks the merge: a carried anti dependence,
+or a carried dependence that normalization flipped (its sink precedes its
+source in program order), unless it is a reduction or is carried by a
+time dimension, whose shared loop keeps that order. The candidate then
+starts a new cluster whose ``atomics`` hold the fences' causing
+dimensions (as Devito's ``groupby`` records them); ``build_iet`` never
+fuses such a cluster into a loop over an atomic dimension. A flow
+dependence into a cluster's atomic dimension also stops the scan;
+otherwise the candidate may skip over an incompatible predecessor when
+no dependence but a reduction links them: moving past a cluster runs the
+candidate before every iteration of it.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
-from .dependence import (ANTI, FLOW, OUTPUT, Dependence, detect_flow_directions,
-                         get_dependences)
+from .dependence import (ANTI, FLOW, REDUCTION, Dependence,
+                         detect_flow_directions, get_dependences)
 from .lowering import ANY, Guard, IterationSpace, LoweredEq
 from .symbolic.grid import Dimension
 
@@ -98,12 +101,13 @@ def group(eqs: List[LoweredEq],
         atomics: Set[Dimension] = set()
         for c, positions in zip(reversed(clusters), reversed(members)):
             cross = _cross_deps(pairs, positions, pos)
-            carried_anti = [d for d in cross
-                            if d.kind == ANTI and d.is_carried]
-            if carried_anti:
+            fences = [d for d in cross if d.is_carried and (
+                d.kind == ANTI or d.flipped and d.kind != REDUCTION
+                and not d.cause.is_time)]
+            if fences:
                 # The candidate's new cluster must not share these loops
                 # with the clusters before it.
-                atomics = {d.cause for d in carried_anti}
+                atomics = {d.cause for d in fences}
                 break
             flow_causes = {d.cause for d in cross
                            if d.kind == FLOW and d.is_carried}
@@ -116,10 +120,9 @@ def group(eqs: List[LoweredEq],
                 positions.append(pos)
                 placed = True
                 break
-            # Skip over an incompatible predecessor only when nothing in
-            # it must execute at the same iteration point before eq.
-            if any(d.is_independent and d.kind in (FLOW, ANTI, OUTPUT)
-                   for d in cross):
+            # Skip over an incompatible predecessor only when no
+            # dependence but a reduction ties eq to it.
+            if any(d.kind != REDUCTION for d in cross):
                 break
         if not placed:
             clusters.append(Cluster([eq], eq.ispace, atomics, eq.guards))

@@ -307,7 +307,7 @@ def _lower_access(acc: Access, guards: List[Guard], indices: dict,
                 if node is None:
                     node = indices[dim.name, k] = add(dim.symbol, num(k))
                 new_indices.append(node)
-        offsets.append((dim, _loop_dim_of(decl, dim), k))
+        offsets.append((dim, dim.root, k))
     out = Access(decl, tuple(new_indices))
     # The new access's offsets are the ones just read: each loop dimension
     # has the name of its storage dimension, and ``dim + k`` is affine.
@@ -329,13 +329,6 @@ def indexify(eq: Equation) -> LoweredEq:
 # -- Local analysis ----------------------------------------------------------
 
 
-def _loop_dim_of(decl: FunctionDecl, dim: Dimension) -> Dimension:
-    """The loop dimension through which a storage dimension is iterated."""
-    if dim.kind in ("stepping", "conditional"):
-        return dim.root
-    return dim
-
-
 def _access_offsets(acc: Access) -> Offsets:
     """(storage dim, loop dim, offset-or-OPAQUE) triples for an access.
     Offsets address storage, as aligned indices do; subtract ``_shift_for``
@@ -348,7 +341,7 @@ def _access_offsets(acc: Access) -> Offsets:
         pass
     out = []
     for dim, idx in zip(acc.func.dims, acc.indices):
-        loop = _loop_dim_of(acc.func, dim)
+        loop = dim.root
         k = OPAQUE
         if dim.kind != "conditional":
             try:
@@ -379,8 +372,7 @@ def _dimension_registry(eq: LoweredEq) -> Dict[str, Dimension]:
                 registry.setdefault(dim.name, dim)
             continue
         for dim in decl.dims:
-            loop = _loop_dim_of(decl, dim)
-            registry.setdefault(loop.name, loop)
+            registry.setdefault(dim.root.name, dim.root)
         if decl.kind in ("function", "timefunction"):
             grid = decl.grid
             for d in grid.dimensions:

@@ -76,7 +76,7 @@ def _centered_weights(fd_order: int, deriv_order: int
 def shift_expr(e: Expr, dim: Dimension, k: int, step: Symbol) -> Expr:
     """Translate ``e`` by ``k`` grid points along ``dim``: every occurrence
     of the dimension symbol becomes dim + k*step."""
-    sym = dim.root.symbol if dim.kind in ("stepping", "conditional") else dim.symbol
+    sym = dim.root.symbol
     return substitute(e, {sym: add(sym, mul(num(k), step))})
 
 

@@ -163,10 +163,11 @@ def acoustic_example(shape, so=2, src_coord=None, rec_coord=None,
 
 
 def run_clusters(clusters, nt, data, grid, env_extra=None, npoint=0):
-    """Reference executor over dict-backed arrays: clusters without a time
-    dimension run once up front, the rest share one outer time loop in
-    cluster order. ``data`` maps function name -> {index tuple: value} and
-    is mutated in place."""
+    """Reference executor over dict-backed arrays, in cluster order: each
+    run of consecutive clusters with a time dimension shares one outer
+    time loop, and a cluster without one runs once where it stands.
+    ``data`` maps function name -> {index tuple: value} and is mutated in
+    place."""
     import itertools
 
     from stencilc.symbolic.expr import evaluate
@@ -224,19 +225,20 @@ def run_clusters(clusters, nt, data, grid, env_extra=None, npoint=0):
                 else:
                     bucket[key] = val
 
-    static = [c for c in clusters
-              if not any(iv.dim.is_time for iv, _ in c.ispace.entries)]
-    timed = [c for c in clusters if c not in static]
-    for c in static:
-        exec_cluster(c, None)
-    steps = range(nt)
     from stencilc.lowering import BACKWARD
-    if any(c.ispace.direction_of(iv.dim) == BACKWARD
-           for c in timed for iv, _ in c.ispace.entries if iv.dim.is_time):
-        steps = reversed(steps)
-    for tval in steps:
-        for c in timed:
-            exec_cluster(c, tval)
+
+    def timed(c):
+        return any(iv.dim.is_time for iv, _ in c.ispace.entries)
+
+    for is_timed, run in itertools.groupby(clusters, timed):
+        run = list(run)
+        steps = range(nt) if is_timed else [None]
+        if any(c.ispace.direction_of(iv.dim) == BACKWARD
+               for c in run for iv, _ in c.ispace.entries if iv.dim.is_time):
+            steps = reversed(steps)
+        for tval in steps:
+            for c in run:
+                exec_cluster(c, tval)
     return data
 
 
@@ -426,30 +428,40 @@ def invariant_equations(name):
 
 
 def order_equations(name):
-    """Operators on Grid (11,) whose program order the compiler does not
-    keep (ROADMAP item 12):
-    - ``flipped-anti``: ``g[x] = k[x-1]; k[x] = f[x]``, fused into one x
-      loop, where ``g`` reads the ``k`` of the previous iteration
-    - ``flipped-output``: ``k[x] = g[x]; k[x+1] = f[x]``, fused into one
-      x loop
+    """Operators on Grid (11,) that test program order across equations
+    (ROADMAP item 12):
+    - ``flipped-anti``: ``g[x] = k[x-1]; k[x] = f[x]``, where ``g`` reads
+      the old ``k``, so the two must not share one x loop
+    - ``flipped-output``: ``k[x] = g[x]; k[x+1] = f[x]``, likewise
     - ``untimed-after-timed``: ``u.forward = u + f; k = u; hh = k``, whose
-      untimed ``hh`` the oracle runs before the time loop"""
+      untimed equations run after the time loop
+    - ``move-past``: ``g = h; u.forward = u + h; f[x-1] = u; f = h``,
+      whose last equation must not join the first before the time loop
+    - ``split-time``: ``u.forward = u + f[x-2]; f[x+1] = u[t, x+2]`` at
+      space order 4, which the compiler runs as two time loops"""
     from stencilc.symbolic import add, mul, num
     grid = Grid((11,))
-    f, k, g, hh = (FunctionDecl(n, "function", grid, space_order=2)
+    so = 4 if name == "split-time" else 2
+    f, k, g, hh = (FunctionDecl(n, "function", grid, space_order=so)
                    for n in ("f", "k", "g", "hh"))
+    u = FunctionDecl("u", "timefunction", grid, space_order=so, time_order=1)
 
-    def shifted(fn, s):
+    def shifted(fn, s, *lead):
         x, h = grid.dimensions[0].symbol, grid.spacing_symbols[0]
-        return fn(add(x, mul(num(s), h)))
+        return fn(*lead, add(x, mul(num(s), h)))
 
     if name == "flipped-anti":
         return [Eq(g.at, shifted(k, -1)), Eq(k.at, f.at)]
     if name == "flipped-output":
         return [Eq(k.at, g.at), Eq(shifted(k, 1), f.at)]
-    assert name == "untimed-after-timed"
-    u = FunctionDecl("u", "timefunction", grid, space_order=2, time_order=1)
-    return [Eq(u.forward, u.at + f.at), Eq(k.at, u.at), Eq(hh.at, k.at)]
+    if name == "untimed-after-timed":
+        return [Eq(u.forward, u.at + f.at), Eq(k.at, u.at), Eq(hh.at, k.at)]
+    if name == "move-past":
+        return [Eq(g.at, hh.at), Eq(u.forward, u.at + hh.at),
+                Eq(shifted(f, -1), u.at), Eq(f.at, hh.at)]
+    assert name == "split-time"
+    return [Eq(u.forward, u.at + shifted(f, -2)),
+            Eq(shifted(f, 1), shifted(u, 2, u.at.indices[0]))]
 
 
 def per_point_equations(name):
@@ -743,8 +755,16 @@ def _configs():
         lambda: acoustic_example((24, 24), so=4, spacing=0.7)[1],
         block={"x": 8, "y": 8})
     put("acoustic-f32", lambda: acoustic_example((24, 24), so=4)[1],
-        dtype="f32", xfail=(CMismatch, "ROADMAP item 1: the C writes "
-                                       "double literals in float code"))
+        dtype="f32")
+    put("coupled3-f32", bind(coupled_equations, 3), dtype="f32")
+    put("coupled3-f32-aggressive-blocked", bind(coupled_equations, 3),
+        "aggressive", {"x": 4, "y": 4, "z": 4}, dtype="f32")
+    sin_cos = (CMismatch, "ROADMAP item 1: the C calls sin and cos in "
+                          "double in float code")
+    put("rotated-f32", lambda: rotated_equations(4)[1], dtype="f32",
+        fill=rotated_fixture, xfail=sin_cos)
+    put("tti12-so4-f32", bind(tti_equations, (12, 12, 12), 4), dtype="f32",
+        steps=3, xfail=sin_cos)
     put("rotated-ragged", lambda: rotated_equations(4, (27, 29))[1],
         "aggressive", {"x": 8, "y": 8}, fill=rotated_fixture)
     put("rotated-x-blocks", lambda: rotated_equations(4, (24, 24))[1],
@@ -758,15 +778,16 @@ def _configs():
         for mode in ("advanced", "aggressive"):
             put("invariant-%s-%s" % (name, mode),
                 bind(invariant_equations, name), mode)
-    for name in ("transposed", "dimension"):
+    for name in ("transposed", "dimension", "idiv"):
         put("per-point-" + name, bind(per_point_equations, name))
-    put("per-point-idiv", bind(per_point_equations, "idiv"),
-        xfail=(CMismatch, "the C writes idiv of doubles as a division of "
-                          "doubles"))
-    for name in ("flipped-anti", "flipped-output", "untimed-after-timed"):
+    for name in ("flipped-anti", "flipped-output", "untimed-after-timed",
+                 "move-past", "split-time"):
         for mode in MODES:
             put("order-%s-%s" % (name, mode), bind(order_equations, name),
-                mode, steps=3, xfail=(OracleMismatch, "ROADMAP item 12"))
+                mode, steps=3, xfail=(OracleMismatch, "ROADMAP item 12: "
+                                      "two time loops, t atomic in the "
+                                      "second") if name == "split-time"
+                else None)
     return configs
 
 

@@ -82,6 +82,44 @@ class TestParse:
         assert us.time_dim.factor == 4
 
 
+PRELUDE = """\
+grid shape=(11,)
+timefunction u
+sparsetimefunction src npoint=1 coords=((5.0,),)
+"""
+
+#: malformed statements, each with the token its error must point into
+MALFORMED = [
+    ("function m space_order=2.0", "space_order"),
+    ("grid shape=('a',)", "shape"),
+    ("sparsetimefunction rec npoint=1 coords=(('a',),)", "coords"),
+    ("eq u = u.dq", "dq"),
+    ("function m2 bogus=1", "bogus"),
+    ("eq u.dx = u", "dx"),
+    ("eq u = dt.forward", "forward"),
+    ("eq u = u < 1", "<"),
+    ("eq u = u / 0", "0"),
+    ("src.bogus(u)", "bogus"),
+    ("eq u = (u +", "("),
+    ("function lambda", "lambda"),
+]
+
+
+@pytest.mark.parametrize("stmt,token", MALFORMED)
+def test_spec_errors_are_located(tmp_path, capsys, stmt, token):
+    text = ("" if stmt.startswith("grid") else PRELUDE) + stmt + "\n"
+    line, start = text.count("\n"), stmt.index(token) + 1
+    with pytest.raises(SpecError) as err:
+        parse_spec(text)
+    assert err.value.line == line
+    assert start <= err.value.col < start + len(token)
+    path = tmp_path / "bad.spec"
+    path.write_text(text)
+    assert main(["compile", str(path)]) == 1
+    assert "error: line %d, col %d: " % (line, err.value.col) \
+        in capsys.readouterr().err
+
+
 def _corpus():
     specs = []
     for shape in ("(21,)", "(12, 14)"):
