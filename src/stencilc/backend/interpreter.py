@@ -16,6 +16,16 @@ access a 0-d view. Every access is checked against the allocated
 extents (``BoundsError``); a missing buffer fails while planning, before
 any statement runs.
 
+Index forms come from the offset table that lowering keeps on each
+access (``lowering.recorded_offsets``): an index tabled as ``loop + k``
+is read from it, and only the others, untabled or ``OPAQUE`` (rebased
+``x - xb`` indices, some DSE temporaries, sparse indices), are parsed
+with ``linear_form``. With no vector loop every index is a scalar, and
+none is parsed. Each access's view closure takes its form once, while
+planning: an unbatched access to a shared array whose vector indices
+are loops plus constants only offsets the nest's ranges by those
+constants, checks the bounds and slices.
+
 A band of parallel block loops (``xb``, ``yb``, ...) whose body holds
 only sliceable nests runs all its blocks at once: each statement gets one
 leading batch axis per block loop. Shared arrays are read and written
@@ -82,7 +92,8 @@ import numpy as np
 from ..iet import (ATOMIC, BLOCKED, PARALLEL, Block, Conditional,
                    ExpressionStmt, Iteration, Section, iterations,
                    statements, walk)
-from ..lowering import BACKWARD, LoweredEq, linear_form
+from ..lowering import (BACKWARD, OPAQUE, LoweredEq, linear_form,
+                        recorded_offsets)
 # ``evaluate`` is bound, not called: a count of its calls here reads 0.
 from ..symbolic.expr import (Access, Add, Call, Constant, Expr, Mul, Pow,
                              Symbol, children_of, evaluate, free_symbols)
@@ -190,32 +201,54 @@ def _point_index(f, pos: int, value: float, extent: int) -> int:
 # -- Plan ----------------------------------------------------------------------
 
 
+#: The plan of an index that uses no vector loop.
+_FIXED = (None, 0, ())
+
+
+def _parsed_form(idx: Expr, dims: Sequence[str]):
+    """The affine form of ``idx`` (see ``_index_plan``) parsed from the
+    index itself, ``_FIXED`` when it uses no loop of ``dims``, or None."""
+    used = free_symbols(idx) & set(dims)
+    if not used:
+        return _FIXED
+    form = linear_form(idx)
+    if form is None or len(used) > 1:
+        return None
+    const, coeffs = form
+    name = used.pop()
+    if coeffs.pop(name) != 1:
+        return None
+    k = int(const)
+    terms = {n: int(c) for n, c in coeffs.items()}
+    if k != const or terms != coeffs:
+        return None
+    return dims.index(name), k, tuple(terms.items())
+
+
 def _index_plan(acc: Access, dims: Sequence[str]):
     """Per index of ``acc``: its affine form ``(axis, const, ((symbol,
     coeff), ...))`` when it is ``dims[axis] + const + sum(coeff *
     symbol)`` with integer ``const`` and coefficients, or ``(None, 0,
     ())`` when it uses no loop of ``dims``.
-    None when an index is neither, or the vector axes do not increase."""
-    out, axes = [], []
-    for idx in acc.indices:
-        used = free_symbols(idx) & set(dims)
-        if not used:
-            out.append((None, 0, ()))
-            continue
-        form = linear_form(idx)
-        if form is None or len(used) > 1:
+    None when an index is neither, or the vector axes do not increase.
+    An index that lowering's offset table (``recorded_offsets``) gives
+    as ``loop + k`` is read from it; only the others are parsed."""
+    n = len(acc.indices)
+    if not dims:
+        return [_FIXED] * n
+    table = recorded_offsets(acc) or (None,) * n
+    out, last = [], -1
+    for idx, entry in zip(acc.indices, table):
+        if entry is None or entry[2] is OPAQUE:
+            form = _parsed_form(idx, dims)
+        elif entry[1].name in dims:
+            form = (dims.index(entry[1].name), entry[2], ())
+        else:
+            form = _FIXED
+        if form is None or form[0] is not None and form[0] <= last:
             return None
-        const, coeffs = form
-        name = used.pop()
-        axis = dims.index(name)
-        if coeffs.pop(name) != 1 or (axes and axis <= axes[-1]):
-            return None
-        k = int(const)
-        terms = {n: int(c) for n, c in coeffs.items()}
-        if k != const or terms != coeffs:
-            return None
-        axes.append(axis)
-        out.append((axis, k, tuple(terms.items())))
+        last = last if form[0] is None else form[0]
+        out.append(form)
     return out
 
 
@@ -392,6 +425,36 @@ def _strided(arr, owner, offset, idx, vector, counts, ndim):
         for q, k in enumerate(steps):
             strides[q] += k * stride
     return np.ndarray(shape, arr.dtype, owner, offset, strides)
+
+
+def _plain_view(f, fixed, vector, along, whole: bool):
+    """``_Planner.access``'s view closure in its common form: unbatched,
+    not private, each vector index a loop plus a constant. It only offsets
+    the nest's ranges by those constants, checks the bounds and slices."""
+    name = f.name
+    spans = [(pos, axis, const, extent)
+             for pos, axis, const, _, extent, _ in vector]
+    template = [None] * (len(fixed) + len(spans)) + [Ellipsis]
+
+    def view(fr: _Frame) -> np.ndarray:
+        idx = template.copy()
+        for pos, value, extent in fixed:
+            idx[pos] = _point_index(f, pos, value(fr), extent)
+        lo, size = fr.lo, fr.size
+        for pos, axis, off, extent in spans:
+            start = lo[axis] + off
+            stop = start + size[axis]
+            if start < 0 or stop > extent:
+                raise _out_of_range(f, pos, start, stop, extent)
+            idx[pos] = slice(start, stop)
+        out = fr.arrays[name][tuple(idx)]
+        if whole:
+            return out
+        shape = [1] * len(size)
+        for k in along:
+            shape[k] = size[k]
+        return out.reshape(shape)
+    return view
 
 
 class _Planner:
@@ -689,7 +752,8 @@ class _Planner:
         for pos, (idx, (axis, const, terms)) in enumerate(zip(acc.indices,
                                                               plan)):
             if axis is None:
-                fixed.append((pos, self.value(idx, axes, defined)[0]))
+                fixed.append((pos, self.value(idx, axes, defined)[0],
+                              extents[pos]))
                 continue
             steps = ()
             if axes.blocks:
@@ -708,11 +772,13 @@ class _Planner:
         along = tuple(v[1] for v in vector)
         ndim, name = len(axes.dims), f.name
         whole = len(along) == ndim or not (along or private)
+        if not (strided or private or any(v[3] for v in vector)):
+            return _plain_view(f, fixed, vector, along, whole), along, False
 
         def view(fr: _Frame) -> np.ndarray:
             idx = [None] * len(plan)
-            for pos, value in fixed:
-                idx[pos] = _point_index(f, pos, value(fr), extents[pos])
+            for pos, value, extent in fixed:
+                idx[pos] = _point_index(f, pos, value(fr), extent)
             lo, size = fr.lo, fr.size
             for pos, axis, off, terms, extent, steps in vector:
                 for s, k in terms:

@@ -329,16 +329,21 @@ def indexify(eq: Equation) -> LoweredEq:
 # -- Local analysis ----------------------------------------------------------
 
 
+def recorded_offsets(acc: Access) -> Optional[Offsets]:
+    """The offsets kept on ``acc`` (``_access_offsets``, or the ones
+    ``_lower_access`` read), or None when none are: derives nothing."""
+    return getattr(acc, "_offsets", None)
+
+
 def _access_offsets(acc: Access) -> Offsets:
     """(storage dim, loop dim, offset-or-OPAQUE) triples for an access.
     Offsets address storage, as aligned indices do; subtract ``_shift_for``
     for an offset relative to the domain origin. Derived once per access
     node and kept on it, so an equation that a rewrite leaves the access
     in reuses them."""
-    try:
-        return acc._offsets
-    except AttributeError:
-        pass
+    out = recorded_offsets(acc)
+    if out is not None:
+        return out
     out = []
     for dim, idx in zip(acc.func.dims, acc.indices):
         loop = dim.root

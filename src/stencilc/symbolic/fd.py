@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from .expr import (Access, Add, Call, Constant, Expr, Mul, Pow, Symbol, add,
-                   mul, num, pow_, substitute)
+                   children_of, mul, num, pow_, substitute)
 from .grid import Dimension, FunctionDecl
 
 
@@ -157,7 +157,6 @@ def _linear_split(e: Expr, target: Access) -> Tuple[Expr, Expr]:
 def _contains(e: Expr, target: Access) -> bool:
     if e == target:
         return True
-    from .expr import children_of
     return any(_contains(c, target) for c in children_of(e))
 
 

@@ -390,6 +390,79 @@ class TestPlan:
         assert _index_plan(Access(u, (mul(num(2), x), y)), dims) is None
         assert _index_plan(Access(u, (y, x)), dims) is None
 
+    def test_planning_parses_no_tabled_index(self, monkeypatch):
+        # Every index of coupled_equations(3) is tabled by lowering, so
+        # planning parses none: only ``_Planner.nest``'s look-ups of each
+        # sliced loop's bounds call free_symbols.
+        from stencilc.backend import interpreter
+        from stencilc.iet import iterations
+        op = Operator(coupled_equations(3), mode="advanced")
+        loops = [it for it in iterations(op.iet) if it.dim.kind == "space"]
+        calls = {"free_symbols": 0, "linear_form": 0}
+
+        def counted(name):
+            original = getattr(interpreter, name)
+
+            def wrapper(e):
+                calls[name] += 1
+                return original(e)
+            monkeypatch.setattr(interpreter, name, wrapper)
+        for name in calls:
+            counted(name)
+        report = op.apply(steps=3, buffers=random_fixture(op, 3), dt=DT)[1]
+        assert all(s["per_point"] == 0 for s in report.values())
+        assert loops and calls == {"free_symbols": 2 * len(loops),
+                                   "linear_form": 0}
+
+
+def _parsed_plan(acc, dims):
+    """``interpreter._index_plan`` as it was before it read lowering's
+    offset table: every index parsed with ``linear_form``."""
+    from stencilc.lowering import linear_form
+    from stencilc.symbolic.expr import free_symbols
+    out, axes = [], []
+    for idx in acc.indices:
+        used = free_symbols(idx) & set(dims)
+        if not used:
+            out.append((None, 0, ()))
+            continue
+        form = linear_form(idx)
+        if form is None or len(used) > 1:
+            return None
+        const, coeffs = form
+        name = used.pop()
+        axis = dims.index(name)
+        if coeffs.pop(name) != 1 or (axes and axis <= axes[-1]):
+            return None
+        k = int(const)
+        terms = {n: int(c) for n, c in coeffs.items()}
+        if k != const or terms != coeffs:
+            return None
+        axes.append(axis)
+        out.append((axis, k, tuple(terms.items())))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_index_plan_table_matches_parse(name):
+    # The plan of every access read from lowering's offset table equals
+    # the parsed one, under every loop around its statement (the time
+    # loop's dim and loop are distinct objects, both named t), under its
+    # space loops alone and under none.
+    from stencilc.backend.interpreter import _index_plan
+    from stencilc.iet import _stmt_paths
+    from stencilc.lowering import recorded_offsets
+    tabled = 0
+    for stmt, loops in _stmt_paths(CONFIGS[name].build().iet):
+        every = tuple(it.dim.name for it in loops)
+        space = tuple(it.dim.name for it in loops if it.dim.kind == "space")
+        for acc in stmt.eq.accesses:
+            tabled += recorded_offsets(acc) is not None
+            for dims in (every, space, ()):
+                assert _index_plan(acc, dims) == _parsed_plan(acc, dims), \
+                    (acc, dims)
+    assert tabled
+
 
 def _counts(report):
     return {name: (slot["points"], slot["sliced"], slot["per_point"])
