@@ -78,14 +78,11 @@ class _Emitter:
         if isinstance(e, Mul):
             return "*".join(self.factor(c, in_index) for c in e.children)
         if isinstance(e, Pow):
+            # |n| factors, left to right, as the interpreter multiplies
             base = self.factor(e.base, in_index)
-            n = e.exponent
-            if n > 1 and n <= 4:
-                return "(" + "*".join([base] * n) + ")"
-            if n < 0 and n >= -4:
-                return "(1.0F/%s)" % ("(" + "*".join([base] * -n) + ")"
-                                      if n < -1 else base)
-            return "pow(%s, %d)" % (base, n)
+            n = abs(e.exponent)
+            product = "(" + "*".join([base] * n) + ")" if n > 1 else base
+            return product if e.exponent > 0 else "(1.0F/%s)" % product
         if isinstance(e, Call):
             args = [self.expr(a, in_index) for a in e.args]
             if e.name == "idiv" and in_index:

@@ -241,7 +241,10 @@ def autotune(eqs: Sequence[Equation], mode: str = "advanced",
              dtype: str = "f64", steps: int = 3,
              candidates: Optional[Sequence[dict]] = None, **params) -> dict:
     """Pick a block shape by timing short runs over zeroed buffers.
-    ``params`` binds the scalars the runs need, such as ``dt``."""
+    ``params`` binds the scalars the runs need, such as ``dt``. The runs
+    are the interpreter's, which runs each band as one block, so their
+    timings do not depend on the block shape: the pick tunes nothing for
+    the emitted C."""
     from ..iet import autotune_blocks
     probe = Operator(eqs, mode=mode, dtype=dtype)
     dims = [d.name for d in probe.grid.dimensions]

@@ -7,7 +7,6 @@ import sys
 from typing import Optional
 
 from ..backend import BackendError, BoundsError, Operator
-from ..backend.interpreter import temp_extents
 from ..dse import MODES
 from ..iet import dump as dump_iet
 from ..iet import statements
@@ -133,10 +132,9 @@ def report_text(spec: ProblemSpec, mode: str, timings: bool = False) -> str:
     for s in statements(art.iet):
         f = s.eq.lhs.func
         if f.kind == "temp" and f.dims and f.name not in temps:
-            extents = temp_extents(f, env)
             n = 1
-            for e in extents:
-                n *= e
+            for bound, k in f.temp_extents():
+                n *= k + (int(env[bound]) if bound else 0)
             temps[f.name] = n
     lines.append("temporaries: %d arrays, %d elements"
                  % (len(temps), sum(temps.values())))

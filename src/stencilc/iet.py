@@ -63,10 +63,6 @@ class Iteration:
     #: the (Interval, direction) this loop was built from; used by the
     #: scheduler to decide whether a later cluster may share it
     key: Optional[tuple] = None
-    #: ``(block loop, c, e)`` when blocking bounds this loop by a block
-    #: loop of step ``B`` and upper bound ``X``: it runs from
-    #: ``block + c`` to ``min(block + B - 1, X) + e``
-    tile: Optional[Tuple[str, int, int]] = None
 
 
 @dataclass(eq=False)
@@ -359,9 +355,7 @@ def _block_group(group: List[Iteration], shape: Dict[str, int],
                      num(ext))
             inner = Iteration(level.dim, lo, hi, direction=level.direction,
                               properties=set(level.properties),
-                              children=rebuilt, key=level.key,
-                              tile=(offsets[d.name].name,
-                                    iv.lower - base[d.name][0], ext))
+                              children=rebuilt, key=level.key)
             rebuilt = [inner]
         attach_parent.children.extend(rebuilt)
         if temps:

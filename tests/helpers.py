@@ -483,6 +483,28 @@ def per_point_equations(name):
     return [Eq(h.at, mul(f.at, call("idiv", mul(num(4), f.at), c.at)))]
 
 
+def power_equations(name):
+    """Operators on an 8x8 grid with an integer power beyond 4, which the
+    interpreter and the C both multiply out:
+    - ``pos``: ``u.forward = u + 0.01*u**6``
+    - ``neg``: ``u.forward = u + f**-5``"""
+    g = Grid((8, 8))
+    u = FunctionDecl("u", "timefunction", g, space_order=2, time_order=1)
+    f = FunctionDecl("f", "function", g, space_order=2)
+    if name == "pos":
+        return [Eq(u.forward, u.at + 0.01 * u.at ** 6)]
+    assert name == "neg"
+    return [Eq(u.forward, u.at + f.at ** -5)]
+
+
+def broadcast_equations():
+    """``h = f*c[x, 0]`` on an 8x8 grid, whose sliced read of ``c`` is
+    constant along the y loop."""
+    g = Grid((8, 8))
+    f, c, h = (FunctionDecl(n, "function", g, space_order=2) for n in "fch")
+    return [Eq(h.at, f.at * c(g.dimensions[0].symbol, 0))]
+
+
 # -- Executor matrix ----------------------------------------------------------
 #
 # Every configuration below runs on every executor through
@@ -780,6 +802,10 @@ def _configs():
                 bind(invariant_equations, name), mode)
     for name in ("transposed", "dimension", "idiv"):
         put("per-point-" + name, bind(per_point_equations, name))
+    for name in ("pos", "neg"):
+        put("power-" + name, bind(power_equations, name), steps=3)
+    put("broadcast", broadcast_equations)
+    put("broadcast-blocked", broadcast_equations, block={"x": 4, "y": 4})
     for name in ("flipped-anti", "flipped-output", "untimed-after-timed",
                  "move-past", "split-time"):
         for mode in MODES:

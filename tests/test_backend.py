@@ -392,8 +392,7 @@ class TestPlan:
 
     def test_planning_parses_no_tabled_index(self, monkeypatch):
         # Every index of coupled_equations(3) is tabled by lowering, so
-        # planning parses none: only ``_Planner.nest``'s look-ups of each
-        # sliced loop's bounds call free_symbols.
+        # planning parses none and calls free_symbols on none.
         from stencilc.backend import interpreter
         from stencilc.iet import iterations
         op = Operator(coupled_equations(3), mode="advanced")
@@ -411,8 +410,7 @@ class TestPlan:
             counted(name)
         report = op.apply(steps=3, buffers=random_fixture(op, 3), dt=DT)[1]
         assert all(s["per_point"] == 0 for s in report.values())
-        assert loops and calls == {"free_symbols": 2 * len(loops),
-                                   "linear_form": 0}
+        assert loops and calls == {"free_symbols": 0, "linear_form": 0}
 
 
 def _parsed_plan(acc, dims):
@@ -474,9 +472,8 @@ SLAB_CASES = {
     "acoustic3d-so8": (lambda: _acoustic_op((24, 24, 24), so=8), _fixture,
                        ("u", "rec"), 24 * 24),
     "rotated-so12": (_rotated_op, rotated_fixture, ("w",), 24),
-    # 27x29 in 8x8 blocks: the batch of 3x3 full blocks has 96 points per
-    # block in its widest nest (12x8), 288 per x block, so 120 points per
-    # slab run it block by block, and 600 in x runs of two then one.
+    # 27x29 in 8x8 blocks, run as one block: its nests have rows of 29
+    # points, so 120 points per slab run four rows per slab.
     "rotated-so4-blocked": (lambda: _rotated_so4_op({"x": 8, "y": 8},
                                                     (27, 29)),
                             rotated_fixture, ("w",), 120),
@@ -484,28 +481,18 @@ SLAB_CASES = {
 
 
 class TestSlabs:
-    """Sliced nests run in slabs of the outermost loop, batched bands of
-    block loops in slabs of whole blocks; the grids here fit in one slab
-    at the default ``SLAB_POINTS``."""
+    """Sliced nests run in slabs of the outermost loop; the grids here fit
+    in one slab at the default ``SLAB_POINTS``."""
 
     def test_batch_slabs(self, monkeypatch):
-        # A slab takes every block along the later block loops while they
-        # fit, then a run along one, single blocks along the earlier ones.
+        # Slabs of whole rows, the last one ragged.
         from stencilc.backend import interpreter
         monkeypatch.setattr(interpreter, "SLAB_POINTS", 100)
-        assert interpreter._slabs([2, 3, 4], 10) == [
-            ((0, 0, 0), (1, 2, 4)), ((0, 2, 0), (1, 1, 4)),
-            ((1, 0, 0), (1, 2, 4)), ((1, 2, 0), (1, 1, 4))]
-        assert interpreter._slabs([2, 3], 10) == [((0, 0), (2, 3))]
-        assert interpreter._slabs([3, 2], 40) == [
-            ((0, 0), (1, 2)), ((1, 0), (1, 2)), ((2, 0), (1, 2))]
-        # One block over the bound still runs whole.
-        assert interpreter._slabs([2, 2], 101) == [
-            ((0, 0), (1, 1)), ((0, 1), (1, 1)), ((1, 0), (1, 1)),
-            ((1, 1), (1, 1))]
-        # An unbatched nest: rows of 30 points, 3 rows per slab.
-        assert interpreter._slabs([7], 30) == [
-            ((0,), (3,)), ((3,), (3,)), ((6,), (1,))]
+        # Rows of 30 points, 3 rows per slab.
+        assert interpreter._slabs(7, 30) == [(0, 3), (3, 3), (6, 1)]
+        assert interpreter._slabs(3, 10) == [(0, 3)]
+        # One row over the bound still runs whole.
+        assert interpreter._slabs(2, 101) == [(0, 1), (1, 1)]
 
     @pytest.mark.parametrize("case", sorted(SLAB_CASES))
     @pytest.mark.parametrize("rows", [1, 5], ids=["one-row", "ragged"])
@@ -668,8 +655,8 @@ def _rotated_case(block, dtype="f64"):
 
 
 #: (block shape -> operator, block shape, fixture, oracle tolerance)
-#: of operators whose blocked bands run batched; the rotated ones are
-#: ragged along every block loop
+#: of blocked operators; the rotated ones are ragged along every block
+#: loop
 BATCH_CASES = {
     "rotated-so4": _rotated_case({"x": 8, "y": 8}),
     "rotated-so4-x": _rotated_case({"x": 8}),
@@ -690,9 +677,9 @@ BATCH_CASES = {
 
 
 class TestBatchedBlocks:
-    """A band of parallel block loops runs all its blocks at once, one
-    batch per regular run of blocks, so a statement costs one numpy call
-    per term and slab, not per block."""
+    """A band of block loops runs as one block, each loop it tiles over
+    its whole range, so a statement costs one numpy call per term and
+    slab, not per block."""
 
     @staticmethod
     def _apply(op, fixture, workers=1, steps=3):
@@ -703,87 +690,28 @@ class TestBatchedBlocks:
                 _counts(report))
 
     @pytest.mark.parametrize("case", sorted(BATCH_CASES))
-    def test_batched_equals_unblocked(self, monkeypatch, case):
-        from stencilc.backend import interpreter
-        from stencilc.iet import BLOCKED
-        # Private copies laid out like the grid change no operand value
-        # and no operation order, so every output keeps its bits.
+    def test_batched_equals_unblocked(self, case):
+        # One block computes each point as the unblocked operator does,
+        # so every output keeps its bits, and the report its counts.
         build, block, fixture, rel = BATCH_CASES[case]
-        want, _ = self._apply(build(None), fixture)
+        want, counts = self._apply(build(None), fixture)
         op = build(block)
-        batched = [self._apply(op, fixture, workers)
-                   for workers in (1, 2, 4)]
-        # Each block in turn, as the generic loop executor runs them.
-        original = interpreter._Planner.sliced
-        monkeypatch.setattr(
-            interpreter._Planner, "sliced",
-            lambda self, n: None if BLOCKED in n.properties
-            else original(self, n))
-        by_block = self._apply(op, fixture)
-        assert by_block[0] == want
-        for got in batched:
-            assert got == by_block
+        for workers in (1, 2, 4):
+            assert self._apply(op, fixture, workers) == (want, counts)
         refs = fixture(op, 3)
         op.reference(steps=3, buffers=refs, dt=DT)
         for name, buf in refs.items():
             out = np.frombuffer(want[name], buf.data.dtype)
             assert rel_err(out, buf.data.ravel()) <= rel
 
-    def test_private_copies_in_grid_order(self, monkeypatch):
-        # 27x29 in 8x8 blocks: the batch of 3x3 full blocks holds a 12x8
-        # copy of the block-local temporary per block. In memory the
-        # copies run (xb, x, yb, y), as the grid does, so numpy walks
-        # them in one order with the grid's views; the executor sees
-        # them as (xb, yb, x, y).
-        from stencilc.backend import interpreter
-        copies = []
-        original = interpreter._private_copy
-
-        def recorded(*args):
-            copies.append(original(*args))
-            return copies[-1]
-        monkeypatch.setattr(interpreter, "_private_copy", recorded)
-        _rotated_apply(_rotated_so4_op({"x": 8, "y": 8}, (27, 29)), steps=1)
-        full = [c for c in copies if c.shape[:2] == (3, 3)]
-        assert full
-        for copy in full:
-            assert copy.shape == (3, 3, 12, 8)
-            item = copy.itemsize
-            assert copy.strides == (12 * 3 * 8 * item, 8 * item,
-                                    3 * 8 * item, item)
-
-    def test_private_write_lands_in_copy(self):
-        # p[x - xb] written over (x, y) in the band (xb, yb): yb moves no
-        # storage axis of p, so its batch axis goes outermost in the copy.
-        # The access's view, with a unit axis for y, is a view of the
-        # copy, so the write lands; a reshape that copied would lose it.
-        from stencilc.backend.interpreter import (_Axes, _Frame, _Planner,
-                                                  _grid_order,
-                                                  _private_copy)
-        from stencilc.symbolic import (Access, FunctionDecl, Grid, Symbol,
-                                       add, mul, num)
-        g = Grid((16, 16))
-        p = FunctionDecl("p", "temp", g, dims=g.dimensions[:1])
-        x, xb = Symbol("x"), Symbol("xb")
-        private = {"p": None}
-        axes = _Axes(("x", "y"), (("xb", 4), ("yb", 4)), (0, 1), private)
-        planner = _Planner({"p": (4,)}, "f64", {}, 1)
-        view = planner.access(Access(p, (add(x, mul(num(-1), xb)),)), axes,
-                              {})[0]
-        assert private == {"p": (0,)}
-        # Read along y, p could not follow both block loops.
-        y, yb = Symbol("y"), Symbol("yb")
-        assert planner.access(Access(p, (add(y, mul(num(-1), yb)),)), axes,
-                              {}) is None
-        order = _grid_order(private["p"], 2)
-        assert order == [1, 0, 2]
-        copy = _private_copy((2, 3, 4), order, np.float64)
-        assert copy.strides == (4 * 8, 2 * 4 * 8, 8)
-        fr = _Frame({"xb": 0, "yb": 0}, {"p": copy}, counts=[2, 3],
-                    lo=[0, 0], size=[4, 4])
-        values = np.arange(24.0).reshape(2, 3, 4, 1)
-        view(fr)[...] = values
-        assert copy.tobytes() == values.tobytes()
+    def test_blocked_counts_unblocked_points(self):
+        # Run as one block, the producer of the block-local temporary
+        # computes each point once: rotated SO4 on 24x24 in 8x8 blocks
+        # counts the unblocked operator's 7,488 statement executions in
+        # its stencil section over 3 steps. The blocked C executes 8,640,
+        # as it recomputes the temporary's halo in every block.
+        report = _rotated_apply(_rotated_so4_op({"x": 8, "y": 8}))[1]
+        assert _counts(report)["section1"] == (7488, 7488, 0)
 
     def test_dispatch_does_not_grow_with_blocks(self, dispatched):
         # 24x24 in 8x8 blocks is 9 blocks, in 4x4 blocks 36; either way
@@ -793,25 +721,22 @@ class TestBatchedBlocks:
                        for block in ({"x": 8, "y": 8}, {"x": 4, "y": 4}))
         assert eight == four == 4
 
-    def test_overlapping_writes_run_block_by_block(self, monkeypatch,
-                                                   dispatched):
-        # Declared shared, the block-local temporary would be written at
-        # the same points by every block of a batch, so its band runs
-        # block by block: 9 blocks of 4 statements per time step.
+    def test_overlapping_writes_run_block_by_block(self, monkeypatch):
+        # Declared shared, the block-local temporary is written at the
+        # same points by every block; run as one block, the output keeps
+        # its bits.
         from stencilc.iet import walk
         op = _rotated_op({"x": 8, "y": 8})
         want, _ = _rotated_apply(_rotated_op())
         for node in walk(op.iet):
             for d in getattr(node, "declarations", ()):
                 monkeypatch.setattr(d, "scope", "shared")
-        assert _per_step(dispatched, op, rotated_fixture) == 9 * 4
         got, _ = _rotated_apply(op)
         assert got["w"].data.tobytes() == want["w"].data.tobytes()
 
     def test_slabs_split_later_block_loops(self, monkeypatch):
-        # At 200 points per slab the 3x3 full blocks of 96 points each
-        # run as y runs of two blocks then one, and the output and counts
-        # do not change.
+        # At 200 points per slab the rows of 29 points run six to a slab,
+        # and the output and counts do not change.
         from stencilc.backend import interpreter
         op = _rotated_so4_op({"x": 8, "y": 8}, (27, 29))
         want, want_report = _rotated_apply(op)
@@ -822,9 +747,9 @@ class TestBatchedBlocks:
             assert _counts(report) == _counts(want_report)
 
     def test_scalar_temporaries_dropped_after_last_read(self, monkeypatch):
-        # A batched slab holds each array-valued scalar temporary for every
-        # block of the slab, so each is dropped after the statement that
-        # reads it last: none is left when its nest's last statement ends.
+        # A slab holds each array-valued scalar temporary over all its
+        # points, so each is dropped after the statement that reads it
+        # last: none is left when its nest's last statement ends.
         from stencilc.backend import interpreter
         from stencilc.iet import ExpressionStmt, iterations
         op = _tti_so8_op({"x": 8, "y": 8, "z": 8})
@@ -861,7 +786,7 @@ class TestBatchedBlocks:
 
     def test_noncontiguous_buffers(self):
         # Arrays that are strided views into larger ones are read and
-        # written through the same batched views as contiguous ones.
+        # written through the same views as contiguous ones.
         op = _rotated_so4_op({"x": 8, "y": 8}, (27, 29))
         want, _ = _rotated_apply(op)
         bufs = self._wide_buffers(op, lambda wide: wide[..., ::2])
@@ -871,8 +796,8 @@ class TestBatchedBlocks:
 
     def test_as_strided_buffers(self):
         # numpy's as_strided view has for its base an object that wraps
-        # the array owning the memory, not that array: batched views are
-        # built on the owner all the same.
+        # the array owning the memory, not that array: it is read and
+        # written like any other view.
         from numpy.lib.stride_tricks import as_strided
         op = _rotated_so4_op({"x": 8, "y": 8}, (27, 29))
         want, _ = _rotated_apply(op)
@@ -881,36 +806,6 @@ class TestBatchedBlocks:
         assert not isinstance(bufs["w"].data.base, np.ndarray)
         op.apply(steps=3, buffers=bufs, dt=DT)
         assert bufs["w"].data.tobytes() == want["w"].data.tobytes()
-
-    def test_write_windows(self):
-        # Along each block loop, the points one block writes in an array
-        # must fit in the block step, or a batch could write one point
-        # from two blocks.
-        from stencilc.backend.interpreter import _Axes, _Nest, _window
-        from stencilc.symbolic import (Access, FunctionDecl, Grid, Symbol,
-                                       add, mul, num)
-        g = Grid((16, 16))
-        u, v = (FunctionDecl(n, "function", g, space_order=4) for n in "uv")
-        x, y, xb = Symbol("x"), Symbol("y"), Symbol("xb")
-        axes = _Axes(("x", "y"), (("xb", 8), ("yb", 8)), (0, 1))
-
-        def nest(e=0):
-            # x from xb to min(xb + 7, X) + e; y from yb to min(yb + 7, Y)
-            return _Nest(2, [], [(0, 0, 0, e), (1, 1, 0, 0)], [])
-
-        windows = {}
-        assert _window(Access(u, (x, y)), axes, nest(), windows)
-        assert windows[("u", 0)][:2] == (0, 7)
-        # Another write of u one point further along x: 9 > 8 points.
-        assert not _window(Access(u, (add(x, num(1)), y)), axes, nest(),
-                           windows)
-        assert _window(Access(v, (add(x, num(2)), y)), axes, nest(), {})
-        assert not _window(Access(v, (x, y)), axes, nest(1), {})
-        # Rebased by the block origin: every block writes the same points.
-        rebased = add(x, mul(num(-1), xb))
-        assert not _window(Access(v, (rebased, y)), axes, nest(), {})
-        # No index moves with the y blocks.
-        assert not _window(Access(v, (x, num(3))), axes, nest(), {})
 
     @pytest.mark.parametrize("block", [None, {"x": 8, "y": 8}],
                              ids=["unblocked", "blocked"])

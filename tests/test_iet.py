@@ -431,9 +431,11 @@ def test_fused_producer_consumer_blocking():
     assert prod_stmt.eq.lhs.func.kind == "temp"
     # Producer loop runs block + translation span extra points
     assert "min(xb + 7, x_M) + 4" in dump(producer)
-    # ... and records its bounds from xb + 0 to min(xb + 7, x_M) + 4
-    assert (producer.tile, consumer.tile) == (("xb", 0, 4), ("xb", 0, 0))
-    assert producer.children[0].tile == ("yb", 0, 0)
+    # ... and keeps the interval it tiles, whose whole range, x from
+    # x_m + 0 to x_M + 4, the interpreter runs
+    assert [(it.key[0].dim.name, it.key[0].lower, it.key[0].upper)
+            for it in (producer, consumer, producer.children[0])] == \
+        [("x", 0, 4), ("x", 0, 0), ("y", 0, 0)]
     # Block-local temp indices are rebased to the block origin
     assert "xb" in repr(prod_stmt.eq.lhs.indices)
     assert prod_stmt.eq.lhs.func.block_shape == {"x": 8, "y": 8}
