@@ -11,16 +11,17 @@ input yields byte-identical text.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..iet import (ATOMIC, PARALLEL, VECTORIZABLE, Block,
+from ..iet import (ATOMIC, BLOCKED, PARALLEL, VECTORIZABLE, Block,
                    Conditional, Declaration, ExpressionStmt, Iteration,
                    Section, iterations, statements, walk)
 from ..lowering import collect_functions
 from ..symbolic.expr import (Access, Add, Call, Constant, Expr, Mul, Pow,
-                             Symbol, free_symbols)
+                             Symbol, add, free_symbols, mul, num)
+from ..symbolic.grid import FunctionDecl
 
 _HEADER = """\
 #include <math.h>
@@ -41,9 +42,44 @@ def _ctype(dtype: str) -> str:
     return "float" if dtype == "f32" else "double"
 
 
+def block_tiles(iet) -> Dict[FunctionDecl, Dict[str, Iteration]]:
+    """Per array temporary declared inside block loops, the block loop
+    around its declaration over each dimension those loops tile, by the
+    tiled dimension's name. Placement declares a temporary there exactly
+    when every access to it is in that band, so the C stores it one block
+    at a time along those dimensions."""
+    out: Dict[FunctionDecl, Dict[str, Iteration]] = {}
+    # Explicit stack: a recursive closure would leave a reference cycle.
+    stack = [(iet, {})]
+    while stack:
+        node, tiles = stack.pop()
+        if isinstance(node, Iteration) and BLOCKED in node.properties:
+            tiles = {**tiles, node.dim.parent.name: node}
+        if tiles:
+            for d in getattr(node, "declarations", ()):
+                if d.decl.dims:
+                    out[d.decl] = tiles
+        stack.extend((c, tiles) for c in getattr(node, "children", ()))
+    return out
+
+
+def temp_extents(decl: FunctionDecl, tiles: dict
+                 ) -> Tuple[Tuple[Optional[str], int], ...]:
+    """The C's extent of the temporary ``decl`` per dimension, as ``(bound,
+    k)``: ``decl.temp_extents()``, except along a dimension that a block
+    loop of ``tiles`` (``block_tiles``) tiles, where it is the loop's step
+    plus the span, with ``bound`` None."""
+    tiled = tiles.get(decl, {})
+    return tuple((None, tiled[d.name].step + decl.span.get(d.name, 0))
+                 if d.name in tiled else extent
+                 for d, extent in zip(decl.dims, decl.temp_extents()))
+
+
 class _Emitter:
-    def __init__(self, dtype: str):
+    def __init__(self, dtype: str, tiles: dict):
         self.ctype = _ctype(dtype)
+        #: ``block_tiles`` of the tree being emitted
+        self.tiles = tiles
         self.lines: List[str] = []
         self.depth = 0
 
@@ -101,13 +137,19 @@ class _Emitter:
 
     def _temp_sizes(self, decl) -> List[str]:
         return [str(k) if bound is None else "(%s + %d)" % (bound, k)
-                for bound, k in decl.temp_extents()]
+                for bound, k in temp_extents(decl, self.tiles)]
 
     def access(self, acc: Access) -> str:
         f = acc.func
         if f.kind == "temp" and not acc.indices:
             return f.name
-        idx = [self.expr(i, in_index=True) for i in acc.indices]
+        indices = acc.indices
+        tiled = self.tiles.get(f)
+        if tiled:  # rebased to the block origin
+            indices = [add(i, mul(num(-1), tiled[d.name].dim.symbol))
+                       if d.name in tiled else i
+                       for d, i in zip(f.dims, indices)]
+        idx = [self.expr(i, in_index=True) for i in indices]
         if f.is_modulo_time:
             # C's % keeps the sign of the dividend: (t - 1)%3 is -1 at t=0
             m = f.time_dim.modulo
@@ -215,7 +257,7 @@ def _scalar_params(iet) -> List[str]:
     for s in statements(iet):
         f = s.eq.lhs.func
         if f.kind == "temp":
-            names |= {bound for bound, _ in f.temp_extents() if bound}
+            names |= {bound for bound, _ in f.temp_extents()}
     names -= loop_names
     return sorted(names)
 
@@ -227,7 +269,7 @@ def emit_c(iet, functions: Optional[Sequence] = None,
     if functions is None:
         functions = list(collect_functions(
             s.eq for s in statements(iet)).values())
-    em = _Emitter(dtype)
+    em = _Emitter(dtype, block_tiles(iet))
     params = _scalar_params(iet)
     args = ["struct dataobj *restrict %s_vec" % f.name for f in functions]
     for p in params:

@@ -6,8 +6,7 @@ operations that folds sums and products left to right. Loop bounds and
 indices that use no vector loop (such as the modulo time index) become
 small closures over the bindings. Under a sliceable nest (a perfect nest
 of parallel, unit-stride, forward space loops around statements only)
-each array index becomes its affine form ``(axis, const, ((symbol,
-coeff), ...))`` (block-local temporaries index with ``x - xb``), and the
+each array index becomes its affine form ``(axis, const)``, and the
 statements run as whole-array slice operations. Every other statement
 (sparse scatter/gather; a nest with a non-affine or transposed index, a
 loop symbol used as a value or integer division of arrays) runs per
@@ -18,23 +17,24 @@ any statement runs.
 
 Index forms come from the offset table that lowering keeps on each
 access (``lowering.recorded_offsets``): an index tabled as ``loop + k``
-is read from it, and only the others, untabled or ``OPAQUE`` (rebased
-``x - xb`` indices, some DSE temporaries, sparse indices), are parsed
-with ``linear_form``. With no vector loop every index is a scalar, and
-none is parsed. Each access's view closure offsets the nest's ranges by
-its indices' constants and symbol terms, checks the bounds and slices.
+is read from it, and only the others, untabled or ``OPAQUE`` (some DSE
+temporaries, sparse indices), are parsed with ``linear_form``. With no
+vector loop every index is a scalar, and none is parsed. Each access's
+view closure offsets the nest's ranges by its indices' constants, checks
+the bounds and slices.
 
 Tiles buy cache reuse in the emitted C; numpy gains nothing from them,
 so each band of block loops runs as one block. A block loop runs once,
-bound to its first value, or not at all when its own range is empty;
-each loop it tiles (a loop under it over its dimension's ``parent``)
-runs its whole unblocked range, the bounds of its interval, through the
-ordinary executors. Block-local temporaries read the bound origin
-through their ``x - xb`` indices and are sized like unblocked ones
-(``temp_extents``). The block loops are parallel and their temporaries
-local to a block, so this only reorders statements across independent
-blocks, and the report counts the unblocked operator's points: a point
-that the C recomputes in the halo of several blocks runs once here.
+or not at all when its own range is empty; each loop it tiles (a loop
+under it over its dimension's ``parent``) runs its whole unblocked
+range, the bounds of its interval, through the ordinary executors. The
+tree indexes every temporary in grid coordinates, and each is sized
+over the whole grid (``FunctionDecl.temp_extents``); only the C stores
+the ones declared inside block loops one block at a time. The block
+loops are parallel and their temporaries local to a block, so this only
+reorders statements across independent blocks, and the report counts
+the unblocked operator's points: a point that the C recomputes in the
+halo of several blocks runs once here.
 
 A sliced nest runs all its statements over one slab of its outermost
 loop at a time (``_slabs``), each slab at most ``SLAB_POINTS`` grid
@@ -146,22 +146,6 @@ class _Frame:
     size: list = field(default_factory=list)
 
 
-def temp_extents(decl, env) -> Tuple[int, ...]:
-    """The extents of the array temporary ``decl`` at the bounds in
-    ``env``: along each dimension its ``_M`` bound plus its span plus one,
-    the size ``decl.temp_extents()`` gives an unblocked temporary. A
-    block-local temporary gets it too, since each band runs as one
-    block."""
-    extents = []
-    for d in decl.dims:
-        bound = d.name + "_M"
-        if bound not in env:
-            raise BackendError("cannot size temporary %s: %s unbound"
-                               % (decl.name, bound))
-        extents.append(int(env[bound]) + decl.span.get(d.name, 0) + 1)
-    return tuple(extents)
-
-
 def _lookup(table: dict, name: str, what: str):
     try:
         return table[name]
@@ -187,7 +171,7 @@ def _point_index(f, pos: int, value: float, extent: int) -> int:
 
 
 #: The plan of an index that uses no vector loop.
-_FIXED = (None, 0, ())
+_FIXED = (None, 0)
 
 
 def _parsed_form(idx: Expr, dims: Sequence[str]):
@@ -197,24 +181,19 @@ def _parsed_form(idx: Expr, dims: Sequence[str]):
     if not used:
         return _FIXED
     form = linear_form(idx)
-    if form is None or len(used) > 1:
+    if form is None:
         return None
     const, coeffs = form
     name = used.pop()
-    if coeffs.pop(name) != 1:
+    if coeffs != {name: 1} or int(const) != const:
         return None
-    k = int(const)
-    terms = {n: int(c) for n, c in coeffs.items()}
-    if k != const or terms != coeffs:
-        return None
-    return dims.index(name), k, tuple(terms.items())
+    return dims.index(name), int(const)
 
 
 def _index_plan(acc: Access, dims: Sequence[str]):
-    """Per index of ``acc``: its affine form ``(axis, const, ((symbol,
-    coeff), ...))`` when it is ``dims[axis] + const + sum(coeff *
-    symbol)`` with integer ``const`` and coefficients, or ``(None, 0,
-    ())`` when it uses no loop of ``dims``.
+    """Per index of ``acc``: its affine form ``(axis, const)`` when it is
+    ``dims[axis] + const`` with an integer ``const``, or ``(None, 0)``
+    when it uses no loop of ``dims``.
     None when an index is neither, or the vector axes do not increase.
     An index that lowering's offset table (``recorded_offsets``) gives
     as ``loop + k`` is read from it; only the others are parsed."""
@@ -227,7 +206,7 @@ def _index_plan(acc: Access, dims: Sequence[str]):
         if entry is None or entry[2] is OPAQUE:
             form = _parsed_form(idx, dims)
         elif entry[1].name in dims:
-            form = (dims.index(entry[1].name), entry[2], ())
+            form = (dims.index(entry[1].name), entry[2])
         else:
             form = _FIXED
         if form is None or form[0] is not None and form[0] <= last:
@@ -296,10 +275,10 @@ def _slabs(count: int, points: int) -> list:
 
 def _view(f, fixed, vector, along, whole: bool):
     """``_Planner.access``'s view closure: it offsets the nest's ranges by
-    each vector index's constant and symbol terms, checks the bounds and
-    slices. Unless the access varies along every loop of the nest or
-    along none (``whole``), the view gets one axis per loop, of length 1
-    where it does not vary."""
+    each vector index's constant, checks the bounds and slices. Unless
+    the access varies along every loop of the nest or along none
+    (``whole``), the view gets one axis per loop, of length 1 where it
+    does not vary."""
     name = f.name
     template = [None] * (len(fixed) + len(vector)) + [Ellipsis]
 
@@ -308,9 +287,7 @@ def _view(f, fixed, vector, along, whole: bool):
         for pos, value, extent in fixed:
             idx[pos] = _point_index(f, pos, value(fr), extent)
         lo, size = fr.lo, fr.size
-        for pos, axis, off, terms, extent in vector:
-            for s, k in terms:
-                off += k * _lookup(fr.env, s, "unbound symbol")
+        for pos, axis, off, extent in vector:
             start = lo[axis] + off
             stop = start + size[axis]
             if start < 0 or stop > extent:
@@ -437,20 +414,18 @@ class _Planner:
         return iteration
 
     def block(self, n: Iteration):
-        """The closure of the block loop ``n``: it runs its body once,
-        bound to its first value, or not at all when its range is empty.
-        Each loop in the body over the dimension ``n`` blocks runs its
-        whole range."""
+        """The closure of the block loop ``n``: it runs its body once, or
+        not at all when its range is empty. Each loop in the body over the
+        dimension ``n`` blocks runs its whole range, so nothing in the
+        body reads the block loop's own index."""
         lower, upper = self.scalar(n.lower), self.scalar(n.upper)
-        name, parent = n.dim.name, n.dim.parent.name
+        parent = n.dim.parent.name
         self.tiled.add(parent)
         kids = [self.node(c) for c in n.children]
         self.tiled.discard(parent)
 
         def block(fr: _Frame):
-            first = int(round(lower(fr)))
-            if first <= int(round(upper(fr))):
-                fr.env[name] = first
+            if lower(fr) <= upper(fr):
                 for k in kids:
                     k(fr)
         return block
@@ -547,13 +522,12 @@ class _Planner:
             return None
         extents = self.extents[f.name]
         fixed, vector = [], []
-        for pos, (idx, (axis, const, terms)) in enumerate(zip(acc.indices,
-                                                              plan)):
+        for pos, (idx, (axis, const)) in enumerate(zip(acc.indices, plan)):
             if axis is None:
                 fixed.append((pos, self.value(idx, dims, defined)[0],
                               extents[pos]))
             else:
-                vector.append((pos, axis, const, terms, extents[pos]))
+                vector.append((pos, axis, const, extents[pos]))
         along = tuple(v[1] for v in vector)
         whole = len(along) in (0, len(dims))
         return _view(f, fixed, vector, along, whole), along
@@ -603,15 +577,18 @@ def run(iet, buffers: Dict[str, DataBuffer], params: dict,
     """Execute an optimized tree in place over ``buffers``. Returns the
     profiling report: per section, elapsed ``time``, statement executions
     (``points``) and how many of them ran ``sliced`` and ``per_point``.
-    Array temporaries get sized from the runtime bounds (``temp_extents``)
-    and allocated for this call only, outside ``buffers``."""
+    Array temporaries get sized at the runtime bounds
+    (``FunctionDecl.temp_extents``) and allocated for this call only,
+    outside ``buffers``."""
     env = dict(params)
     dtype = next(iter(buffers.values())).dtype if buffers else "f64"
     extents = {name: b.extents for name, b in buffers.items()}
     temps = {s.eq.lhs.func.name: s.eq.lhs.func for s in statements(iet)
              if s.eq.lhs.func.kind == "temp" and s.eq.lhs.indices}
     for name, f in temps.items():
-        extents[name] = temp_extents(f, env)
+        what = "cannot size temporary %s: unbound" % name
+        extents[name] = tuple(int(_lookup(env, bound, what)) + k
+                              for bound, k in f.temp_extents())
     planner = _Planner(extents, {}, workers)
     try:
         execute = planner.node(iet)

@@ -246,8 +246,7 @@ def autotune(eqs: Sequence[Equation], mode: str = "advanced",
     timings do not depend on the block shape: the pick tunes nothing for
     the emitted C."""
     from ..iet import autotune_blocks
-    probe = Operator(eqs, mode=mode, dtype=dtype)
-    dims = [d.name for d in probe.grid.dimensions]
+    dims = [d.name for d in eqs[0].lhs.func.grid.dimensions]
     if candidates is None:
         candidates = default_block_candidates(dims)
 

@@ -7,6 +7,7 @@ import sys
 from typing import Optional
 
 from ..backend import BackendError, BoundsError, Operator
+from ..backend.codegen import block_tiles, temp_extents
 from ..dse import MODES
 from ..iet import dump as dump_iet
 from ..iet import statements
@@ -34,7 +35,7 @@ def _load_spec(path: str) -> ProblemSpec:
     return parse_spec(text)
 
 
-def _block_shape(spec: ProblemSpec, flag: Optional[str]):
+def _parse_block(spec: ProblemSpec, flag: Optional[str]):
     value = flag if flag is not None else spec.params.get("block")
     if value in (None, "none"):
         return None
@@ -60,7 +61,7 @@ def _build(spec: ProblemSpec, mode: Optional[str] = None,
     if mode not in MODES:
         raise CliError("unknown mode %r" % mode)
     dtype = precision or spec.params.get("precision", "f64")
-    shape = _block_shape(spec, block)
+    shape = _parse_block(spec, block)
     if shape == "auto":
         from ..backend.operator import autotune
         shape = autotune(spec.equations, mode=mode, dtype=dtype, dt=dt)
@@ -128,12 +129,13 @@ def report_text(spec: ProblemSpec, mode: str, timings: bool = False) -> str:
     lines.append("total after: %d" % sum(art.op_count_after))
 
     env = op.default_params(steps=1)
+    tiles = block_tiles(art.iet)
     temps = {}
     for s in statements(art.iet):
         f = s.eq.lhs.func
         if f.kind == "temp" and f.dims and f.name not in temps:
             n = 1
-            for bound, k in f.temp_extents():
+            for bound, k in temp_extents(f, tiles):
                 n *= k + (int(env[bound]) if bound else 0)
             temps[f.name] = n
     lines.append("temporaries: %d arrays, %d elements"

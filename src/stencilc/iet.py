@@ -11,14 +11,13 @@ innermost scope dominating its uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .clustering import Cluster
 from .dependence import REDUCTION, get_dependences
 from .lowering import FORWARD, Guard, Interval, LoweredEq
-from .symbolic.expr import Access, Expr, Symbol, add, call, mul, num, rewrite
+from .symbolic.expr import Expr, Symbol, add, call, num
 from .symbolic.grid import Dimension, FunctionDecl
 
 SEQUENTIAL = "sequential"
@@ -269,41 +268,12 @@ def _reads_temps(it: Iteration, temps: set) -> bool:
     return False
 
 
-def _shift_temp_indices(node, temps: set, offsets: Dict[str, Expr]):
-    """Rebase accesses to block-local temporaries: subtract the block
-    origin along every blocked dimension. A statement none of whose
-    accesses changed keeps its equation."""
-    for s in statements(node):
-        memo: dict = {}
-        rebase = partial(_rebase, temps=temps, offsets=offsets, memo=memo)
-        lhs = rewrite(s.eq.lhs, rebase, memo)
-        rhs = rewrite(s.eq.rhs, rebase, memo)
-        if lhs is not s.eq.lhs or rhs is not s.eq.rhs:
-            s.eq = replace(s.eq, lhs=lhs, rhs=rhs)
-
-
-def _rebase(e: Expr, temps: set, offsets: Dict[str, Expr],
-            memo: dict) -> Optional[Access]:
-    """``_shift_temp_indices``' ``rewrite`` callback: it shifts the indices
-    of an access to a temporary in ``temps``, and returns None for any
-    other node, so that node changes only if its children do."""
-    if not (isinstance(e, Access) and e.func in temps):
-        return None
-    rebase = partial(_rebase, temps=temps, offsets=offsets, memo=memo)
-    new_idx = []
-    for d, ix in zip(e.func.dims, e.indices):
-        ix = rewrite(ix, rebase, memo)
-        if d.name in offsets:
-            ix = add(ix, mul(num(-1), offsets[d.name]))
-        new_idx.append(ix)
-    return Access(e.func, tuple(new_idx))
-
-
-def _block_group(group: List[Iteration], shape: Dict[str, int],
-                 local_temps: set) -> Iteration:
+def _block_group(group: List[Iteration], shape: Dict[str, int]
+                 ) -> Iteration:
     """Wrap one or more sibling nests over the same dimensions in shared
-    block loops. Array temporaries whose reads all happen inside the group
-    become block-local (extent = block + span)."""
+    block loops. Only the loops change: every access keeps its grid
+    indices, and the C emitter lays out the temporaries declared inside
+    the block loops one block at a time (``codegen.block_tiles``)."""
     chains = [_block_chain(it, shape) for it in group]
     depth = min(len(ch) for ch in chains)
     # Block along the dims every member agrees on, outermost first
@@ -320,10 +290,6 @@ def _block_group(group: List[Iteration], shape: Dict[str, int],
         lows = [ch[level].key[0].lower for ch in chains]
         ups = [ch[level].key[0].upper for ch in chains]
         base[d.name] = (min(lows), min(ups))
-    temps = set()
-    for it in group:
-        temps |= _array_temp_writes(it)
-    temps &= local_temps
     offsets = {}
     outer: Optional[Iteration] = None
     attach_parent: Optional[Iteration] = None
@@ -358,11 +324,6 @@ def _block_group(group: List[Iteration], shape: Dict[str, int],
                               children=rebuilt, key=level.key)
             rebuilt = [inner]
         attach_parent.children.extend(rebuilt)
-        if temps:
-            for node in rebuilt:
-                _shift_temp_indices(node, temps, offsets)
-    for tmp in temps:
-        tmp.block_shape = {d.name: shape[d.name] for d in dims}
     return outer
 
 
@@ -372,14 +333,11 @@ def block_loops(iet, shape: Optional[Dict[str, int]]):
     are wrapped in one shared block loop, producer first."""
     if not shape:
         return iet
-    read_pairs = [(a.func, s) for s in statements(iet)
-                  for a in s.eq.accesses[1:]
-                  if a.func.kind == "temp" and a.indices]
-    _block_children(iet, shape, read_pairs)
+    _block_children(iet, shape)
     return iet
 
 
-def _block_children(node, shape: Dict[str, int], read_pairs) -> None:
+def _block_children(node, shape: Dict[str, int]) -> None:
     """Block the loop nests below ``node`` in place, depth first. A module
     function, not a closure: a recursive closure leaves a reference cycle."""
     kids = getattr(node, "children", None)
@@ -403,14 +361,10 @@ def _block_children(node, shape: Dict[str, int], read_pairs) -> None:
                 group.append(kids[j])
                 produced |= _array_temp_writes(kids[j])
                 j += 1
-            inside = {id(s) for g in group for s in statements(g)}
-            outside_reads = {f for f, s in read_pairs
-                             if id(s) not in inside}
-            out.append(_block_group(group, shape,
-                                    produced - outside_reads))
+            out.append(_block_group(group, shape))
             i = j
         else:
-            _block_children(c, shape, read_pairs)
+            _block_children(c, shape)
             out.append(c)
             i += 1
     node.children = out
@@ -423,13 +377,7 @@ def autotune_blocks(runner: Callable[[dict], float],
     candidate order."""
     if not candidates:
         raise IETError("no block-shape candidates")
-    best = None
-    best_time = None
-    for cand in candidates:
-        elapsed = runner(cand)
-        if best_time is None or elapsed < best_time:
-            best, best_time = cand, elapsed
-    return best
+    return min(candidates, key=runner)
 
 
 def default_block_candidates(dims: Sequence[str]) -> List[dict]:

@@ -272,8 +272,6 @@ def _lower_access(acc: Access, guards: List[Guard], indices: dict,
     index nodes by (dimension name, aligned offset), so each is built once;
     ``nested`` is the rewrite memo of accesses nested in indices."""
     decl = acc.func
-    if decl.kind == "temp":
-        return acc
     dims = decl.dims
     if len(dims) != len(acc.indices):
         raise LoweringError("arity mismatch accessing %s" % decl.name)
@@ -372,10 +370,6 @@ def _dimension_registry(eq: LoweredEq) -> Dict[str, Dimension]:
     registry: Dict[str, Dimension] = {}
     for acc in eq.accesses:
         decl = acc.func
-        if decl.kind == "temp":
-            for dim in decl.dims:
-                registry.setdefault(dim.name, dim)
-            continue
         for dim in decl.dims:
             registry.setdefault(dim.root.name, dim.root)
         if decl.kind in ("function", "timefunction"):

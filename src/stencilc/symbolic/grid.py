@@ -149,11 +149,9 @@ class FunctionDecl:
         if kind == "temp" and self._dims is None:
             raise DeclarationError("temp function needs explicit dims")
         #: Temporaries only: the points a producer computes past the
-        #: consumer's upper bound, and the extent of each block-local
-        #: dimension (both by dimension name); whether the value changes
-        #: every timestep.
+        #: consumer's upper bound, by dimension name; whether the value
+        #: changes every timestep.
         self.span: Dict[str, int] = {}
-        self.block_shape: Dict[str, int] = {}
         self.time_varying = False
 
         if kind == "timefunction":
@@ -224,18 +222,14 @@ class FunctionDecl:
     def is_modulo_time(self) -> bool:
         return self.kind == "timefunction" and self.time_dim.kind == "stepping"
 
-    def temp_extents(self) -> Tuple[Tuple[Optional[str], int], ...]:
+    def temp_extents(self) -> Tuple[Tuple[str, int], ...]:
         """A temporary's extent per dimension, as ``(bound, k)``: the runtime
-        upper bound ``bound`` plus ``k``, or just ``k`` when ``bound`` is
-        None (a block-local dimension)."""
-        out = []
-        for d in self.dims:
-            k = self.span.get(d.name, 0)
-            if d.name in self.block_shape:
-                out.append((None, self.block_shape[d.name] + k))
-            else:
-                out.append((d.name + "_M", k + 1))
-        return tuple(out)
+        upper bound ``bound`` plus ``k``, its span plus one. The C emitter
+        stores a temporary declared inside block loops one block at a
+        time, and sizes the dimensions they tile itself
+        (``codegen.temp_extents``)."""
+        return tuple((d.name + "_M", self.span.get(d.name, 0) + 1)
+                     for d in self.dims)
 
     def storage_extents(self, nt: Optional[int] = None) -> tuple:
         """Allocated extent per storage dimension. ``nt`` bounds the time

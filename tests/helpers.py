@@ -46,11 +46,12 @@ def rotated_laplacian_example(so, shape=(13, 13)):
     return funcs, [lower(e) for e in eqs]
 
 
-def rotated_equations(so, shape=(13, 13)):
-    """The rotated stencil of ``rotated_laplacian_example``, unlowered."""
+def rotated_equations(so, shape=(13, 13), extent=None):
+    """The rotated stencil of ``rotated_laplacian_example``, unlowered, on
+    a grid of the given ``extent`` (unit spacing by default)."""
     from stencilc.symbolic import Symbol, call, mul
     from stencilc.symbolic.fd import derivative, derivative_of
-    g = Grid(shape)
+    g = Grid(shape, extent=extent)
     u = FunctionDecl("u", "timefunction", g, space_order=so, time_order=2)
     th = FunctionDecl("theta", "function", g, space_order=so)
     w = FunctionDecl("w", "timefunction", g, space_order=so, time_order=2)
@@ -59,6 +60,17 @@ def rotated_equations(so, shape=(13, 13)):
     expr = derivative_of(inner, x, so, 1, Symbol("h_x"))
     funcs = {"grid": g, "u": u, "theta": th, "w": w}
     return funcs, [Eq(w.forward, expr)]
+
+
+def adjoint_equations(shape=(8, 8), so=4):
+    """The adjoint acoustic stencil ``v.backward = solve(m*v.dt2 -
+    v.laplace, v.backward)``: it writes ``v[t - 1]``, so its time loop
+    runs backward, as seismic imaging's adjoint does."""
+    g = Grid(shape)
+    v = FunctionDecl("v", "timefunction", g, space_order=so, time_order=2)
+    m = FunctionDecl("m", "function", g, space_order=so)
+    return [Eq(v.backward, solve_for(m.at * dt2(v) - laplace(v),
+                                     v.backward))]
 
 
 def two_field_equations(so, shape=(24, 24)):
@@ -465,12 +477,17 @@ def order_equations(name):
 
 
 def per_point_equations(name):
-    """Operators on an 8x8 grid whose nest the interpreter cannot slice,
-    so that it runs per point:
+    """Operators on an 8x8 grid whose nest the interpreter cannot slice
+    whole, so that it runs per point (``transposed-lhs`` one slice of its
+    inner loop at a time):
     - ``transposed``: ``h[x, y] = f[y, x] + f[x, y]``, whose read of ``f``
       does not follow the loops in order
     - ``dimension``: ``h = x*f``, which uses the loop index as a value
-    - ``idiv``: ``h = f*idiv(4*f, c)``, an integer division of arrays"""
+    - ``idiv``: ``h = f*idiv(4*f, c)``, an integer division of arrays
+    - ``row-sum``: ``c[x, 0] += f[x, y]``, whose left-hand side does not
+      vary along the y loop
+    - ``transposed-lhs``: ``h[y, x] = f[x, y]``, whose left-hand side
+      does not follow the loops in order"""
     from stencilc.symbolic import add, call, mul, num
     g = Grid((8, 8))
     f, c, h = (FunctionDecl(n, "function", g, space_order=2) for n in "fch")
@@ -479,6 +496,10 @@ def per_point_equations(name):
         return [Eq(h.at, add(f(y, x), f.at))]
     if name == "dimension":
         return [Eq(h.at, mul(x, f.at))]
+    if name == "row-sum":
+        return [Eq(c(x, 0), f.at, is_increment=True)]
+    if name == "transposed-lhs":
+        return [Eq(h(y, x), f.at)]
     assert name == "idiv"
     return [Eq(h.at, mul(f.at, call("idiv", mul(num(4), f.at), c.at)))]
 
@@ -802,6 +823,14 @@ def _configs():
                 bind(invariant_equations, name), mode)
     for name in ("transposed", "dimension", "idiv"):
         put("per-point-" + name, bind(per_point_equations, name))
+    for name in ("row-sum", "transposed-lhs"):
+        put("per-point-" + name, bind(per_point_equations, name))
+        put("per-point-%s-blocked" % name, bind(per_point_equations, name),
+            block={"x": 4, "y": 4})
+    for mode in MODES:
+        put("adjoint-" + mode, adjoint_equations, mode)
+        put("adjoint-%s-blocked" % mode, adjoint_equations, mode,
+            {"x": 4, "y": 4})
     for name in ("pos", "neg"):
         put("power-" + name, bind(power_equations, name), steps=3)
     put("broadcast", broadcast_equations)

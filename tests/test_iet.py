@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from stencilc.backend.codegen import block_tiles, emit_c, temp_extents
 from stencilc.clustering import Cluster, clusterize
 from stencilc.dse import run_dse
 from stencilc.iet import (ATOMIC, BLOCKED, PARALLEL, SEQUENTIAL, VECTORIZABLE,
@@ -298,7 +299,7 @@ SOURCE_SHA256 = {
     "rotated-aggressive":
         "01a73ab369b2d5f8be94c91af0ae8be1542c1b560317f6e85ea567d4cc3fcc89",
     "rotated-aggressive-blocked":
-        "c9c491d128e5f2499d48bf0067bab4fc21fab718565bc287b09e82b174937391",
+        "55f9489d572a033d2c536739a886cbd86dd66390afa0472218ac969cca3a896f",
     "rotated-basic":
         "627f0c197c51fa9b0c16f099abc7ebbb4919b2bf0ae6543384332276fb94edd5",
     "rotated-basic-blocked":
@@ -436,13 +437,25 @@ def test_fused_producer_consumer_blocking():
     assert [(it.key[0].dim.name, it.key[0].lower, it.key[0].upper)
             for it in (producer, consumer, producer.children[0])] == \
         [("x", 0, 4), ("x", 0, 0), ("y", 0, 0)]
-    # Block-local temp indices are rebased to the block origin
-    assert "xb" in repr(prod_stmt.eq.lhs.indices)
-    assert prod_stmt.eq.lhs.func.block_shape == {"x": 8, "y": 8}
+    # The tree indexes the temporary in grid coordinates. Declared inside
+    # the block loops, it is block-local in the C: 8 points plus its span
+    # along each tiled dimension, indexed from the block origin.
+    tmp = prod_stmt.eq.lhs.func
+    assert prod_stmt.eq.lhs.indices == (Symbol("x"), Symbol("y"))
+    place_declarations(iet)
+    tiles = block_tiles(iet)
+    assert {d: it.dim.name for d, it in tiles[tmp].items()} == \
+        {"x": "xb", "y": "yb"}
+    assert tmp.span["x"] == 4
+    assert temp_extents(tmp, tiles) == ((None, 12), (None, 8))
+    source = emit_c(iet)
+    assert "calloc(12*8, sizeof(double))" in source
+    assert "%s[((x + (-1)*xb))*8 + (y + (-1)*yb)] =" % tmp.name in source
     # The hoisted time-invariant array stays a full-grid array
     inv = statements(iet.children[0])[-1]
     assert inv.eq.lhs.indices == (Symbol("x"), Symbol("y"))
-    assert inv.eq.lhs.func.block_shape == {}
+    assert inv.eq.lhs.func not in tiles
+    assert temp_extents(inv.eq.lhs.func, tiles) == (("x_M", 5), ("y_M", 1))
 
 
 def test_fused_blocking_preserves_visits():
