@@ -46,6 +46,27 @@ loop, whose neighbouring slabs would update a point they share in the
 opposite order. A scalar temporary of a nest is dropped after its last
 reader, so a slab holds only the ones still to be read.
 
+A sliced statement allocates nothing: every array-valued node writes
+its result into a workspace slot with the ufunc's ``out=``, and a store
+copies the root's slot into its target, never evaluating into the
+target, which the right-hand side may read. The slots of a nest are
+planned once: each array-valued scalar temporary takes the next one,
+its own until the nest ends, and each statement evaluates its root into
+the first slot above those. A node evaluated into slot k evaluates its
+operands into k until k holds its value (from its first fold step, or
+from an operand that evaluated into k), the later ones into k + 1, and a
+power its base into k + 1. Sums, products, ``min`` and ``max`` keep
+their left folds: the scalars before the first array fold in Python,
+and every later step is ``ufunc(acc, next, out=k)``. Views, scalar
+temporaries and scalars take no slot. The slots are flat arrays of the
+run's dtype as long as the largest slab, allocated once per ``run``
+call for each thread (the calling thread and each worker, by the index
+of its run of slabs) and shared by the call's nests; each slab reshapes
+their first points. In a float32 run, a statement that calls a
+builtin, or reads a scalar temporary defined by one, evaluates without
+slots: a call on a Python float gives a NumPy float64, and numpy, like
+the C, computes in float64 from there on.
+
 The report gives per section the elapsed ``time``, the statement
 executions (``points``, one per statement and grid point) and how many of
 them ran ``sliced`` and ``per_point``, so that a silent fallback shows.
@@ -95,6 +116,11 @@ _ARRAY_CALLS = {"sin": np.sin, "cos": np.cos, "sqrt": np.sqrt,
                 "min": lambda *args: reduce(np.minimum, args),
                 "max": lambda *args: reduce(np.maximum, args)}
 
+#: The left folds: per node type or call name, the operation that folds
+#: scalars and the ufunc that folds into a workspace slot.
+_FOLDS = {Add: (operator.add, np.add), Mul: (operator.mul, np.multiply),
+          "min": (np.minimum, np.minimum), "max": (np.maximum, np.maximum)}
+
 
 class BackendError(ValueError):
     """Raised on malformed execution requests (unbound symbols, unsized
@@ -123,6 +149,9 @@ class DataBuffer:
         elif tuple(self.data.shape) != self.extents:
             raise BackendError("data shape %r does not match extents %r"
                                % (self.data.shape, self.extents))
+        elif self.data.dtype != DTYPES[self.dtype]:
+            raise BackendError("%s: %s data in a %s buffer"
+                               % (self.name, self.data.dtype, self.dtype))
 
 
 def allocate(decl, nt: Optional[int] = None, dtype: str = "f64") -> DataBuffer:
@@ -134,8 +163,9 @@ class _Frame:
     """Execution state of one thread: bindings, scalar temporaries (those
     of the sliced nest running now hold arrays), the arrays statements
     touch, statement executions per path, and the first index and the
-    length of each loop of the sliced nest over the slab running now. A
-    worker running a run of slabs gets its own."""
+    length of each loop of the sliced nest over the slab running now,
+    with its workspace slots shaped to that slab. A worker running a run
+    of slabs gets its own."""
 
     env: dict
     arrays: Dict[str, np.ndarray]
@@ -144,6 +174,7 @@ class _Frame:
     per_point: int = 0
     lo: list = field(default_factory=list)
     size: list = field(default_factory=list)
+    work: list = field(default_factory=list)
 
 
 def _lookup(table: dict, name: str, what: str):
@@ -227,10 +258,31 @@ def _fold(op, fns):
     return fold
 
 
-def _power(base, n: int):
+def _fold_into(op, ufunc, kids, slot: int):
+    """``_fold`` of ``kids``, ``(closure, is_array)`` pairs of which at
+    least one is an array, into workspace slot ``slot``: the scalars
+    before the first array fold with ``op``, and every later step is
+    ``ufunc(acc, next, out=slot)``."""
+    first = [k[1] for k in kids].index(True)
+    fns = [k[0] for k in kids]
+    lead = _fold(op, fns[:first]) if first else None
+    head, rest = fns[first], fns[first + 1:]
+
+    def fold(fr: _Frame):
+        out = fr.work[slot]
+        acc = head(fr) if lead is None else ufunc(lead(fr), head(fr),
+                                                  out=out)
+        for fn in rest:
+            acc = ufunc(acc, fn(fr), out=out)
+        return acc
+    return fold
+
+
+def _power(base, n: int, slot: Optional[int] = None):
     """``base ** n`` as the emitted C writes it: the product of |n|
     factors, left to right, and ``1.0/`` that product when n < 0. The base
-    is evaluated once."""
+    is evaluated once. An array base multiplies into workspace slot
+    ``slot``."""
 
     def power(fr: _Frame):
         b = base(fr)
@@ -238,7 +290,14 @@ def _power(base, n: int):
         for _ in range(abs(n) - 1):
             out = out * b
         return 1.0 / out if n < 0 else out
-    return power
+
+    def power_into(fr: _Frame):
+        b, into = base(fr), fr.work[slot]
+        out = b
+        for _ in range(abs(n) - 1):
+            out = np.multiply(out, b, out=into)
+        return np.divide(1.0, out, out=into) if n < 0 else out
+    return power if slot is None else power_into
 
 
 def _statement(eq: LoweredEq, view, value, drop: tuple):
@@ -262,6 +321,16 @@ def _statement(eq: LoweredEq, view, value, drop: tuple):
         for d in drop:
             del fr.scalars[d]
     return bind if view is None else store
+
+
+def _widens(e: Expr, wide: set) -> bool:
+    """Whether ``e`` calls a builtin or reads a scalar temporary of
+    ``wide`` (``_Planner.widens``)."""
+    if isinstance(e, Call):
+        return True
+    if isinstance(e, Access) and e.func.kind == "temp" and not e.indices:
+        return e.func.name in wide
+    return any(_widens(c, wide) for c in children_of(e))
 
 
 def _slabs(count: int, points: int) -> list:
@@ -309,8 +378,16 @@ class _Planner:
     the sections fill."""
 
     def __init__(self, extents: Dict[str, Tuple[int, ...]], report: dict,
-                 workers: int):
+                 workers: int, dtype):
         self.extents = extents
+        self.dtype = dtype
+        #: workspace slots that the nest being planned uses so far
+        self.slots = 0
+        #: per run index, the flat workspace slots (``workspace``)
+        self.spaces: Dict[int, list] = {}
+        #: the scalar temporaries that may hold a float64 in a float32 run
+        #: (``widens``)
+        self.wide: set = set()
         #: the dimensions that the block loops around the node being
         #: planned tile
         self.tiled: set = set()
@@ -386,6 +463,7 @@ class _Planner:
             if target is None:
                 raise BackendError("cannot evaluate %r" % (eq.lhs,))
             view = target[0]
+        self.widens(eq)
         run_statement = _statement(eq, view, self.scalar(eq.rhs), ())
 
         def statement(fr: _Frame):
@@ -439,7 +517,14 @@ class _Planner:
         since a slab edge would reorder the increments of a point two
         slabs share. Under the worker pool, each worker runs one
         contiguous run of the slabs on its own frame; the nest runs on the
-        caller's frame when there is no pool or one slab."""
+        caller's frame when there is no pool or one slab.
+
+        Every array-valued node evaluates into a workspace slot (see
+        ``value``). Each array-valued scalar temporary takes the next
+        slot, its own for the rest of the nest, and each statement
+        evaluates its root into the first slot above those taken so far.
+        Each thread running slabs reshapes its slots to every slab
+        (``workspace``)."""
         loops, cur = [], n
         while True:
             if cur.dim.kind != "space" or PARALLEL not in cur.properties or \
@@ -457,8 +542,10 @@ class _Planner:
         #: per scalar temporary, the statement that reads it last
         last: Dict[str, int] = {}
         parts = []
+        taken = self.slots = 0
         for i, eq in enumerate(k.eq for k in cur.children):
-            value = self.value(eq.rhs, dims, defined)
+            slot = None if self.widens(eq) else taken
+            value = self.value(eq.rhs, dims, defined, slot)
             if value is None:
                 return None
             for acc in eq.accesses[1:]:
@@ -467,6 +554,8 @@ class _Planner:
             if eq.lhs.func.kind == "temp" and not eq.lhs.indices:
                 defined[eq.lhs.func.name] = value[1]
                 last[eq.lhs.func.name] = i
+                if value[1] and slot is not None:
+                    taken += 1
                 parts.append((eq, None, value[0]))
                 continue
             target = self.access(eq.lhs, dims, defined)
@@ -480,11 +569,14 @@ class _Planner:
                  for part, drop in zip(parts, drops)]
         bounds = [self.bounds(it) for it in loops]
         atomic = any(ATOMIC in it.properties for it in loops)
+        slots = self.slots
 
-        def run_slabs(fr: _Frame, lo, size, slabs):
-            inner = prod(size[1:]) * len(stmts)
+        def run_slabs(fr: _Frame, lo, size, slabs, space):
+            row = prod(size[1:])
+            inner = row * len(stmts)
             for start, rows in slabs:
                 fr.lo, fr.size = [lo[0] + start] + lo[1:], [rows] + size[1:]
+                fr.work = [w[:rows * row].reshape(fr.size) for w in space]
                 for s in stmts:
                     s(fr)
                 fr.sliced += rows * inner
@@ -497,19 +589,37 @@ class _Planner:
                 return
             slabs = [(0, size[0])] if atomic \
                 else _slabs(size[0], prod(size[1:]))
+            points = slabs[0][1] * prod(size[1:])
             if self.pool is None or len(slabs) == 1:
-                run_slabs(fr, lo, size, slabs)
+                run_slabs(fr, lo, size, slabs,
+                          self.workspace(0, slots, points))
                 return
             each = -(-len(slabs) // self.workers)
             runs = [slabs[i:i + each] for i in range(0, len(slabs), each)]
             frames = [_Frame(fr.env, fr.arrays, dict(fr.scalars))
                       for _ in runs]
-            futures = [self.pool.submit(run_slabs, sub, lo, size, part)
-                       for sub, part in zip(frames, runs)]
+            futures = [self.pool.submit(run_slabs, sub, lo, size, part,
+                                        self.workspace(i, slots, points))
+                       for i, (sub, part) in enumerate(zip(frames, runs))]
             for f in futures:
                 f.result()
             fr.sliced += sum(sub.sliced for sub in frames)
         return sliced
+
+    def workspace(self, i: int, slots: int, points: int) -> list:
+        """``slots`` flat workspace slots of the run's dtype, each at least
+        ``points`` long (a nest's largest slab), for the thread running
+        the ``i``-th run of a nest's slabs; the calling thread's are the
+        0-th. They are allocated once and kept for the whole ``run``
+        call, shared by its sliced nests, which never run at the same
+        time; a nest with a larger slab replaces them."""
+        space = self.spaces.setdefault(i, [])
+        if space and space[0].size < points:
+            space.clear()
+        size = space[0].size if space else points
+        space += [np.empty(size, self.dtype)
+                  for _ in range(slots - len(space))]
+        return space[:slots]
 
     def access(self, acc: Access, dims: Sequence[str], defined):
         """``(view closure, vector axes)`` of an array access, or None.
@@ -532,9 +642,17 @@ class _Planner:
         whole = len(along) in (0, len(dims))
         return _view(f, fixed, vector, along, whole), along
 
-    def value(self, e: Expr, dims: Sequence[str], defined):
+    def value(self, e: Expr, dims: Sequence[str], defined,
+              slot: Optional[int] = None):
         """``(closure, is_array)`` computing ``e`` over the current ranges
-        of the nest of ``dims``, or None when it cannot."""
+        of the nest of ``dims``, or None when it cannot. Given a ``slot``,
+        an array-valued node writes its result into that workspace slot
+        with the ufunc's ``out=``. It evaluates its operands into
+        ``slot`` too until ``slot`` holds its value (from its first fold
+        step, or from an operand that evaluated into it), and the later
+        ones into ``slot + 1``; a power evaluates its base into ``slot +
+        1``. Views, scalar temporaries and scalars take no slot. With no
+        ``slot``, every result is a new value."""
         if isinstance(e, Constant):
             const = float(e.value)
             return (lambda fr: const), False
@@ -554,22 +672,52 @@ class _Planner:
             if target is None:
                 return None
             return target[0], bool(target[1])
-        kids = [self.value(c, dims, defined) for c in children_of(e)]
-        if None in kids:
-            return None
+        kids, busy, seen = [], isinstance(e, Pow), False
+        for c in children_of(e):
+            kid = self.value(c, dims, defined,
+                             None if slot is None else slot + busy)
+            if kid is None:
+                return None
+            # ``slot`` holds the node's value from its first fold step on
+            # (any operand after the first array one, or that one after
+            # scalars), or from a first array operand evaluated into it
+            busy = busy or seen or kid[1] and (
+                bool(kids) or not isinstance(c, Access))
+            seen = seen or kid[1]
+            kids.append(kid)
         fns, is_array = [k[0] for k in kids], any(k[1] for k in kids)
-        if isinstance(e, (Add, Mul)):
-            op = operator.add if isinstance(e, Add) else operator.mul
-            return _fold(op, fns), is_array
+        into = slot if is_array else None
+        if into is not None:
+            self.slots = max(self.slots, into + 1)
+        fold = _FOLDS.get(e.name if isinstance(e, Call) else type(e))
+        if fold is not None:
+            return (_fold(fold[0], fns) if into is None
+                    else _fold_into(*fold, kids, into)), is_array
         if isinstance(e, Pow):
-            return _power(fns[0], e.exponent), is_array
+            return _power(fns[0], e.exponent, into), is_array
         if isinstance(e, Call) and e.name == "idiv" and not is_array:
             a, b = fns
             return (lambda fr: float(int(a(fr)) // int(b(fr)))), False
         if isinstance(e, Call) and e.name in _ARRAY_CALLS:
             fn = _ARRAY_CALLS[e.name]
-            return (lambda fr: fn(*[k(fr) for k in fns])), is_array
+            if into is None:
+                return (lambda fr: fn(*[k(fr) for k in fns])), is_array
+            arg = fns[0]
+            return (lambda fr: fn(arg(fr), out=fr.work[into])), True
         return None
+
+    def widens(self, eq: LoweredEq) -> bool:
+        """Whether ``eq``'s right-hand side may be a float64 in a float32
+        run: a builtin call returns a NumPy float64 on a Python float,
+        and numpy then computes the arrays it meets in float64, as the C
+        does. Such a statement evaluates without workspace slots, which
+        hold the run's dtype; a scalar temporary it defines is recorded,
+        so that its readers do too."""
+        if self.dtype != np.float32 or not _widens(eq.rhs, self.wide):
+            return False
+        if eq.lhs.func.kind == "temp" and not eq.lhs.indices:
+            self.wide.add(eq.lhs.func.name)
+        return True
 
 
 def run(iet, buffers: Dict[str, DataBuffer], params: dict,
@@ -582,6 +730,10 @@ def run(iet, buffers: Dict[str, DataBuffer], params: dict,
     outside ``buffers``."""
     env = dict(params)
     dtype = next(iter(buffers.values())).dtype if buffers else "f64"
+    for name, b in buffers.items():
+        if b.dtype != dtype or b.data.dtype != DTYPES[dtype]:
+            raise BackendError("buffer %s holds %s data, the run %s"
+                               % (name, b.data.dtype, dtype))
     extents = {name: b.extents for name, b in buffers.items()}
     temps = {s.eq.lhs.func.name: s.eq.lhs.func for s in statements(iet)
              if s.eq.lhs.func.kind == "temp" and s.eq.lhs.indices}
@@ -589,7 +741,7 @@ def run(iet, buffers: Dict[str, DataBuffer], params: dict,
         what = "cannot size temporary %s: unbound" % name
         extents[name] = tuple(int(_lookup(env, bound, what)) + k
                               for bound, k in f.temp_extents())
-    planner = _Planner(extents, {}, workers)
+    planner = _Planner(extents, {}, workers, DTYPES[dtype])
     try:
         execute = planner.node(iet)
         arrays = {name: b.data for name, b in buffers.items()}

@@ -222,6 +222,10 @@ class Operator:
               ) -> Tuple[Dict[str, DataBuffer], dict]:
         if buffers is None:
             buffers = self.allocate(steps)
+        for name, buf in buffers.items():
+            if buf.dtype != self.dtype:
+                raise BackendError("buffer %s is %s, the operator %s"
+                                   % (name, buf.dtype, self.dtype))
         env = self.default_params(steps)
         env.update(params)
         report = run(self.artifact.iet, buffers, env, workers=workers)

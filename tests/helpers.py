@@ -526,6 +526,47 @@ def broadcast_equations():
     return [Eq(h.at, f.at * c(g.dimensions[0].symbol, 0))]
 
 
+def slot_equations(name):
+    """Operators on an 8x8 grid whose sliced statements reuse the
+    interpreter's workspace slots at several depths:
+    - ``nested``: a sum of products of sums of products, so that every
+      fold's first operand is itself a fold, five deep (in ``basic``
+      mode; ``advanced`` factorizes it)
+    - ``power``: ``u.forward = u + 0.001*(u + f)**3 + (u*f + 1)**-2``
+    - ``call``: ``u.forward = u + g + 0.1*sin(u + f)*cos(u*f)``, whose
+      sum folds two views before its product
+    - ``temps``: ``u.forward = u*(f + g) + f*g*h + a*dt**-2*(g + h)``
+      and ``v.forward = v*(f + g) - f*g*h``, whose common ``f + g`` is an
+      array scalar temporary that both later statements read first in a
+      product, and whose ``a*dt**-2`` writes its slot before the sum is
+      evaluated
+    - ``widen``: ``u.forward = u*sin(dt)*f + f*f``, whose ``sin(dt)`` is
+      a float64 scalar, so that float32 code computes it in float64"""
+    from stencilc.symbolic import Symbol, call
+    g = Grid((8, 8))
+    u, v = (FunctionDecl(n, "timefunction", g, space_order=2, time_order=1)
+            for n in "uv")
+    f, c, h, a = (FunctionDecl(n, "function", g, space_order=2)
+                  for n in ("f", "g", "h", "a"))
+    u_, f_, g_, h_, a_ = u.at, f.at, c.at, h.at, a.at
+    if name == "nested":
+        return [Eq(u.forward, u_ + 0.01 * (
+            (u_ * f_ + g_ * h_) * (u_ * g_ + f_ * h_)
+            + (u_ * h_ + f_ * g_) * (u_ * a_ + f_ * a_ * h_)))]
+    if name == "power":
+        return [Eq(u.forward,
+                   u_ + 0.001 * (u_ + f_) ** 3 + (u_ * f_ + 1) ** -2)]
+    if name == "call":
+        return [Eq(u.forward, u_ + g_ + 0.1 * call("sin", u_ + f_)
+                   * call("cos", u_ * f_))]
+    if name == "temps":
+        return [Eq(u.forward, u_ * (f_ + g_) + f_ * g_ * h_
+                   + a_ * Symbol("dt") ** -2 * (g_ + h_)),
+                Eq(v.forward, v.at * (f_ + g_) - f_ * g_ * h_)]
+    assert name == "widen"
+    return [Eq(u.forward, u_ * call("sin", Symbol("dt")) * f_ + f_ * f_)]
+
+
 # -- Executor matrix ----------------------------------------------------------
 #
 # Every configuration below runs on every executor through
@@ -835,6 +876,13 @@ def _configs():
         put("power-" + name, bind(power_equations, name), steps=3)
     put("broadcast", broadcast_equations)
     put("broadcast-blocked", broadcast_equations, block={"x": 4, "y": 4})
+    put("slots-nested", bind(slot_equations, "nested"), "basic")
+    put("slots-nested-f32", bind(slot_equations, "nested"), "basic",
+        dtype="f32")
+    for name in ("power", "call", "temps"):
+        put("slots-" + name, bind(slot_equations, name))
+    put("slots-power-f32", bind(slot_equations, "power"), dtype="f32")
+    put("slots-widen-f32", bind(slot_equations, "widen"), dtype="f32")
     for name in ("flipped-anti", "flipped-output", "untimed-after-timed",
                  "move-past", "split-time"):
         for mode in MODES:

@@ -150,6 +150,27 @@ class TestDataBuffer:
         with pytest.raises(BackendError):
             DataBuffer("u", "f64", (3,), data=np.zeros((4,)))
 
+    def test_dtype_mismatch(self):
+        with pytest.raises(BackendError, match="u: float32 data"):
+            DataBuffer("u", "f64", (3,), data=np.zeros(3, np.float32))
+
+    def test_mixed_dtypes_fail(self):
+        # The run's workspaces and temporaries take one dtype, so buffers
+        # of another would change the arithmetic.
+        op = _acoustic_op((21,))
+        bufs = op.allocate(3)
+        odd = list(bufs)[-1]
+        bufs[odd] = DataBuffer(odd, "f32", bufs[odd].extents)
+        with pytest.raises(BackendError, match="buffer %s is f32" % odd):
+            op.apply(steps=3, buffers=bufs, dt=DT)
+        env = dict(op.default_params(3), dt=DT)
+        with pytest.raises(BackendError, match="buffer %s holds float32"
+                           % odd):
+            run(op.iet, bufs, env)
+        f32 = Operator(op.eqs, dtype="f32")
+        with pytest.raises(BackendError, match="is f64, the operator f32"):
+            f32.apply(steps=3, buffers=op.allocate(3), dt=DT)
+
 
 class TestInterpreter:
     def test_zero_data_stays_zero(self):
@@ -485,7 +506,7 @@ class TestSlabs:
     """Sliced nests run in slabs of the outermost loop; the grids here fit
     in one slab at the default ``SLAB_POINTS``."""
 
-    def test_batch_slabs(self, monkeypatch):
+    def test_slabs_cut_whole_rows(self, monkeypatch):
         # Slabs of whole rows, the last one ragged.
         from stencilc.backend import interpreter
         monkeypatch.setattr(interpreter, "SLAB_POINTS", 100)
@@ -520,6 +541,56 @@ class TestSlabs:
         op.reference(steps=3, buffers=refs, dt=DT)
         for name, data in zip(names, got):
             _assert_close(data, refs[name].data)
+
+    @pytest.mark.parametrize("case, slots", [
+        # the stencil's folds nest four deep (its scalar temporaries are
+        # scalars)
+        ("acoustic3d-so8", [4]),
+        # the cos nest, then temp1's and w's, each a root and one later
+        # operand
+        ("rotated-so12", [1, 2, 2])])
+    def test_workspace_slots(self, monkeypatch, case, slots):
+        # Every array result of a sliced statement lands in its thread's
+        # workspace, kept for the whole apply: one memory per worker for
+        # each statement, over every slab, the ragged last one included.
+        from stencilc.backend import interpreter
+        build, fixture, names, row = SLAB_CASES[case]
+        op = build()
+        planned, results = [], {}
+        sliced, statement = interpreter._Planner.sliced, interpreter._statement
+
+        def plan(self, n):
+            out = sliced(self, n)
+            if out is not None:
+                planned.append(self.slots)
+            return out
+
+        def record(eq, view, value, drop):
+            def recorded(fr):
+                out = value(fr)
+                if isinstance(out, np.ndarray) and out.ndim:
+                    results.setdefault(eq.lhs.func.name, []).append(out)
+                return out
+            return statement(eq, view, recorded, drop)
+        monkeypatch.setattr(interpreter._Planner, "sliced", plan)
+        monkeypatch.setattr(interpreter, "_statement", record)
+        # Five rows per slab leave a last slab of four on 24 rows.
+        monkeypatch.setattr(interpreter, "SLAB_POINTS", 5 * row)
+        for workers in (1, 2):
+            planned.clear()
+            results.clear()
+            bufs = fixture(op, 3)
+            op.apply(steps=3, buffers=bufs, workers=workers, dt=DT)
+            assert planned == slots
+            assert results
+            for outs in results.values():
+                memories = []
+                for out in outs:
+                    if not any(np.shares_memory(out, m) for m in memories):
+                        memories.append(out)
+                assert len(memories) == workers
+                assert not any(np.shares_memory(m, b.data)
+                               for m in memories for b in bufs.values())
 
     def test_f32_matches_oracle(self, monkeypatch):
         from stencilc.backend import interpreter
