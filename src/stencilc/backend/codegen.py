@@ -123,8 +123,6 @@ class _Emitter:
             args = [self.expr(a, in_index) for a in e.args]
             if e.name == "idiv" and in_index:
                 return "(%s) / (%s)" % tuple(args)
-            if e.name == "idiv":  # floor division of the truncated operands
-                return "floor((double)(long)(%s) / (long)(%s))" % tuple(args)
             if e.name == "floor" and in_index:
                 return "(int)floor(%s)" % args[0]
             if e.name in ("min", "max"):
@@ -132,7 +130,12 @@ class _Emitter:
                 for a in args[1:]:
                     out = "%s(%s, %s)" % (e.name.upper(), out, a)
                 return out
-            return "%s(%s)" % (e.name, ", ".join(args))
+            if e.name == "idiv":  # floor division of the truncated operands
+                call = "floor((double)(long)(%s) / (long)(%s))" % tuple(args)
+            else:
+                call = "%s(%s)" % (e.name, ", ".join(args))
+            # a call computes in double and rounds to the kernel's type
+            return "(float)" + call if self.ctype == "float" else call
         raise ValueError("cannot emit %r" % (e,))
 
     def _temp_sizes(self, decl) -> List[str]:

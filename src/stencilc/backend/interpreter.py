@@ -62,10 +62,15 @@ temporaries and scalars take no slot. The slots are flat arrays of the
 run's dtype as long as the largest slab, allocated once per ``run``
 call for each thread (the calling thread and each worker, by the index
 of its run of slabs) and shared by the call's nests; each slab reshapes
-their first points. In a float32 run, a statement that calls a
-builtin, or reads a scalar temporary defined by one, evaluates without
-slots: a call on a Python float gives a NumPy float64, and numpy, like
-the C, computes in float64 from there on.
+their first points.
+
+Every value has the run's dtype, as in the emitted C: a scalar (a
+constant, a parameter, a loop index used as a value, an ``idiv``, a
+scalar sub-expression or temporary) is a Python float in a float64 run
+and an ``np.float32`` in a float32 one. A builtin call (``sin``, ``cos``,
+``sqrt``, ``floor``) computes in float64 and rounds to the run's dtype,
+as the C's ``(float)sin(x)`` does; an array call writes the rounded
+result into its workspace slot.
 
 The report gives per section the elapsed ``time``, the statement
 executions (``points``, one per statement and grid point) and how many of
@@ -323,16 +328,6 @@ def _statement(eq: LoweredEq, view, value, drop: tuple):
     return bind if view is None else store
 
 
-def _widens(e: Expr, wide: set) -> bool:
-    """Whether ``e`` calls a builtin or reads a scalar temporary of
-    ``wide`` (``_Planner.widens``)."""
-    if isinstance(e, Call):
-        return True
-    if isinstance(e, Access) and e.func.kind == "temp" and not e.indices:
-        return e.func.name in wide
-    return any(_widens(c, wide) for c in children_of(e))
-
-
 def _slabs(count: int, points: int) -> list:
     """``count`` outer indices of ``points`` points each, cut into slabs
     ``(start, length)`` of at most ``SLAB_POINTS`` points and at least one
@@ -381,13 +376,13 @@ class _Planner:
                  workers: int, dtype):
         self.extents = extents
         self.dtype = dtype
+        #: the type of every scalar value: Python's float in a float64
+        #: run, ``np.float32`` in a float32 one
+        self.real = float if dtype == np.float64 else dtype
         #: workspace slots that the nest being planned uses so far
         self.slots = 0
         #: per run index, the flat workspace slots (``workspace``)
         self.spaces: Dict[int, list] = {}
-        #: the scalar temporaries that may hold a float64 in a float32 run
-        #: (``widens``)
-        self.wide: set = set()
         #: the dimensions that the block loops around the node being
         #: planned tile
         self.tiled: set = set()
@@ -463,7 +458,6 @@ class _Planner:
             if target is None:
                 raise BackendError("cannot evaluate %r" % (eq.lhs,))
             view = target[0]
-        self.widens(eq)
         run_statement = _statement(eq, view, self.scalar(eq.rhs), ())
 
         def statement(fr: _Frame):
@@ -544,8 +538,7 @@ class _Planner:
         parts = []
         taken = self.slots = 0
         for i, eq in enumerate(k.eq for k in cur.children):
-            slot = None if self.widens(eq) else taken
-            value = self.value(eq.rhs, dims, defined, slot)
+            value = self.value(eq.rhs, dims, defined, taken)
             if value is None:
                 return None
             for acc in eq.accesses[1:]:
@@ -554,8 +547,7 @@ class _Planner:
             if eq.lhs.func.kind == "temp" and not eq.lhs.indices:
                 defined[eq.lhs.func.name] = value[1]
                 last[eq.lhs.func.name] = i
-                if value[1] and slot is not None:
-                    taken += 1
+                taken += value[1]
                 parts.append((eq, None, value[0]))
                 continue
             target = self.access(eq.lhs, dims, defined)
@@ -651,16 +643,18 @@ class _Planner:
         ``slot`` too until ``slot`` holds its value (from its first fold
         step, or from an operand that evaluated into it), and the later
         ones into ``slot + 1``; a power evaluates its base into ``slot +
-        1``. Views, scalar temporaries and scalars take no slot. With no
-        ``slot``, every result is a new value."""
+        1``. Views, scalar temporaries and scalars take no slot; a scalar
+        is a value of the run's scalar type (``real``). With no ``slot``,
+        as for a bound or an index, every result is a new value."""
+        real = self.real
         if isinstance(e, Constant):
-            const = float(e.value)
+            const = real(e.value)
             return (lambda fr: const), False
         if isinstance(e, Symbol):
             name = e.name
 
-            def symbol(fr: _Frame) -> float:
-                return float(_lookup(fr.env, name, "unbound symbol"))
+            def symbol(fr: _Frame):
+                return real(_lookup(fr.env, name, "unbound symbol"))
             return None if name in dims else (symbol, False)
         if isinstance(e, Access) and e.func.kind == "temp" and not e.indices:
             name = e.func.name
@@ -697,27 +691,14 @@ class _Planner:
             return _power(fns[0], e.exponent, into), is_array
         if isinstance(e, Call) and e.name == "idiv" and not is_array:
             a, b = fns
-            return (lambda fr: float(int(a(fr)) // int(b(fr)))), False
+            return (lambda fr: real(int(a(fr)) // int(b(fr)))), False
         if isinstance(e, Call) and e.name in _ARRAY_CALLS:
-            fn = _ARRAY_CALLS[e.name]
+            fn, arg = _ARRAY_CALLS[e.name], fns[0]
             if into is None:
-                return (lambda fr: fn(*[k(fr) for k in fns])), is_array
-            arg = fns[0]
-            return (lambda fr: fn(arg(fr), out=fr.work[into])), True
+                return (lambda fr: real(fn(arg(fr), dtype=np.float64))), False
+            return (lambda fr: fn(arg(fr), dtype=np.float64,
+                                  out=fr.work[into])), True
         return None
-
-    def widens(self, eq: LoweredEq) -> bool:
-        """Whether ``eq``'s right-hand side may be a float64 in a float32
-        run: a builtin call returns a NumPy float64 on a Python float,
-        and numpy then computes the arrays it meets in float64, as the C
-        does. Such a statement evaluates without workspace slots, which
-        hold the run's dtype; a scalar temporary it defines is recorded,
-        so that its readers do too."""
-        if self.dtype != np.float32 or not _widens(eq.rhs, self.wide):
-            return False
-        if eq.lhs.func.kind == "temp" and not eq.lhs.indices:
-            self.wide.add(eq.lhs.func.name)
-        return True
 
 
 def run(iet, buffers: Dict[str, DataBuffer], params: dict,

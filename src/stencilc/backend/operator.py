@@ -25,7 +25,7 @@ from ..lowering import (LoweredEq, _shift_for, check_halo_coverage,
                         collect_accesses, collect_functions, lower)
 from ..symbolic.grid import Equation, FunctionDecl, Grid
 from .codegen import emit_c
-from .interpreter import BackendError, DataBuffer, allocate, run
+from .interpreter import DTYPES, BackendError, DataBuffer, allocate, run
 from .reference import reference_run
 
 #: Total pass invocations since import; a cache hit adds nothing.
@@ -130,6 +130,8 @@ class Operator:
                  block: Optional[Dict[str, int]] = None, dtype: str = "f64"):
         if not eqs:
             raise BackendError("operator needs at least one equation")
+        if dtype not in DTYPES:
+            raise BackendError("bad dtype %r" % (dtype,))
         self.eqs = list(eqs)
         self.mode = mode
         self.block = dict(block) if block else None
@@ -216,28 +218,30 @@ class Operator:
                         env[key] = min(env[key], cap)
         return env
 
-    def apply(self, steps: int = 1,
-              buffers: Optional[Dict[str, DataBuffer]] = None,
-              workers: int = 1, **params
-              ) -> Tuple[Dict[str, DataBuffer], dict]:
+    def _inputs(self, steps: int, buffers, params: dict) -> tuple:
+        """The buffers of a run, ``buffers`` checked to be of the
+        operator's dtype or new ones, and its bindings, the
+        ``default_params`` updated with ``params``."""
         if buffers is None:
             buffers = self.allocate(steps)
         for name, buf in buffers.items():
             if buf.dtype != self.dtype:
                 raise BackendError("buffer %s is %s, the operator %s"
                                    % (name, buf.dtype, self.dtype))
-        env = self.default_params(steps)
-        env.update(params)
+        return buffers, {**self.default_params(steps), **params}
+
+    def apply(self, steps: int = 1,
+              buffers: Optional[Dict[str, DataBuffer]] = None,
+              workers: int = 1, **params
+              ) -> Tuple[Dict[str, DataBuffer], dict]:
+        buffers, env = self._inputs(steps, buffers, params)
         report = run(self.artifact.iet, buffers, env, workers=workers)
         return buffers, report
 
     def reference(self, steps: int = 1,
                   buffers: Optional[Dict[str, DataBuffer]] = None,
                   **params) -> Dict[str, DataBuffer]:
-        if buffers is None:
-            buffers = self.allocate(steps)
-        env = self.default_params(steps)
-        env.update(params)
+        buffers, env = self._inputs(steps, buffers, params)
         return reference_run(self.artifact.lowered, buffers, env)
 
 

@@ -30,6 +30,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
+from ..backend.interpreter import DTYPES
+from ..dse import MODES
 from ..symbolic import (Eq, Equation, FunctionDecl, Grid, Symbol, call,
                         derivative, dt, dt2, inject, interpolate, laplace,
                         num, solve_for)
@@ -38,6 +40,8 @@ from ..symbolic.grid import DeclarationError, Dimension
 
 FUNC_KINDS = ("function", "timefunction", "sparsetimefunction")
 PARAM_KEYS = ("steps", "mode", "block", "precision", "workers")
+#: the values each parameter that names a choice may take
+_CHOICES = {"mode": MODES, "precision": tuple(DTYPES)}
 #: the options of each declaration: the grid's take numbers, ``coords`` a
 #: tuple of points, and the other ones non-negative integers
 _OPTIONS = {"grid": ("shape", "extent", "origin"),
@@ -336,6 +340,9 @@ def _params(spec, tail, line, off):
                 spec.params[key] = int(value)
             except ValueError:
                 raise SpecError("bad integer %r" % value, line, col)
+        elif key in _CHOICES and value not in _CHOICES[key]:
+            raise SpecError("bad %s %r" % (key, value), line,
+                            col + len(key) + 1)
         else:
             spec.params[key] = value
 

@@ -439,6 +439,23 @@ def invariant_equations(name):
     return [Eq(h.at, mul(call("sin", c(g.dimensions[0].symbol, 0)), f.at))]
 
 
+def merge_equations():
+    """``u.forward = u + cos(th)*w[t + 1, x + 1, y]`` and then
+    ``w.forward = sin(th)*u.forward`` on a 10x10 grid. The carried anti
+    dependence on ``w`` puts the two equations in clusters of their own,
+    and the time-invariant ``cos(th)`` and ``sin(th)``, hoisted out of
+    each, merge into one producer nest over ``[x, y]``."""
+    from stencilc.symbolic import add, call, mul
+    g = Grid((10, 10))
+    u, w = (FunctionDecl(n, "timefunction", g, space_order=2, time_order=1)
+            for n in "uw")
+    th = FunctionDecl("th", "function", g, space_order=2)
+    x, y = (d.symbol for d in g.dimensions)
+    ahead = w(w.forward.indices[0], add(x, g.spacing_symbols[0]), y)
+    return [Eq(u.forward, u.at + mul(call("cos", th.at), ahead)),
+            Eq(w.forward, mul(call("sin", th.at), u.forward))]
+
+
 def order_equations(name):
     """Operators on Grid (11,) that test program order across equations
     (ROADMAP item 12):
@@ -540,8 +557,9 @@ def slot_equations(name):
       array scalar temporary that both later statements read first in a
       product, and whose ``a*dt**-2`` writes its slot before the sum is
       evaluated
-    - ``widen``: ``u.forward = u*sin(dt)*f + f*f``, whose ``sin(dt)`` is
-      a float64 scalar, so that float32 code computes it in float64"""
+    - ``widen``: ``u.forward = u*sin(dt)*f + f*f``, whose ``sin(dt)``
+      is a scalar call, which float32 code computes in float64 and rounds
+      to float32"""
     from stencilc.symbolic import Symbol, call
     g = Grid((8, 8))
     u, v = (FunctionDecl(n, "timefunction", g, space_order=2, time_order=1)
@@ -565,6 +583,19 @@ def slot_equations(name):
                 Eq(v.forward, v.at * (f_ + g_) - f_ * g_ * h_)]
     assert name == "widen"
     return [Eq(u.forward, u_ * call("sin", Symbol("dt")) * f_ + f_ * f_)]
+
+
+def growing_slots_equations():
+    """``u.forward = u + cos(th[0, y])*u`` on a 16x16 grid: ``advanced``
+    hoists ``cos(th[0, y])`` into a producer nest of 16 points ahead of
+    the 256-point nest of ``u``, whose larger slab replaces the
+    interpreter's workspace slots."""
+    from stencilc.symbolic import call
+    g = Grid((16, 16))
+    u = FunctionDecl("u", "timefunction", g, space_order=2, time_order=1)
+    th = FunctionDecl("th", "function", g, space_order=2)
+    y = g.dimensions[1].symbol
+    return [Eq(u.forward, u.at + call("cos", th(0, y)) * u.at)]
 
 
 # -- Executor matrix ----------------------------------------------------------
@@ -704,9 +735,9 @@ def run_c(op, buffers, env):
     assert kernel(*args) == 0
 
 
-def check_executors(op, steps, fill=random_fixture):
-    """Run ``op`` for ``steps`` steps from ``fill(op, steps)`` on every
-    executor, in this order, and assert:
+def check_executors(op, steps, fill=random_fixture, dt=DT):
+    """Run ``op`` for ``steps`` steps of ``dt`` from ``fill(op, steps)`` on
+    every executor, in this order, and assert:
     - two workers, over slabs of one outer index or block each, give the
       bits of one worker over the default slabs
     - the interpreter is within 1e-12 of the oracle in f64 and 1e-5 in
@@ -721,7 +752,7 @@ def check_executors(op, steps, fill=random_fixture):
 
     def run(executor, **kwargs):
         bufs = fill(op, steps)
-        executor(steps=steps, buffers=bufs, dt=DT, **kwargs)
+        executor(steps=steps, buffers=bufs, dt=dt, **kwargs)
         return bufs
 
     gcc = shutil.which("gcc") is not None
@@ -747,7 +778,7 @@ def check_executors(op, steps, fill=random_fixture):
         pytest.skip("needs gcc")
     built = fill(op, steps)
     env = op.default_params(steps)
-    env["dt"] = DT
+    env["dt"] = dt
     run_c(op, built, env)
     for name, buf in built.items():
         if buf.data.tobytes() != one[name].data.tobytes():
@@ -756,13 +787,15 @@ def check_executors(op, steps, fill=random_fixture):
 
 class Config:
     """A named executor-matrix configuration: ``build()`` compiles the
-    operator, which runs ``steps`` steps from ``fill(op, steps)``. An
-    ``xfail`` of ``(exception, reason)`` marks a known wrong result: the
-    harness raises ``exception`` at the executor that disagrees."""
+    operator, which runs ``steps`` steps of ``dt`` from ``fill(op,
+    steps)``. An ``xfail`` of ``(exception, reason)`` marks a known wrong
+    result: the harness raises ``exception`` at the executor that
+    disagrees."""
 
-    def __init__(self, build, steps=4, fill=random_fixture, xfail=None):
+    def __init__(self, build, steps=4, fill=random_fixture, xfail=None,
+                 dt=DT):
         self.build, self.steps, self.fill = build, steps, fill
-        self.xfail = xfail
+        self.xfail, self.dt = xfail, dt
         self._built = None
 
     def prebuild(self):
@@ -812,8 +845,10 @@ def _configs():
     configs = {}
 
     def put(name, eqs, mode="advanced", block=None, dtype="f64", **kwargs):
-        configs[name] = Config(bind(_operator, eqs, mode, block, dtype),
-                               **kwargs)
+        build = bind(_operator, eqs, mode, block, dtype)
+        configs[name] = Config(build, **kwargs)
+        if dtype == "f32":  # float32 rounding differs more at a larger step
+            configs[name + "-dt0.1"] = Config(build, dt=0.1, **kwargs)
 
     for name in GOLDEN_OPERATORS:
         for mode in MODES:
@@ -843,12 +878,10 @@ def _configs():
     put("coupled3-f32", bind(coupled_equations, 3), dtype="f32")
     put("coupled3-f32-aggressive-blocked", bind(coupled_equations, 3),
         "aggressive", {"x": 4, "y": 4, "z": 4}, dtype="f32")
-    sin_cos = (CMismatch, "ROADMAP item 1: the C calls sin and cos in "
-                          "double in float code")
     put("rotated-f32", lambda: rotated_equations(4)[1], dtype="f32",
-        fill=rotated_fixture, xfail=sin_cos)
+        fill=rotated_fixture)
     put("tti12-so4-f32", bind(tti_equations, (12, 12, 12), 4), dtype="f32",
-        steps=3, xfail=sin_cos)
+        steps=3)
     put("rotated-ragged", lambda: rotated_equations(4, (27, 29))[1],
         "aggressive", {"x": 8, "y": 8}, fill=rotated_fixture)
     put("rotated-x-blocks", lambda: rotated_equations(4, (24, 24))[1],
@@ -862,6 +895,10 @@ def _configs():
         for mode in ("advanced", "aggressive"):
             put("invariant-%s-%s" % (name, mode),
                 bind(invariant_equations, name), mode)
+    for mode in MODES:
+        put("merge-invariant-" + mode, merge_equations, mode)
+        put("merge-invariant-%s-blocked" % mode, merge_equations, mode,
+            {"x": 4, "y": 4})
     for name in ("transposed", "dimension", "idiv"):
         put("per-point-" + name, bind(per_point_equations, name))
     for name in ("row-sum", "transposed-lhs"):
@@ -883,6 +920,7 @@ def _configs():
         put("slots-" + name, bind(slot_equations, name))
     put("slots-power-f32", bind(slot_equations, "power"), dtype="f32")
     put("slots-widen-f32", bind(slot_equations, "widen"), dtype="f32")
+    put("slots-grow", growing_slots_equations)
     for name in ("flipped-anti", "flipped-output", "untimed-after-timed",
                  "move-past", "split-time"):
         for mode in MODES:

@@ -14,10 +14,10 @@ from stencilc.dse import MODES
 from stencilc.iet import Block
 
 from helpers import (CONFIGS, DT, acoustic_example, check_executors,
-                     coupled_equations, invariant_equations,
-                     legality_equations, random_fixture, recurrence_equations,
-                     rel_err, rotated_equations, rotated_fixture, run_c,
-                     tti_equations, wave_example)
+                     coupled_equations, growing_slots_equations,
+                     invariant_equations, legality_equations, random_fixture,
+                     recurrence_equations, rel_err, rotated_equations,
+                     rotated_fixture, run_c, tti_equations, wave_example)
 
 
 def _fill(buffers, name, value):
@@ -170,6 +170,22 @@ class TestDataBuffer:
         f32 = Operator(op.eqs, dtype="f32")
         with pytest.raises(BackendError, match="is f64, the operator f32"):
             f32.apply(steps=3, buffers=op.allocate(3), dt=DT)
+
+    def test_reference_mixed_dtypes_fail(self):
+        # The oracle takes the buffers apply takes.
+        op = _acoustic_op((21,))
+        bufs = op.allocate(3)
+        bufs["m"] = DataBuffer("m", "f32", bufs["m"].extents)
+        with pytest.raises(BackendError, match="buffer m is f32"):
+            op.reference(steps=3, buffers=bufs, dt=DT)
+
+    def test_operator_bad_dtype(self):
+        # Rejected before compiling, not at the first apply.
+        from stencilc.backend import operator
+        work = operator.PASS_WORK
+        with pytest.raises(BackendError, match="bad dtype 'f16'"):
+            Operator(acoustic_example((21,))[1], dtype="f16")
+        assert operator.PASS_WORK == work
 
 
 class TestInterpreter:
@@ -591,6 +607,36 @@ class TestSlabs:
                 assert len(memories) == workers
                 assert not any(np.shares_memory(m, b.data)
                                for m in memories for b in bufs.values())
+
+    def test_larger_slab_replaces_workspace(self, monkeypatch):
+        # The 16-point producer of cos(th[0, y]) runs first and takes
+        # slots of 16 points; the 256-point nest of u replaces them.
+        from stencilc.backend import interpreter
+        op = Operator(growing_slots_equations())
+        calls, workspace = [], interpreter._Planner.workspace
+
+        def spy(self, i, slots, points):
+            out = workspace(self, i, slots, points)
+            calls.append((points, [w.size for w in out]))
+            return out
+        monkeypatch.setattr(interpreter._Planner, "workspace", spy)
+        bufs = random_fixture(op, 3)
+        op.apply(steps=3, buffers=bufs, dt=DT)
+        assert calls[:2] == [(16, [16]), (256, [256])]
+        refs = random_fixture(op, 3)
+        op.reference(steps=3, buffers=refs, dt=DT)
+        _assert_close(bufs["u"].data, refs["u"].data)
+
+    def test_empty_range_writes_nothing(self):
+        # With x_M = -1 the nest of u has no points: it returns before
+        # taking a slab or a workspace.
+        op = Operator(growing_slots_equations())
+        bufs = random_fixture(op, 3)
+        before = {n: b.data.copy() for n, b in bufs.items()}
+        report = op.apply(steps=3, buffers=bufs, dt=DT, x_M=-1)[1]
+        for name, buf in bufs.items():
+            assert buf.data.tobytes() == before[name].tobytes(), name
+        assert report["section1"]["points"] == 0
 
     def test_f32_matches_oracle(self, monkeypatch):
         from stencilc.backend import interpreter
@@ -1032,7 +1078,7 @@ def test_executors_agree(name):
     # the C runs block by block and the interpreter all blocks at once;
     # and h_x**-2 at spacing 0.7, which the C writes as 1.0F/(h_x*h_x).
     config = CONFIGS[name]
-    check_executors(config.operator(), config.steps, config.fill)
+    check_executors(config.operator(), config.steps, config.fill, config.dt)
 
 
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="needs gcc")

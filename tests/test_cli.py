@@ -102,6 +102,8 @@ MALFORMED = [
     ("src.bogus(u)", "bogus"),
     ("eq u = (u +", "("),
     ("function lambda", "lambda"),
+    ("params precision=f16", "f16"),
+    ("params mode=fast", "fast"),
 ]
 
 

@@ -16,8 +16,8 @@ from stencilc.symbolic import (Access, Eq, FunctionDecl, Grid, Symbol, add,
                                call, mul, num, pow_)
 from stencilc.symbolic.expr import evaluate, op_count
 
-from helpers import lowered_wave_example, rotated_laplacian_example, \
-    run_clusters
+from helpers import lowered_wave_example, merge_equations, \
+    rotated_laplacian_example, run_clusters
 
 
 def _1d():
@@ -461,6 +461,17 @@ def test_run_dse_advanced_hoists_invariant_weights():
     names = {a.func.name for eq in last.eqs
              for a in eq.rhs.children if isinstance(a, Access)}
     assert {a.lhs.func.name for a in arrays} <= names
+
+
+def test_run_dse_merges_invariant_producers_across_clusters():
+    # cos(th) and sin(th) come out of two clusters, and their producers,
+    # both over [x, y], run as one nest ahead of them.
+    clusters = clusterize([lower(e) for e in merge_equations()])
+    assert len(clusters) == 2
+    out = run_dse(clusters, "advanced")
+    assert len(out) == 3
+    assert [eq.lhs.func.name for eq in out[0].eqs] == ["temp0", "temp1"]
+    assert [eq.rhs.name for eq in out[0].eqs] == ["cos", "sin"]
 
 
 def test_run_dse_op_counts_monotone():
