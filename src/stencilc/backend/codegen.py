@@ -3,9 +3,10 @@
 Produces a single C99-compatible translation unit from a placed,
 annotated loop tree: one entry function taking every array as a
 ``dataobj`` (flat buffer plus extents) and every free scalar as a typed
-parameter. Parallel and vectorizable annotations become OpenMP-style
-pragma lines. The output is a pure function of the tree, so identical
-input yields byte-identical text.
+parameter. A vectorizable loop gets ``#pragma omp simd`` and only the
+outermost other parallel loop of a nest ``parallel for``; a loop that
+carries a reduction (ATOMIC) gets neither and runs in order. The output
+is a pure function of the tree: identical input, byte-identical text.
 """
 
 from __future__ import annotations
@@ -186,43 +187,41 @@ class _Emitter:
             if d.decl.dims:
                 self.put("free(%s);" % d.decl.name)
 
-    def stmt(self, s: ExpressionStmt, atomic: bool):
+    def stmt(self, s: ExpressionStmt):
         eq = s.eq
         op = "+=" if eq.is_increment else "="
-        if atomic and eq.is_increment:
-            self.put("#pragma omp atomic")
         self.put("%s %s %s;" % (self.access(eq.lhs), op, self.expr(eq.rhs)))
 
-    def body(self, node, atomic: bool):
+    def body(self, node, threaded: bool):
         for d in getattr(node, "declarations", ()):
             self.declaration(d)
         for c in node.children:
-            self.node(c, atomic)
+            self.node(c, threaded)
         self.free_decls(getattr(node, "declarations", ()))
 
-    def node(self, n, atomic: bool = False):
+    def node(self, n, threaded: bool = False):
+        """Emit ``n``, inside a ``parallel for`` loop if ``threaded``."""
         if isinstance(n, ExpressionStmt):
-            self.stmt(n, atomic)
+            self.stmt(n)
         elif isinstance(n, Iteration):
-            if PARALLEL in n.properties:
+            if PARALLEL in n.properties and ATOMIC not in n.properties:
                 if VECTORIZABLE in n.properties:
                     self.put("#pragma omp simd")
-                else:
+                elif not threaded:
                     self.put("#pragma omp parallel for")
-            step = "%s += %d" % (n.dim.name, n.step) if n.step != 1 \
-                else "%s += 1" % n.dim.name
+                    threaded = True
             if n.direction == "-":
                 head = "for (int %s = %s; %s >= %s; %s -= %d)" % (
                     n.dim.name, self.expr(n.upper), n.dim.name,
                     self.expr(n.lower), n.dim.name, n.step)
             else:
-                head = "for (int %s = %s; %s <= %s; %s)" % (
+                head = "for (int %s = %s; %s <= %s; %s += %d)" % (
                     n.dim.name, self.expr(n.lower), n.dim.name,
-                    self.expr(n.upper), step)
+                    self.expr(n.upper), n.dim.name, n.step)
             self.put(head)
             self.put("{")
             self.depth += 1
-            self.body(n, atomic or ATOMIC in n.properties)
+            self.body(n, threaded)
             self.depth -= 1
             self.put("}")
         elif isinstance(n, Conditional):
@@ -231,14 +230,14 @@ class _Emitter:
             self.put("if (%s)" % pred)
             self.put("{")
             self.depth += 1
-            self.body(n, atomic)
+            self.body(n, threaded)
             self.depth -= 1
             self.put("}")
         elif isinstance(n, Section):
             self.put("/* section %s */" % n.name)
-            self.body(n, atomic)
+            self.body(n, threaded)
         elif isinstance(n, Block):
-            self.body(n, atomic)
+            self.body(n, threaded)
         else:
             raise ValueError("cannot emit node %r" % (n,))
 

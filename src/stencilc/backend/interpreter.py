@@ -40,11 +40,11 @@ A sliced nest runs all its statements over one slab of its outermost
 loop at a time (``_slabs``), each slab at most ``SLAB_POINTS`` grid
 points per statement (at least one outer index), so that the
 temporaries of a whole-grid nest stay in cache. Every loop of such a
-nest is parallel, so slabs never change the arithmetic of a point; a
-nest that fits in one slab runs once, and so does a nest with an atomic
-loop, whose neighbouring slabs would update a point they share in the
-opposite order. A scalar temporary of a nest is dropped after its last
-reader, so a slab holds only the ones still to be read.
+nest is parallel and carries no reduction, so slabs never change the
+arithmetic of a point; a nest that fits in one slab runs once. A nest
+with an ATOMIC loop, one that carries a reduction, runs per point in the
+tree's order, as the C does. A scalar temporary of a nest is dropped
+after its last reader, so a slab holds only the ones still to be read.
 
 A sliced statement allocates nothing: every array-valued node writes
 its result into a workspace slot with the ufunc's ``out=``, and a store
@@ -504,14 +504,13 @@ class _Planner:
 
     def sliced(self, n: Iteration):
         """The executor ``(frame)`` of the perfect nest of parallel,
-        unit-stride, forward space loops around statements headed by
-        ``n``, or None when ``n`` heads no such nest or a statement does
-        not slice. It reads its loop bounds itself and runs in slabs of
-        its outermost loop (``_slabs``); with an atomic loop, as one slab,
-        since a slab edge would reorder the increments of a point two
-        slabs share. Under the worker pool, each worker runs one
-        contiguous run of the slabs on its own frame; the nest runs on the
-        caller's frame when there is no pool or one slab.
+        unit-stride, forward space loops that carry no reduction around
+        statements headed by ``n``, or None when ``n`` heads no such nest
+        or a statement does not slice. It reads its loop bounds itself
+        and runs in slabs of its outermost loop (``_slabs``). Under the
+        worker pool, each worker runs one contiguous run of the slabs on
+        its own frame; the nest runs on the caller's frame when there is
+        no pool or one slab.
 
         Every array-valued node evaluates into a workspace slot (see
         ``value``). Each array-valued scalar temporary takes the next
@@ -522,7 +521,8 @@ class _Planner:
         loops, cur = [], n
         while True:
             if cur.dim.kind != "space" or PARALLEL not in cur.properties or \
-                    cur.step != 1 or cur.direction == BACKWARD:
+                    ATOMIC in cur.properties or cur.step != 1 or \
+                    cur.direction == BACKWARD:
                 return None
             loops.append(cur)
             kids = cur.children
@@ -560,7 +560,6 @@ class _Planner:
         stmts = [_statement(*part, tuple(drop))
                  for part, drop in zip(parts, drops)]
         bounds = [self.bounds(it) for it in loops]
-        atomic = any(ATOMIC in it.properties for it in loops)
         slots = self.slots
 
         def run_slabs(fr: _Frame, lo, size, slabs, space):
@@ -579,8 +578,7 @@ class _Planner:
                     for (_, upper), first in zip(bounds, lo)]
             if min(size) <= 0:
                 return
-            slabs = [(0, size[0])] if atomic \
-                else _slabs(size[0], prod(size[1:]))
+            slabs = _slabs(size[0], prod(size[1:]))
             points = slabs[0][1] * prod(size[1:])
             if self.pool is None or len(slabs) == 1:
                 run_slabs(fr, lo, size, slabs,

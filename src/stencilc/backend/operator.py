@@ -18,7 +18,7 @@ from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..clustering import clusterize
-from ..dse import cluster_op_count, run_dse
+from ..dse import MODES, cluster_op_count, run_dse
 from ..iet import (Block, Section, analyze_iet, block_loops, build_iet,
                    default_block_candidates, dump, place_declarations)
 from ..lowering import (LoweredEq, _shift_for, check_halo_coverage,
@@ -132,6 +132,14 @@ class Operator:
             raise BackendError("operator needs at least one equation")
         if dtype not in DTYPES:
             raise BackendError("bad dtype %r" % (dtype,))
+        if mode not in MODES:
+            raise BackendError("unknown mode %r" % (mode,))
+        names = [d.name for d in eqs[0].lhs.func.grid.dimensions]
+        if block is not None and not (isinstance(block, dict) and all(
+                k in names and isinstance(v, int) and v > 0
+                for k, v in block.items())):
+            raise BackendError("bad block %r: want positive int sizes "
+                               "along dimensions of %s" % (block, names))
         self.eqs = list(eqs)
         self.mode = mode
         self.block = dict(block) if block else None

@@ -58,8 +58,6 @@ def _build(spec: ProblemSpec, mode: Optional[str] = None,
     if not spec.equations:
         raise CliError("spec declares no equations")
     mode = mode or spec.params.get("mode", "advanced")
-    if mode not in MODES:
-        raise CliError("unknown mode %r" % mode)
     dtype = precision or spec.params.get("precision", "f64")
     shape = _parse_block(spec, block)
     if shape == "auto":

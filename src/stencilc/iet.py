@@ -199,9 +199,9 @@ def analyze_iet(iet) -> object:
     position i is parallel iff every dependence distance vector D among
     the statements it contains satisfies d_i = 0 (the dependence never
     crosses its iterations) or (d_1..d_{i-1}) > 0 lexicographic (an outer
-    loop carries it); unknown entries disqualify. Reductions do not block
-    parallelism but demand atomic updates. Scalar temporaries are ignored:
-    declaration placement privatizes them per iteration.
+    loop carries it); unknown entries disqualify. A reduction does not block
+    parallelism but makes the loop ATOMIC, run in order. Scalar temporaries
+    are ignored: declaration placement privatizes them per iteration.
 
     Each outermost loop nest gets one dependence graph, and each dependence
     marks the loops that enclose both its statements: the common prefix of
@@ -293,13 +293,15 @@ def _block_group(group: List[Iteration], shape: Dict[str, int]
     offsets = {}
     outer: Optional[Iteration] = None
     attach_parent: Optional[Iteration] = None
-    for d in dims:
+    for level, d in enumerate(dims):
         bs = shape[d.name]
         bdim = Dimension(d.name + "b", "block", parent=d)
         lo = add(Symbol(d.name + "_m"), num(base[d.name][0]))
         hi = add(Symbol(d.name + "_M"), num(base[d.name][1]))
+        # A block loop carries the reductions of the loops it tiles
+        tiled = set().union(*(ch[level].properties for ch in chains))
         bit = Iteration(bdim, lo, hi, step=bs,
-                        properties={PARALLEL, BLOCKED},
+                        properties={PARALLEL, BLOCKED} | (tiled & {ATOMIC}),
                         key=(Interval(bdim, 0, 0), FORWARD))
         offsets[d.name] = bdim.symbol
         if attach_parent is None:

@@ -380,7 +380,7 @@ def reference_mul(*args):
 # -- Small operators ----------------------------------------------------------
 
 
-def legality_equations(name):
+def legality_equations(name, shape=None):
     """Small operators whose loops only the dependence rule makes legal:
     - ``clash``: ``a = c; b = a[x+1] + a[x-1]``, whose x directions clash,
       so ``b`` must not share the loop that writes ``a``
@@ -391,9 +391,13 @@ def legality_equations(name):
     - ``flow-past-atomic``: ``b = a[x+1]; a = c`` on the interior, then
       ``d = a[x-1]``, a carried flow from a cluster whose x is atomic
     - ``pinned``: ``a = c; b = a`` on the interior, then ``d = b``, a
-      loop-independent flow from a cluster of another space"""
+      loop-independent flow from a cluster of another space
+    - ``pair``: ``a[x] += f; a[x + 1] += c``, a reduction whose two
+      increments of a point come from neighbouring iterations
+
+    ``shape`` replaces the grid's, (8, 8) for ``grad`` and (11,) else."""
     from stencilc.symbolic import add, mul, num
-    g = Grid((8, 8) if name == "grad" else (11,))
+    g = Grid(shape or ((8, 8) if name == "grad" else (11,)))
 
     def f(n, kind="function"):
         return FunctionDecl(n, kind, g, space_order=2, time_order=2)
@@ -415,6 +419,9 @@ def legality_equations(name):
     if name == "pinned":
         return [Eq(a.at, c.at), Eq(b.at, a.at, region="interior"),
                 Eq(f("d").at, b.at)]
+    if name == "pair":
+        return [Eq(a.at, f("f").at, is_increment=True),
+                Eq(shifted(a, 1), c.at, is_increment=True)]
     u, v = f("u", "timefunction"), f("v", "timefunction")
     if name == "grad":
         grad = f("grad")
@@ -607,8 +614,10 @@ def growing_slots_equations():
 DT = 0.02
 
 #: gcc flags of the C runner; without -ffp-contract=off gcc may fuse a
-#: multiply and an add that numpy rounds apart
-C_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+#: multiply and an add that numpy rounds apart. With -fopenmp the kernels
+#: run on ``OMP_NUM_THREADS`` threads, 2 unless it is set (``_load``), so
+#: the C's bit-equality covers its threads.
+C_FLAGS = ("-O2", "-ffp-contract=off", "-fopenmp", "-shared", "-fPIC")
 
 #: per SHA-256 of flags and source: the future of its gcc run, and the
 #: library that run builds
@@ -694,6 +703,9 @@ def close_builds():
 @functools.lru_cache(maxsize=None)
 def _load(lib):
     import ctypes
+    import os
+    # libgomp reads it once, when the first kernel loads
+    os.environ.setdefault("OMP_NUM_THREADS", "2")
     return ctypes.CDLL(lib).kernel
 
 
@@ -891,6 +903,10 @@ def _configs():
         put("legality-" + name, bind(legality_equations, name))
     put("legality-clash-blocked", bind(legality_equations, "clash"),
         block={"x": 4})
+    for mode in MODES:
+        put("reduction-pair-" + mode, bind(legality_equations, "pair"), mode)
+        put("reduction-pair-%s-blocked" % mode,
+            bind(legality_equations, "pair"), mode, {"x": 4})
     for name in ("inline", "row"):
         for mode in ("advanced", "aggressive"):
             put("invariant-%s-%s" % (name, mode),

@@ -11,7 +11,7 @@ from stencilc.backend import (BackendError, BoundsError, DataBuffer,
                               reference_run, run)
 from stencilc.backend import operator as op_mod
 from stencilc.dse import MODES
-from stencilc.iet import Block
+from stencilc.iet import ATOMIC, Block, Iteration, iterations
 
 from helpers import (CONFIGS, DT, acoustic_example, check_executors,
                      coupled_equations, growing_slots_equations,
@@ -185,6 +185,21 @@ class TestDataBuffer:
         work = operator.PASS_WORK
         with pytest.raises(BackendError, match="bad dtype 'f16'"):
             Operator(acoustic_example((21,))[1], dtype="f16")
+        assert operator.PASS_WORK == work
+
+    @pytest.mark.parametrize("options,match", [
+        ({"mode": "fast"}, "unknown mode 'fast'"),
+        ({"block": {"q": 4}}, "bad block"),
+        ({"block": {"x": 0}}, "bad block"),
+        ({"block": {"x": 2.5}}, "bad block"),
+        ({"block": [("x", 4)]}, "bad block")])
+    def test_operator_bad_options(self, options, match):
+        # Rejected before compiling: a zero block step would emit a C loop
+        # that never ends, and a fractional one a C step of its floor.
+        from stencilc.backend import operator
+        work = operator.PASS_WORK
+        with pytest.raises(BackendError, match=match):
+            Operator(acoustic_example((21,))[1], **options)
         assert operator.PASS_WORK == work
 
 
@@ -703,7 +718,8 @@ class TestWorkerPool:
             [True]
         # Cut into 4,096 slabs of 2 points, each slab edge would add the
         # increments of its shared point in the opposite order, and two
-        # workers would race on it: the nest runs as one slab instead.
+        # workers would race on it: the nest runs per point instead, in
+        # the loop's order, as the C does.
         got = set()
         for slab, workers in ((interpreter.SLAB_POINTS, 1), (2, 1), (2, 2),
                               (2, 4)):
@@ -989,20 +1005,20 @@ def test_compile_builds_few_constants_and_powers(monkeypatch):
 #: offsets (source and receiver), "wave" a sub-sampled snapshot, "tti"
 #: hundreds of CSE temporaries.
 GOLDEN_SHA256 = {
-    "acoustic": ("7751c1464ff609765c704864580a1a48de68956c194606ed0e2d510386e85590",
-                 "6426da5139b132d5956ca80dc44c4aa3fe04486b66343cc9ada152d2478d6eec",
+    "acoustic": ("629e31580eb47f5e4df08e74165ce26ef8fbd75ab8f8cca30074d1e91125cad2",
+                 "10a551f043aa147c0441635b2c210a45b7b8ad10bf991396dbd84624882085d6",
                  "7ecb08dedda6db40c7dec4af74caa30a61b47377db4aa446d5290fc6aa7647f3"),
-    "wave": ("b95b18a49c6649ef759687c6a00b18d6a86e9432aee6120c4eb9b0797518bab8",
-             "0d841f2765afe7266e5a52ff350f312bcf777bbce72ae929bb7a4cb4bd10aaf3",
+    "wave": ("d3277c46a5a66b7a45d6e5afc3f30fe18fcc73b729a60e5c70456cf7fcddb8be",
+             "1d2ec82f6f126ad819b5f56ad143e962fd6554e1277647a3ea9d2554510a26ae",
              "69e436e760e6855f320952b59f93f50a775ae32696fc834f297ec90450bb106f"),
-    "rotated": ("9520c021c88ce2cd9cd39d0a5752320bc1f9db9fc9e7b572d26941a6931ce7ec",
-                "9520c021c88ce2cd9cd39d0a5752320bc1f9db9fc9e7b572d26941a6931ce7ec",
+    "rotated": ("6c22db3ace2c0c389319177052548eb78a77da114db951214521d9a5fb58310a",
+                "6c22db3ace2c0c389319177052548eb78a77da114db951214521d9a5fb58310a",
                 "7c86f9f642c1ac4d0b4e1c125c261cd9562e3d85f3530e81551e33101c50d564"),
-    "coupled": ("405fb5f597ccfc73d3e0e541b2b5dde609fe67f2df38db2867c1b135784e758b",
-                "a1600c5dbd7f188f538e5a15b7a82beb08e49b2d5a3fc61aa525e8defcb6c0de",
+    "coupled": ("ddff2545527c3fe043087507511545f48a4a4cd897392a1650555e26000b3679",
+                "f1f8b629053b31ea09ad1eabd7e9058dbbc52d6596883347288d9d6dad44b72b",
                 "e2101404de0c3cff619b672617b2cd498267ed4adf248879023b2b09acedcc84"),
-    "tti": ("24d71e1ad69021395e39f5ec9f3bf8b58fe9ef73008a13c0e50a9c33daf82ad0",
-            "c5922b71b7db2b537df36daa7fe5092d98b97768401bfbebb439961b9df046c3",
+    "tti": ("b05fa853fd63341103d4259ef417791a5f75d52ef31aefa818cc99e0f90518b1",
+            "1b20b34f0d30b6ce1b7525e8ddb58c9d74863834a08c16f89edcf142ae2620f5",
             "f52c2e3c8d21151d6abdf404b8ca953ef04e192073a289c45f7199b8c914d079"),
 }
 
@@ -1042,8 +1058,36 @@ class TestCodegen:
         funcs, eqs = wave_example(shape=(21,), coordinates=((10.0,),))
         src = Operator(eqs).source
         assert "(t)%4 == 0" in src
-        assert "#pragma omp atomic" in src
         assert "floor" in src
+        # On every registry entry: no atomic update, no pragma on a loop
+        # that carries a reduction, and no parallel for inside another.
+        atomic = threaded = 0
+        for name in sorted(CONFIGS):
+            op = CONFIGS[name].build()
+            assert "omp atomic" not in op.source, name
+            lines = op.source.splitlines()
+            heads = [i for i, line in enumerate(lines)
+                     if line.lstrip().startswith("for (")]
+            loops = iterations(op.iet)
+            assert len(heads) == len(loops), name
+            pragma = {id(it): lines[i - 1].strip()
+                      for it, i in zip(loops, heads)}
+            # each node, and whether a loop around it has parallel for
+            stack = [(op.iet, False)]
+            while stack:
+                node, inside = stack.pop()
+                if isinstance(node, Iteration):
+                    text = pragma[id(node)]
+                    if ATOMIC in node.properties:
+                        atomic += 1
+                        assert not text.startswith("#pragma"), name
+                    outer = text == "#pragma omp parallel for"
+                    assert not (outer and inside), name
+                    inside |= outer
+                    threaded += outer
+                stack.extend((c, inside)
+                             for c in getattr(node, "children", ()))
+        assert atomic and threaded
 
     def test_empty_iet(self):
         src = emit_c(Block())
@@ -1121,6 +1165,22 @@ def test_per_point_reciprocal_matches_c():
     env["dt"] = DT
     run_c(op, got, env)
     assert got["u"].data.tobytes() == want["u"].data.tobytes()
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="needs gcc")
+def test_reduction_over_time_is_thread_independent():
+    # grad[x, y] += u*v sums over t. t carries the reduction, so it runs
+    # in order and x is shared out among the threads: each point's sum
+    # keeps the order of t at any thread count.
+    op = Operator(legality_equations("grad", (64, 64)))
+    steps = 400
+    want = random_fixture(op, steps)
+    op.apply(steps=steps, buffers=want)
+    env = op.default_params(steps)
+    for _ in range(3):
+        got = random_fixture(op, steps)
+        run_c(op, got, env)
+        assert got["grad"].data.tobytes() == want["grad"].data.tobytes()
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -205,6 +205,12 @@ class TestDriver:
         assert "points=" in outs[0] and outs[1] == outs[0]
         assert main(["compile", path, "--block", "auto"]) == 0
 
+    def test_compile_zero_block(self, tmp_path, capsys):
+        # Operator rejects it: its C loop would step by 0 and never end
+        path = self._write(tmp_path)
+        assert main(["compile", path, "--block", "0"]) == 1
+        assert "bad block" in capsys.readouterr().err
+
     def test_report_deterministic(self, tmp_path):
         path = self._write(tmp_path)
         spec = parse_spec(ACOUSTIC)

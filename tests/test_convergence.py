@@ -103,7 +103,8 @@ def _leading(name, so, n):
     return scale * kh ** so
 
 
-CASES = [(name, so, "advanced", None)
+CASES = [(name, so, mode, None)
+         for mode in ("advanced", "basic", "aggressive")
          for name in ("acoustic1d", "acoustic2d", "rotated")
          for so in (2, 4, 8)] + \
     [("rotated", so, "aggressive", {"x": 4, "y": 4}) for so in (2, 4, 8)]

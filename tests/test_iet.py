@@ -263,29 +263,29 @@ LOOP_PROPERTIES_SHA256 = {
 #: the emitted C and the tree dump, byte for byte.
 SOURCE_SHA256 = {
     "acoustic-advanced":
-        "4141cc4dd62161d12dcca20689e1ba53d6382b8aa35f2cf754ade043f246d1b7",
+        "d33ad828db107ca986663bc47f7d95ee3ac7f4e429787750b1c2ef777cc9d2bd",
     "acoustic-advanced-blocked":
-        "b6fc552e8bd9806db5719ebdcf6a1cb9c9e9f8ef5454703a252c4b12b61f1cee",
+        "2a5100c96db01cfb49cdacfbada3343851349c396d2dc73837d70b404259c1e1",
     "acoustic-aggressive":
-        "4141cc4dd62161d12dcca20689e1ba53d6382b8aa35f2cf754ade043f246d1b7",
+        "d33ad828db107ca986663bc47f7d95ee3ac7f4e429787750b1c2ef777cc9d2bd",
     "acoustic-aggressive-blocked":
-        "b6fc552e8bd9806db5719ebdcf6a1cb9c9e9f8ef5454703a252c4b12b61f1cee",
+        "2a5100c96db01cfb49cdacfbada3343851349c396d2dc73837d70b404259c1e1",
     "acoustic-basic":
-        "a6a0848a477def61a3ad3e29ffbd0b96d1c801c3ef220b2032113233dcc759c7",
+        "2efd7d8ce4292c65559c7af1693866e5ef36cdf24056698fb1cafb266c978ceb",
     "acoustic-basic-blocked":
-        "897ce7ae24ccb09355399e2ec486c490eaaa451fe37622c931668e535be201fb",
+        "b965abf092bfc25a6a762e54041ca0f08ab39a4f1303395c385d6a80506cb396",
     "coupled-advanced":
-        "d67fa7ae9933824a7b1154a225a44f85b0650165b8319ededa7ffb2f0246bc12",
+        "1c8ac5417a4959420234e16830f87aa2203f25a44374b1e1b836633812c774a3",
     "coupled-advanced-blocked":
-        "84eab126dc0ee53d3bf54999da83700419dd6706e457db2932ce0c4b29327f9f",
+        "a186a9c911f8e73bca0ac7ae0ba1ce6263871eb5d2db7d6972ef24ac809d6198",
     "coupled-aggressive":
-        "d67fa7ae9933824a7b1154a225a44f85b0650165b8319ededa7ffb2f0246bc12",
+        "1c8ac5417a4959420234e16830f87aa2203f25a44374b1e1b836633812c774a3",
     "coupled-aggressive-blocked":
-        "84eab126dc0ee53d3bf54999da83700419dd6706e457db2932ce0c4b29327f9f",
+        "a186a9c911f8e73bca0ac7ae0ba1ce6263871eb5d2db7d6972ef24ac809d6198",
     "coupled-basic":
-        "21630bae63057314a4ca640dc5086250f8f446daa83964219f541144412f3568",
+        "31ce437ba123e739b2e3e062c06faa06a825fe16c53cfd398e241476435cb628",
     "coupled-basic-blocked":
-        "cebbb5f95fdd25a7b0feba987d8930b4810fc77e96a4daa5caf72850638c073d",
+        "1ce39ed9b355c7d5014663d1b910611834f446ff73ed2c08bc74cf1873aff1d1",
     "recurrence-advanced":
         "c8a95980a628c085b1e34ab17367b1c1b4682f65c8e63f6dc2951856bbd46e72",
     "recurrence-aggressive":
@@ -293,53 +293,53 @@ SOURCE_SHA256 = {
     "recurrence-basic":
         "c8a95980a628c085b1e34ab17367b1c1b4682f65c8e63f6dc2951856bbd46e72",
     "rotated-advanced":
-        "49ee48af3789f31e3f36f690a099a3301e53fd00174534ff4e479fe29e8a67b9",
+        "3e3f227f471aafb73a9a1114ef4c30f2aedac3d028831988540be35b75ba11c7",
     "rotated-advanced-blocked":
-        "d9340d3e65682921f613205a822c4e4fa1ff66ac5000e10676dd26554d45b215",
+        "0eb32a4dd3643eb55fbfc42d1c6a64584d351a5133e38d11913928c7007f4fba",
     "rotated-aggressive":
         "01a73ab369b2d5f8be94c91af0ae8be1542c1b560317f6e85ea567d4cc3fcc89",
     "rotated-aggressive-blocked":
-        "55f9489d572a033d2c536739a886cbd86dd66390afa0472218ac969cca3a896f",
+        "c6bd4eda639ea1cb131fe68c1e997e44ab3ee273e1a5b508eeb5ebc148a1e960",
     "rotated-basic":
-        "627f0c197c51fa9b0c16f099abc7ebbb4919b2bf0ae6543384332276fb94edd5",
+        "b49144e9990375042e72f03e39d6d2709f6319ff2af8fc4e1f9c4fa27a4cc034",
     "rotated-basic-blocked":
-        "1e0d0e593c3edb8c47e7471168bfdb5da6c733edce3ea62d043119cff39e0d4d",
+        "5e637a3c9b8f9e0d1c06d98ea4422b90009fef2362516b7b8680bf3a738e9fda",
     "tti-advanced":
-        "9a96f7a35f16840fd60b9c6c487c6fff2bd88d4db1de3d598d7f5f8bd217079f",
+        "c85d33d95095fedb69f972f57396c2cf1180436248a277e82fb11f037f258465",
     "tti-advanced-blocked":
-        "a05244eb2e2c24119c9a546a96d159820a157ca4a9376b82bfc188a014ede841",
+        "f65078256ecdbec6e1cf8facae520a3ff95db27e81b3f628086147f7c0d080e1",
     "tti-aggressive":
-        "9a96f7a35f16840fd60b9c6c487c6fff2bd88d4db1de3d598d7f5f8bd217079f",
+        "c85d33d95095fedb69f972f57396c2cf1180436248a277e82fb11f037f258465",
     "tti-aggressive-blocked":
-        "a05244eb2e2c24119c9a546a96d159820a157ca4a9376b82bfc188a014ede841",
+        "f65078256ecdbec6e1cf8facae520a3ff95db27e81b3f628086147f7c0d080e1",
     "tti-basic":
-        "32b247965a03be1cde94ec02ff15111ce4d6fe5cf73616a5f0756c031fb60d0c",
+        "3514490fbf81a9f604d785534c98f8500fcfdbb119db22f6f648f661a91d98f8",
     "tti-basic-blocked":
-        "041db27f9cde5907a4b7f845b178cf826cae07ae404f59e3a2181b299e8c3563",
+        "cfdcc3428f12cfeb60d81c08c88d16ac51252f1d3964514b28b1b79b6123c757",
     "two-field-advanced":
-        "59e3ad61cc27e415050501ac1feff6a1e86aa2c74b95c087d77c443327294b84",
+        "c67defb313fdd247f27ceb090e9bcfd8d2ec936d641fc61dc9d7a78dc5e008e2",
     "two-field-advanced-blocked":
-        "7aa98572f14727c3acea09dd88a8b9d3e1329db1240d7f07032b3f5e59797d66",
+        "9ff7149b6986fccf373ebc901d9e20f45b70890f27b5dcc85080da716cc24c44",
     "two-field-aggressive":
-        "59e3ad61cc27e415050501ac1feff6a1e86aa2c74b95c087d77c443327294b84",
+        "c67defb313fdd247f27ceb090e9bcfd8d2ec936d641fc61dc9d7a78dc5e008e2",
     "two-field-aggressive-blocked":
-        "7aa98572f14727c3acea09dd88a8b9d3e1329db1240d7f07032b3f5e59797d66",
+        "9ff7149b6986fccf373ebc901d9e20f45b70890f27b5dcc85080da716cc24c44",
     "two-field-basic":
-        "13a56faeebb91d23233e1b17461680c037b126f6e447c761076baffc09199e13",
+        "bc62a10010fc504ca304ac492c348d324ee7421fd296279f358c8d5d274d714e",
     "two-field-basic-blocked":
-        "e74a5147e8d5f110e782784fb1eeb8b3a54075c2328b3d93b8ceb7185f9d97cf",
+        "f9d06f916ba1a74a0dd8fb07a91296c1b589fca40f29a31827cfde9d2ec77804",
     "wave-advanced":
-        "7c6296e3d2931700c1c47f782bde7188983d630037d99b1c9f6dad0a4723483a",
+        "9a6c8efeffef68029d6fb0c3bf37dace95e58dc4784b0a97e0f962076a8f1bf3",
     "wave-advanced-blocked":
-        "3a6361c3a2f8ed4ed83ed3d53236a4cac0f2838ccb2b9bbe52618c99e45a77a9",
+        "24a396a94cbc1f9b95fd204da44c98ed39c16186abffcea055e1644b2a4804e7",
     "wave-aggressive":
-        "7c6296e3d2931700c1c47f782bde7188983d630037d99b1c9f6dad0a4723483a",
+        "9a6c8efeffef68029d6fb0c3bf37dace95e58dc4784b0a97e0f962076a8f1bf3",
     "wave-aggressive-blocked":
-        "3a6361c3a2f8ed4ed83ed3d53236a4cac0f2838ccb2b9bbe52618c99e45a77a9",
+        "24a396a94cbc1f9b95fd204da44c98ed39c16186abffcea055e1644b2a4804e7",
     "wave-basic":
-        "cdce3c9176515a1f95b67606a1edff5e56e14ff69745a0d4a27d0f82181f2875",
+        "68662149ae275831d6a0413ae0f7f3f9002491846578bd036e4b0a043d43cc58",
     "wave-basic-blocked":
-        "6775a1ef2f86b74e97348ec114eee5c48253001325dd5cd8ccb22aa57ff865fc",
+        "87d120ebb52b9315c4af5fee7ee8c7cb5dbba4ff0e9c37f018d4f51d0c374ab5",
 }
 
 

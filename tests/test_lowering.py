@@ -434,16 +434,17 @@ def test_offsets_derived_once_per_access(monkeypatch):
 # SHA-256 of ``Operator.source`` for ``2.0 + laplace(u)`` ("const") and
 # ``2.0*u + laplace(u)`` ("coeff") on a 16x16 SO8 grid, taken before the
 # lowering walks shared results between equal nodes, and re-taken when the
-# emitted time index became non-negative (``((i)%m + m)%m``).
+# emitted time index became non-negative (``((i)%m + m)%m``) and when only
+# the outermost parallel loop of a nest kept ``parallel for``.
 FLOAT_CONSTANT_C_SHA256 = {
     ("basic", "const"):
-        "13eaf01281acd0db84c83e8bb4177bc65002fbdd492cc82b2938654852a64ef8",
+        "fb0ec637fd06e75dfc2e80a93bede94f97a2ee7a082f061b8ef7322790bb0afe",
     ("basic", "coeff"):
-        "f215861dde27695cc24c9fcac00f2c3ba3c98188b49c1cefe43b5c2960f675de",
+        "ccc1156d4fddb6f62e29887f6ddaef34d30bf6c35deb9ec0e5a787137d1283ae",
     ("advanced", "const"):
-        "14f70707550b9aca86eed99d0f6dd97043c3c10cbaf324daa0c0bbb048022197",
+        "26263d83a6f92fd7f44a528055245c5ff2a871628198ea58cab3286cbb0d165a",
     ("advanced", "coeff"):
-        "81c2a550a0f4f2745feb440ea633b1d5fcc02db64c70940077d4ba181aba6451",
+        "d93a928622af30309ff8f45540d3334e97c9105b0975f3040949462b5d875d16",
 }
 
 
